@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -265,3 +266,84 @@ class TestEvaluateCommand:
         argv = ["evaluate", "--annotations", annotation_file, "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "--detections" in capsys.readouterr().err
+
+
+# Every CLI command on one fixed config; the files each run writes are pinned
+# by SHA-256, so a refactor that changes any output byte fails here.
+GOLDEN_ARGV = {
+    **{
+        strategy: ["assign", "--synthetic", "--seed", "15", "--svg", "--strategy", strategy]
+        for strategy in ("static", "l2c", "c2l", "mutual", "fcos", "fcos-mutual")
+    },
+    "simulate": ["simulate", "--synthetic", "--seed", "15"],
+    "evaluate": ["evaluate", "--area-bands"],
+}
+
+GOLDEN_DETECTIONS = [
+    {"image_id": 1, "bbox": BOAT_BBOX, "category_id": 1, "score": 0.9},
+    {"image_id": 1, "bbox": [66, 98, 40, 60], "category_id": 1, "score": 0.6},
+    {"image_id": 1, "bbox": [205, 30, 70, 70], "category_id": 2, "score": 0.8},
+    {"image_id": 1, "bbox": [10, 250, 30, 30], "category_id": 2, "score": 0.7},
+    {"image_id": 2, "bbox": [100, 100, 50, 50], "category_id": 1, "score": 0.4},
+]
+
+GOLDEN_SHA256 = {
+    "c2l": {
+        "scene-0000.c2l.json": "cb736e5ae8e5474b53f5f6aa62165cca2016198c687195bcf107262427e6931e",
+        "scene-0000.diff.json": "f03e59d18d9dd65c80e1eef901aabfe56ea9e4aefe74b73b07df0ef565e4b437",
+        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.svg": "432f9a5b3dac0703e336d63dfbf99c8916a9165f38a447624c14875eceabef93",
+    },
+    "evaluate": {
+        "evaluation.json": "4c6014d08fc4400181588b71463da8b5b43be8b148cd8982899f7a8c5f46ec67",
+    },
+    "fcos": {
+        "scene-0000.diff.json": "6c0d072d251c7c7be1f58479fa453b0f42e9c73da98ad7f1979b3e4fb848ffc0",
+        "scene-0000.fcos.json": "3851f99af8957c38ed6a22a09ebb30b6708e504b451b98d73e278cd70a3230b1",
+        "scene-0000.svg": "ef358b9e2017b36a76f103712946eb523fe847794840645727bc21c70732a027",
+    },
+    "fcos-mutual": {
+        "scene-0000.diff.json": "c7264e6ae456b1f7465353a3f3f039f127da3c78ecbf3bc9e06f38ee3f001bcd",
+        "scene-0000.fcos-mutual.json": "b644db7c0426b6ba87e2595b9e7118d3be8be3dd9a2f34c78ad7e928e381e393",
+        "scene-0000.fcos.json": "3851f99af8957c38ed6a22a09ebb30b6708e504b451b98d73e278cd70a3230b1",
+        "scene-0000.svg": "18b57a82301ad8c78783718c9e13863530e93ab2ab9ce1a2b5c785f47bec4d91",
+    },
+    "l2c": {
+        "scene-0000.diff.json": "d7d7241a6d7e800c087cd9ed9b24085a1aa9b5832bdea196cdc72be36ab5b906",
+        "scene-0000.l2c.json": "3c5ae02144a201f64a49e7e6b0184dd7cc6b27f1db96777bc875bf8cdff75a81",
+        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.svg": "c53250ef52df6e7479800f6116fd95cfa16efcd2dd0cb7a5b50ce48ab479f5dd",
+    },
+    "mutual": {
+        "scene-0000.diff.json": "6b91871eb159cfd072676eb5a40f13e32e99108d86aa3d34201d485352b3a41d",
+        "scene-0000.mutual.json": "08fecb2c50fe087d97374577ef03a7366c5592081a6da2a851a0ca6cf41bb5ec",
+        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.svg": "a767f23c785fa314103ef7c29bb7636e738860cf8cd86a065831b07dd115634a",
+    },
+    "simulate": {
+        "trajectory.json": "65bd5f49d61b45870723fb93433bb266ed1a0be2c4506db463cd05734d801674",
+    },
+    "static": {
+        "scene-0000.diff.json": "beaef0467ae4e0aab6d0aeb1cacd580ece3f37f91d431570ad0017ec2b97b9f3",
+        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.svg": "dd67a1c38b0b5cfd43b7122ab92e147a001b50046925b19c978b2ec4890d42ca",
+    },
+}
+
+
+def golden_digests(run, annotation_file, tmp_path):
+    """Run one golden command; return {file name: SHA-256} of what it wrote."""
+    argv = list(GOLDEN_ARGV[run])
+    if run == "evaluate":
+        dets = write_json(tmp_path / "dets.json", GOLDEN_DETECTIONS)
+        argv += ["--annotations", annotation_file, "--detections", dets]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    return {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())
+    }
+
+
+@pytest.mark.parametrize("run", sorted(GOLDEN_ARGV))
+def test_golden_outputs(run, annotation_file, tmp_path):
+    assert golden_digests(run, annotation_file, tmp_path) == GOLDEN_SHA256[run]
