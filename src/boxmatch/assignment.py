@@ -13,11 +13,17 @@ classification labels, amplified overlap (raw overlap raised to
 per object with deterministic tie-breaks (lower anchor index first); anchors
 claimed by several objects go to the object with the higher score, ties to
 the lower object index.
+
+Each public function checks its inputs once with ``matrix_values`` and runs
+the static strategy once for the budgets; the private cores behind it take
+checked arrays and never re-validate. ``ANCHOR_STRATEGIES`` maps each strategy
+name the CLI and the simulator accept to one checked call of those cores.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -91,14 +97,39 @@ class DynamicLabels:
     warnings: list[str] = field(default_factory=list)
 
 
+def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:
+    # min and max propagate NaN, which then fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError(f"{what} must be finite and lie in [0, 1]")
+    return arr
+
+
 def matrix_values(matrix: MatrixLike) -> np.ndarray:
-    """Unwrap an IoUMatrix or coerce an array-like to a 2-D float64 array."""
+    """The one checked entry for overlap and score matrices.
+
+    Unwraps an IoUMatrix or coerces an array-like to a 2-D float64 array, and
+    rejects non-finite values and values outside [0, 1] with ValueError.
+    """
     if isinstance(matrix, IoUMatrix):
-        return matrix.values
-    arr = np.asarray(matrix, dtype=np.float64)
+        arr = matrix.values
+    else:
+        arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
-    return arr
+    return _unit_interval(arr, "matrix values")
+
+
+def _checked(*matrices: MatrixLike) -> list[np.ndarray]:
+    """matrix_values of each input; all inputs must share one shape."""
+    values = [matrix_values(m) for m in matrices]
+    for other in values[1:]:
+        if other.shape != values[0].shape:
+            raise ValueError(f"matrix shapes differ: {values[0].shape} vs {other.shape}")
+    return values
+
+
+def _amplify(values, scores, sigma):
+    return np.power(values, (sigma - scores) / sigma)
 
 
 def amplified_iou(iou_value, score, sigma):
@@ -111,13 +142,9 @@ def amplified_iou(iou_value, score, sigma):
     sigma_arr = np.asarray(sigma, dtype=np.float64)
     if sigma_arr.size == 0 or np.any(sigma_arr <= 1.0):
         raise ValueError(f"sigma must be > 1, got {sigma}")
-    iou_arr = np.asarray(iou_value, dtype=np.float64)
-    score_arr = np.asarray(score, dtype=np.float64)
-    if iou_arr.size and (iou_arr.min() < 0.0 or iou_arr.max() > 1.0):
-        raise ValueError("iou values must lie in [0, 1]")
-    if score_arr.size and (score_arr.min() < 0.0 or score_arr.max() > 1.0):
-        raise ValueError("classification scores must lie in [0, 1]")
-    out = np.power(iou_arr, (sigma_arr - score_arr) / sigma_arr)
+    iou_arr = _unit_interval(np.asarray(iou_value, dtype=np.float64), "iou values")
+    score_arr = _unit_interval(np.asarray(score, dtype=np.float64), "classification scores")
+    out = _amplify(iou_arr, score_arr, sigma_arr)
     if np.ndim(iou_value) == 0 and np.ndim(score) == 0 and np.ndim(sigma) == 0:
         return float(out)
     return out
@@ -132,8 +159,10 @@ def static_assign(iou_anchor: MatrixLike, cfg: Optional[MatchingConfig] = None) 
     is guaranteed at least one positive anchor: an object left without one
     takes its highest-overlap anchor among those not positive elsewhere.
     """
-    cfg = cfg or MatchingConfig()
-    values = matrix_values(iou_anchor)
+    return _static(matrix_values(iou_anchor), cfg or MatchingConfig())
+
+
+def _static(values: np.ndarray, cfg: MatchingConfig) -> Assignment:
     if values.size == 0:
         raise ValueError("empty IoU matrix")
     n, m = values.shape
@@ -245,6 +274,31 @@ def _claim_one(labels: np.ndarray, j: int, ranked: np.ndarray, n_objects: int) -
     return False
 
 
+def _guided(base, cls: Optional[DynamicLabels] = None, loc: Optional[DynamicLabels] = None):
+    """``base`` (an Assignment or PointAssignment) with the labels of either
+    task replaced by a guided result; the warnings are the guided results'
+    own, classification's first. Without a guided result, ``base`` itself."""
+    if cls is None and loc is None:
+        return base
+    return replace(
+        base,
+        classification_labels=base.classification_labels if cls is None else cls.labels,
+        localization_labels=base.localization_labels if loc is None else loc.labels,
+        warnings=[w for r in (cls, loc) if r is not None for w in r.warnings],
+    )
+
+
+def _l2c(regressed: np.ndarray, base: Assignment) -> DynamicLabels:
+    n_pos = [p for p, _ in base.per_object_counts]
+    n_ign = [i for _, i in base.per_object_counts]
+    return ranked_selection(regressed, n_pos, n_ign)
+
+
+def _c2l(anchor: np.ndarray, scores: np.ndarray, base: Assignment, sigma: float) -> DynamicLabels:
+    n_pos = [p for p, _ in base.per_object_counts]
+    return ranked_selection(_amplify(anchor, scores, sigma), n_pos, [0] * len(n_pos))
+
+
 def localize_to_classify(
     iou_anchor: MatrixLike,
     iou_regressed: MatrixLike,
@@ -256,17 +310,8 @@ def localize_to_classify(
     (n_pos, n_ignored); each object then takes its n_pos highest
     ``iou_regressed`` anchors as positive and the next n_ignored as ignored.
     """
-    cfg = cfg or MatchingConfig()
-    anchor_vals = matrix_values(iou_anchor)
-    regressed_vals = matrix_values(iou_regressed)
-    if anchor_vals.shape != regressed_vals.shape:
-        raise ValueError(
-            f"matrix shapes differ: {anchor_vals.shape} vs {regressed_vals.shape}"
-        )
-    base = static_assign(anchor_vals, cfg)
-    n_pos = [c[0] for c in base.per_object_counts]
-    n_ign = [c[1] for c in base.per_object_counts]
-    return ranked_selection(regressed_vals, n_pos, n_ign)
+    anchor, regressed = _checked(iou_anchor, iou_regressed)
+    return _l2c(regressed, _static(anchor, cfg or MatchingConfig()))
 
 
 def classify_to_localize(
@@ -282,16 +327,8 @@ def classify_to_localize(
     band for the localization task.
     """
     cfg = cfg or MatchingConfig()
-    anchor_vals = matrix_values(iou_anchor)
-    scores = matrix_values(classif_scores)
-    if anchor_vals.shape != scores.shape:
-        raise ValueError(f"matrix shapes differ: {anchor_vals.shape} vs {scores.shape}")
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-        raise ValueError("classification scores must lie in [0, 1]")
-    base = static_assign(anchor_vals, cfg)
-    n_pos = [c[0] for c in base.per_object_counts]
-    amplified = np.power(anchor_vals, (cfg.sigma - scores) / cfg.sigma)
-    return ranked_selection(amplified, n_pos, [0] * len(n_pos))
+    anchor, scores = _checked(iou_anchor, classif_scores)
+    return _c2l(anchor, scores, _static(anchor, cfg), cfg.sigma)
 
 
 def mutual_guidance_assign(
@@ -306,13 +343,24 @@ def mutual_guidance_assign(
     from classify_to_localize, per-object counts from the static strategy.
     The two label sets may disagree on individual anchors by design.
     """
+    return ANCHOR_STRATEGIES["mutual"](iou_anchor, iou_regressed, classif_scores, cfg)[1]
+
+
+def _run_anchors(iou_anchor, iou_regressed, classif_scores, cfg=None, *, l2c, c2l):
     cfg = cfg or MatchingConfig()
-    base = static_assign(iou_anchor, cfg)
-    cls = localize_to_classify(iou_anchor, iou_regressed, cfg)
-    loc = classify_to_localize(iou_anchor, classif_scores, cfg)
-    return Assignment(
-        classification_labels=cls.labels,
-        localization_labels=loc.labels,
-        per_object_counts=base.per_object_counts,
-        warnings=cls.warnings + loc.warnings,
-    )
+    anchor, regressed, scores = _checked(iou_anchor, iou_regressed, classif_scores)
+    base = _static(anchor, cfg)
+    cls = _l2c(regressed, base) if l2c else None
+    loc = _c2l(anchor, scores, base, cfg.sigma) if c2l else None
+    return base, _guided(base, cls, loc)
+
+
+# Strategy name -> f(iou_anchor, iou_regressed, classif_scores, cfg=None),
+# returning (static baseline, the strategy's Assignment). A task that its
+# strategy does not guide keeps the static labels.
+ANCHOR_STRATEGIES = {
+    "static": partial(_run_anchors, l2c=False, c2l=False),
+    "l2c": partial(_run_anchors, l2c=True, c2l=False),
+    "c2l": partial(_run_anchors, l2c=False, c2l=True),
+    "mutual": partial(_run_anchors, l2c=True, c2l=True),
+}

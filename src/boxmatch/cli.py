@@ -11,7 +11,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -19,16 +19,9 @@ import numpy as np
 
 from .anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from .annotations import AnnotationError, load_annotations, load_detections
-from .assignment import (
-    Assignment,
-    MatchingConfig,
-    classify_to_localize,
-    localize_to_classify,
-    mutual_guidance_assign,
-    static_assign,
-)
+from .assignment import ANCHOR_STRATEGIES, MatchingConfig
 from .evaluation import GroundTruth, average_precision
-from .fcos import PointAssignment, fcos_assign_original, fcos_classify_to_localize, fcos_localize_to_classify
+from .fcos import POINT_STRATEGIES
 from .geometry import boxes_to_array, pairwise_iou
 from .render import STRATEGY_COLORS, render_assignment_svg
 from .simulator import (
@@ -40,9 +33,6 @@ from .simulator import (
     synth_predictions,
     synth_scene,
 )
-
-ANCHOR_STRATEGIES = ("static", "l2c", "c2l", "mutual")
-POINT_STRATEGIES = ("fcos", "fcos-mutual")
 
 
 class CliError(Exception):
@@ -207,15 +197,7 @@ def _load_scenes(cfg: RunConfig) -> list[tuple[object, Scene, int]]:
         if not cfg.synthetic:
             raise CliError("choose an input source: --annotations <path> or --synthetic")
         for k in range(cfg.num_scenes):
-            spec = SceneSpec(
-                image_width=cfg.scene_spec.image_width,
-                image_height=cfg.scene_spec.image_height,
-                count_range=cfg.scene_spec.count_range,
-                size_range=cfg.scene_spec.size_range,
-                max_pairwise_iou=cfg.scene_spec.max_pairwise_iou,
-                num_classes=cfg.scene_spec.num_classes,
-                seed=cfg.seed + k,
-            )
+            spec = replace(cfg.scene_spec, seed=cfg.seed + k)
             scenes.append((f"scene-{k:04d}", synth_scene(spec), cfg.seed + k))
     if not scenes:
         raise CliError("no usable scenes in the input source")
@@ -256,37 +238,41 @@ def _diff_payload(
     }
 
 
-def _assign_anchor_scene(cfg: RunConfig, image_id, scene: Scene, seed: int) -> dict[str, object]:
+def _label_anchors(cfg: RunConfig, scene: Scene, seed: int):
+    """Return what _write_scene takes after the scene: the baseline's name,
+    the baseline, the strategy's result, the SVG layer argument and the
+    anchor boxes it draws."""
     anchors = generate_anchors(cfg.grid)
     iou_anchor = pairwise_iou(anchors.array, boxes_to_array(scene.boxes))
     snapshot = synth_predictions(scene, anchors, cfg.trajectory, cfg.assign_progress, seed=seed)
-    baseline = static_assign(iou_anchor, cfg.matching)
+    baseline, dynamic = ANCHOR_STRATEGIES[cfg.strategy](
+        iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, cfg.matching
+    )
+    return "static", baseline, dynamic, "box_layers", anchors.boxes
 
-    if cfg.strategy == "static":
-        dynamic = baseline
-    elif cfg.strategy == "l2c":
-        labels = localize_to_classify(iou_anchor, snapshot.iou_regressed, cfg.matching)
-        dynamic = Assignment(
-            classification_labels=labels.labels,
-            localization_labels=baseline.localization_labels,
-            per_object_counts=baseline.per_object_counts,
-            warnings=labels.warnings,
-        )
-    elif cfg.strategy == "c2l":
-        labels = classify_to_localize(iou_anchor, snapshot.classif_scores, cfg.matching)
-        dynamic = Assignment(
-            classification_labels=baseline.classification_labels,
-            localization_labels=labels.labels,
-            per_object_counts=baseline.per_object_counts,
-            warnings=labels.warnings,
-        )
-    else:  # mutual
-        dynamic = mutual_guidance_assign(
-            iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, cfg.matching
-        )
 
+def _label_points(cfg: RunConfig, scene: Scene, seed: int):
+    """The point twin of _label_anchors; the SVG draws point coordinates."""
+    points = generate_points(cfg.grid)
+    iou_regressed, scores = synth_point_predictions(
+        scene, points, cfg.trajectory, cfg.assign_progress, seed=seed
+    )
+    baseline, dynamic = POINT_STRATEGIES[cfg.strategy](
+        points, scene.boxes, iou_regressed, scores, cfg.matching
+    )
+    return "fcos", baseline, dynamic, "point_layers", points.xy
+
+
+def _write_scene(
+    cfg: RunConfig, image_id, scene: Scene, baseline_name, baseline, dynamic, layer_kind, items
+) -> None:
+    """Write a scene's baseline and strategy labels, their diff and the SVG.
+
+    ``items`` holds the anchor boxes or point coordinates the SVG draws for
+    positive labels, under the renderer's ``layer_kind`` argument.
+    """
     files = {
-        f"{image_id}.static.json": baseline.to_json_dict(),
+        f"{image_id}.{baseline_name}.json": baseline.to_json_dict(),
         f"{image_id}.{cfg.strategy}.json": dynamic.to_json_dict(),
         f"{image_id}.diff.json": _diff_payload(
             image_id,
@@ -296,74 +282,28 @@ def _assign_anchor_scene(cfg: RunConfig, image_id, scene: Scene, seed: int) -> d
             len(scene.boxes),
         ),
     }
-    svg = None
+    for name, payload in files.items():
+        _write_json(cfg.out / name, payload)
     if cfg.svg:
         layers = [
-            (STRATEGY_COLORS["static"], [anchors.boxes[i] for i in _positive_indices(baseline.classification_labels)]),
-            (STRATEGY_COLORS["l2c"], [anchors.boxes[i] for i in _positive_indices(dynamic.classification_labels)]),
-            (STRATEGY_COLORS["c2l"], [anchors.boxes[i] for i in _positive_indices(dynamic.localization_labels)]),
+            (STRATEGY_COLORS[color], [items[i] for i in _positive_indices(labels)])
+            for color, labels in (
+                ("static", baseline.classification_labels),
+                ("l2c", dynamic.classification_labels),
+                ("c2l", dynamic.localization_labels),
+            )
         ]
         svg = render_assignment_svg(
-            scene.image_width, scene.image_height, scene.boxes, box_layers=layers
+            scene.image_width, scene.image_height, scene.boxes, **{layer_kind: layers}
         )
-    return {"files": files, "svg": svg}
-
-
-def _assign_point_scene(cfg: RunConfig, image_id, scene: Scene, seed: int) -> dict[str, object]:
-    points = generate_points(cfg.grid)
-    baseline = fcos_assign_original(points, scene.boxes)
-
-    if cfg.strategy == "fcos":
-        dynamic = baseline
-    else:  # fcos-mutual
-        iou_regressed, scores = synth_point_predictions(
-            scene, points, cfg.trajectory, cfg.assign_progress, seed=seed
-        )
-        cls = fcos_localize_to_classify(points, scene.boxes, iou_regressed)
-        loc = fcos_classify_to_localize(points, scene.boxes, scores, cfg.matching.sigma)
-        dynamic = PointAssignment(
-            classification_labels=cls.labels,
-            localization_labels=loc.labels,
-            per_object_counts=baseline.per_object_counts,
-            warnings=cls.warnings + loc.warnings,
-        )
-
-    files = {
-        f"{image_id}.fcos.json": baseline.to_json_dict(),
-        f"{image_id}.{cfg.strategy}.json": dynamic.to_json_dict(),
-        f"{image_id}.diff.json": _diff_payload(
-            image_id,
-            cfg.strategy,
-            baseline.classification_labels,
-            dynamic.classification_labels,
-            len(scene.boxes),
-        ),
-    }
-    svg = None
-    if cfg.svg:
-        xy = points.xy
-        point_layers = [
-            (STRATEGY_COLORS["static"], [tuple(xy[i]) for i in _positive_indices(baseline.classification_labels)]),
-            (STRATEGY_COLORS["l2c"], [tuple(xy[i]) for i in _positive_indices(dynamic.classification_labels)]),
-            (STRATEGY_COLORS["c2l"], [tuple(xy[i]) for i in _positive_indices(dynamic.localization_labels)]),
-        ]
-        svg = render_assignment_svg(
-            scene.image_width, scene.image_height, scene.boxes, point_layers=point_layers
-        )
-    return {"files": files, "svg": svg}
+        _write_text(cfg.out / f"{image_id}.svg", svg)
 
 
 def cmd_assign(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
+    label = _label_points if cfg.strategy in POINT_STRATEGIES else _label_anchors
     for image_id, scene, seed in _load_scenes(cfg):
-        if cfg.strategy in POINT_STRATEGIES:
-            result = _assign_point_scene(cfg, image_id, scene, seed)
-        else:
-            result = _assign_anchor_scene(cfg, image_id, scene, seed)
-        for name, payload in result["files"].items():
-            _write_json(cfg.out / name, payload)
-        if result["svg"] is not None:
-            _write_text(cfg.out / f"{image_id}.svg", result["svg"])
+        _write_scene(cfg, image_id, scene, *label(cfg, scene, seed))
     return 0
 
 
@@ -444,7 +384,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_assign)
     p_assign.add_argument(
         "--strategy",
-        choices=ANCHOR_STRATEGIES + POINT_STRATEGIES,
+        choices=[*ANCHOR_STRATEGIES, *POINT_STRATEGIES],
         default="mutual",
         help="dynamic strategy to compare against its static baseline",
     )

@@ -8,12 +8,18 @@ central region). The dynamic variants keep the original per-object positive
 counts but re-rank the same candidate pools: by regressed-box overlap for
 classification labels, by amplified centerness for localization labels.
 Points inside several matching boxes go to the smallest-area box.
+
+As in the anchor module, each public function checks its inputs once and
+computes the original strategy (and the point membership masks) once; the
+private cores take those results. ``POINT_STRATEGIES`` maps each point
+strategy name of the CLI to one checked call of those cores.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,8 +28,11 @@ from .anchors import PointSet
 from .assignment import (
     NEGATIVE,
     DynamicLabels,
+    MatchingConfig,
     MatrixLike,
+    _amplify,
     _claim_one,
+    _guided,
     matrix_values,
     ranked_selection,
 )
@@ -82,12 +91,9 @@ def _centerness_matrix(xy: np.ndarray, gt: np.ndarray) -> np.ndarray:
     return np.where(inside, values, 0.0)
 
 
-def _membership(
-    points: PointSet,
-    gt: np.ndarray,
-    center_sampling_radius: Optional[float],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (in_box, level_ok, candidate) masks of shape (P, M)."""
+def _membership(points: PointSet, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return the (in_box, pool) masks of shape (P, M); the pool holds the
+    in-box, level-matched points that every point strategy ranks over."""
     xy = points.xy
     in_box = (
         (xy[:, 0:1] >= gt[None, :, 0])
@@ -99,16 +105,18 @@ def _membership(
     lowers = np.asarray([r[0] for r in points.scale_ranges])[points.point_levels]
     uppers = np.asarray([r[1] for r in points.scale_ranges])[points.point_levels]
     level_ok = (max_side[None, :] >= lowers[:, None]) & (max_side[None, :] < uppers[:, None])
-    candidate = in_box & level_ok
-    if center_sampling_radius is not None:
-        cx = 0.5 * (gt[:, 0] + gt[:, 2])
-        cy = 0.5 * (gt[:, 1] + gt[:, 3])
-        reach = center_sampling_radius * points.point_strides[:, None]
-        central = (np.abs(xy[:, 0:1] - cx[None, :]) <= reach) & (
-            np.abs(xy[:, 1:2] - cy[None, :]) <= reach
-        )
-        candidate = candidate & central
-    return in_box, level_ok, candidate
+    return in_box, in_box & level_ok
+
+
+def _central(points: PointSet, gt: np.ndarray, radius: float) -> np.ndarray:
+    """(P, M) mask of points within radius * stride of each box center."""
+    xy = points.xy
+    cx = 0.5 * (gt[:, 0] + gt[:, 2])
+    cy = 0.5 * (gt[:, 1] + gt[:, 3])
+    reach = radius * points.point_strides[:, None]
+    return (np.abs(xy[:, 0:1] - cx[None, :]) <= reach) & (
+        np.abs(xy[:, 1:2] - cy[None, :]) <= reach
+    )
 
 
 def _force_nearest(
@@ -142,10 +150,20 @@ def fcos_assign_original(
     in-box point forced positive (nearest point overall if none is in-box),
     so every object keeps at least one positive.
     """
+    return _original(points, objects, center_sampling_radius)[1]
+
+
+def _original(
+    points: PointSet, objects: Sequence[Box], center_sampling_radius: Optional[float]
+) -> tuple[np.ndarray, PointAssignment, np.ndarray]:
+    """Return (gt array, original assignment, ranking pool)."""
     if len(objects) == 0:
         raise ValueError("objects must be non-empty")
     gt = boxes_to_array(objects)
-    in_box, level_ok, candidate = _membership(points, gt, center_sampling_radius)
+    in_box, pool = _membership(points, gt)
+    candidate = pool
+    if center_sampling_radius is not None:
+        candidate = pool & _central(points, gt, center_sampling_radius)
     n, m = candidate.shape
 
     areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
@@ -159,30 +177,42 @@ def fcos_assign_original(
         if np.any(labels == j):
             continue
         center = (0.5 * (gt[j, 0] + gt[j, 2]), 0.5 * (gt[j, 1] + gt[j, 3]))
-        tiers = (
-            in_box[:, j] & level_ok[:, j],
-            in_box[:, j],
-            np.ones(n, dtype=bool),
-        )
+        tiers = (pool[:, j], in_box[:, j], np.ones(n, dtype=bool))
         _force_nearest(labels, j, tiers, points.xy, center, warnings)
 
     counts = [int(np.sum(labels == j)) for j in range(m)]
-    return PointAssignment(
+    base = PointAssignment(
         classification_labels=labels,
         localization_labels=labels.copy(),
         per_object_counts=counts,
         warnings=warnings,
     )
+    return gt, base, pool
 
 
-def _rescue_empty_objects(
-    labels: np.ndarray, base: PointAssignment, premerge: list[int]
-) -> None:
+def _point_matrix(matrix: MatrixLike, name: str, points: PointSet, gt: np.ndarray) -> np.ndarray:
+    values = matrix_values(matrix)
+    if values.shape != (len(points), gt.shape[0]):
+        raise ValueError(
+            f"{name} must have shape {(len(points), gt.shape[0])}, got {values.shape}"
+        )
+    return values
+
+
+def _ranked(values: np.ndarray, base: PointAssignment, pool: np.ndarray) -> DynamicLabels:
+    """Each object's n_pos best points of its pool by ``values``."""
+    m = len(base.per_object_counts)
+    result = ranked_selection(values, base.per_object_counts, [0] * m, candidate_mask=pool)
     # objects whose ranking pool was empty fall back to their original points
-    m = len(premerge)
     for j in range(m):
-        if not np.any(labels == j):
-            _claim_one(labels, j, np.flatnonzero(base.classification_labels == j), m)
+        if not np.any(result.labels == j):
+            _claim_one(result.labels, j, np.flatnonzero(base.classification_labels == j), m)
+    return result
+
+
+def _amplified_centerness(points, gt, scores, sigma) -> np.ndarray:
+    raw = _centerness_matrix(points.xy, gt)
+    return np.where(raw > 0, _amplify(raw, scores, sigma), 0.0)
 
 
 def fcos_localize_to_classify(
@@ -197,21 +227,8 @@ def fcos_localize_to_classify(
     over each object's in-box, level-matched points. There is no ignored band
     for points.
     """
-    regressed = matrix_values(iou_regressed)
-    base = fcos_assign_original(points, objects, center_sampling_radius)
-    gt = boxes_to_array(objects)
-    if regressed.shape != (len(points), gt.shape[0]):
-        raise ValueError(
-            f"iou_regressed must have shape {(len(points), gt.shape[0])}, "
-            f"got {regressed.shape}"
-        )
-    in_box, level_ok, _ = _membership(points, gt, None)
-    pool = in_box & level_ok
-    result = ranked_selection(
-        regressed, base.per_object_counts, [0] * gt.shape[0], candidate_mask=pool
-    )
-    _rescue_empty_objects(result.labels, base, result.premerge_positive_counts)
-    return result
+    gt, base, pool = _original(points, objects, center_sampling_radius)
+    return _ranked(_point_matrix(iou_regressed, "iou_regressed", points, gt), base, pool)
 
 
 def fcos_classify_to_localize(
@@ -226,22 +243,27 @@ def fcos_classify_to_localize(
     points outside the box."""
     if not sigma > 1.0:
         raise ValueError(f"sigma must be > 1, got {sigma}")
-    scores = matrix_values(classif_scores)
-    base = fcos_assign_original(points, objects, center_sampling_radius)
-    gt = boxes_to_array(objects)
-    if scores.shape != (len(points), gt.shape[0]):
-        raise ValueError(
-            f"classif_scores must have shape {(len(points), gt.shape[0])}, "
-            f"got {scores.shape}"
-        )
-    if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
-        raise ValueError("classification scores must lie in [0, 1]")
-    raw = _centerness_matrix(points.xy, gt)
-    amplified = np.where(raw > 0, np.power(raw, (sigma - scores) / sigma), 0.0)
-    in_box, level_ok, _ = _membership(points, gt, None)
-    pool = in_box & level_ok
-    result = ranked_selection(
-        amplified, base.per_object_counts, [0] * gt.shape[0], candidate_mask=pool
-    )
-    _rescue_empty_objects(result.labels, base, result.premerge_positive_counts)
-    return result
+    gt, base, pool = _original(points, objects, center_sampling_radius)
+    scores = _point_matrix(classif_scores, "classif_scores", points, gt)
+    return _ranked(_amplified_centerness(points, gt, scores, sigma), base, pool)
+
+
+def _run_points(points, objects, iou_regressed, classif_scores, cfg=None, *, mutual):
+    sigma = (cfg or MatchingConfig()).sigma
+    gt, base, pool = _original(points, objects, None)
+    regressed = _point_matrix(iou_regressed, "iou_regressed", points, gt)
+    scores = _point_matrix(classif_scores, "classif_scores", points, gt)
+    if not mutual:
+        return base, base
+    # the point twin of mutual_guidance_assign
+    cls = _ranked(regressed, base, pool)
+    loc = _ranked(_amplified_centerness(points, gt, scores, sigma), base, pool)
+    return base, _guided(base, cls, loc)
+
+
+# Strategy name -> f(points, objects, iou_regressed, classif_scores, cfg=None),
+# returning (original baseline, the strategy's PointAssignment).
+POINT_STRATEGIES = {
+    "fcos": partial(_run_points, mutual=False),
+    "fcos-mutual": partial(_run_points, mutual=True),
+}

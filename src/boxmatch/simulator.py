@@ -18,14 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .anchors import AnchorSet, PointSet
-from .assignment import (
-    Assignment,
-    MatchingConfig,
-    classify_to_localize,
-    localize_to_classify,
-    mutual_guidance_assign,
-    static_assign,
-)
+from .assignment import ANCHOR_STRATEGIES, MatchingConfig, static_assign
 from .evaluation import Detection, GroundTruth
 from .geometry import Box, boxes_to_array, iou, pairwise_iou
 
@@ -34,8 +27,6 @@ GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "sqrt": math.sqrt,
     "quadratic": lambda t: t * t,
 }
-
-STRATEGIES = ("static", "l2c", "l2c-fixed", "c2l", "mutual")
 
 # anchors eligible for misalignment injection: overlap high enough that the
 # static strategy would train them as positives
@@ -122,7 +113,6 @@ class TrajectoryStep:
     t: float
     positive_count: int
     labels: np.ndarray
-    assignment: Optional[Assignment] = None
 
 
 @dataclass
@@ -301,18 +291,18 @@ def run_trajectory(
     cfg: TrajectoryConfig,
     strategy: str,
     matching: Optional[MatchingConfig] = None,
-    fixed_thresholds: Optional[tuple[float, float]] = None,
     seed: int = 0,
 ) -> TrajectoryResult:
     """Label the scene at every trajectory step and count positives.
 
-    ``strategy`` is one of "static", "l2c" (dynamic budgets), "l2c-fixed"
-    (the static thresholds applied directly to regressed overlap), "c2l", or
-    "mutual". The count is over classification labels except for "c2l",
-    which only produces localization labels.
+    ``strategy`` is a name from ``ANCHOR_STRATEGIES`` ("static", "l2c",
+    "c2l", "mutual") or "l2c-fixed", the static thresholds applied directly
+    to regressed overlap. The count is over classification labels except for
+    "c2l", which only guides localization labels.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if strategy != "l2c-fixed" and strategy not in ANCHOR_STRATEGIES:
+        choices = sorted([*ANCHOR_STRATEGIES, "l2c-fixed"])
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {choices}")
     matching = matching or MatchingConfig()
     iou_anchor = pairwise_iou(anchor_set.array, boxes_to_array(scene.boxes))
     ts = np.linspace(0.0, 1.0, cfg.steps) if cfg.steps > 1 else np.asarray([0.0])
@@ -320,31 +310,16 @@ def run_trajectory(
     steps: list[TrajectoryStep] = []
     for t in ts:
         snapshot = synth_predictions(scene, anchor_set, cfg, float(t), seed=seed)
-        assignment = None
-        if strategy == "static":
-            assignment = static_assign(iou_anchor, matching)
-            labels = assignment.classification_labels
-        elif strategy == "l2c":
-            labels = localize_to_classify(iou_anchor, snapshot.iou_regressed, matching).labels
-        elif strategy == "l2c-fixed":
-            t_pos, t_neg = fixed_thresholds or (matching.t_pos, matching.t_neg)
-            fixed = MatchingConfig(t_pos=t_pos, t_neg=t_neg, sigma=matching.sigma)
-            assignment = static_assign(snapshot.iou_regressed, fixed)
-            labels = assignment.classification_labels
-        elif strategy == "c2l":
-            labels = classify_to_localize(iou_anchor, snapshot.classif_scores, matching).labels
-        else:  # mutual
-            assignment = mutual_guidance_assign(
+        if strategy == "l2c-fixed":
+            labels = static_assign(snapshot.iou_regressed, matching).classification_labels
+        else:
+            _, result = ANCHOR_STRATEGIES[strategy](
                 iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, matching
             )
-            labels = assignment.classification_labels
+            c2l = strategy == "c2l"
+            labels = result.localization_labels if c2l else result.classification_labels
         steps.append(
-            TrajectoryStep(
-                t=float(t),
-                positive_count=int(np.sum(labels >= 0)),
-                labels=labels,
-                assignment=assignment,
-            )
+            TrajectoryStep(t=float(t), positive_count=int(np.sum(labels >= 0)), labels=labels)
         )
     return TrajectoryResult(strategy=strategy, steps=steps)
 

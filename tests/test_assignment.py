@@ -12,7 +12,7 @@ from boxmatch.assignment import (
     mutual_guidance_assign,
     static_assign,
 )
-from boxmatch.geometry import boxes_to_array, pairwise_iou
+from boxmatch.geometry import IoUMatrix, boxes_to_array, pairwise_iou
 from boxmatch.simulator import SceneSpec, synth_scene
 
 # 13 anchors A-M around one object: 6 above the positive threshold, 3 in the
@@ -87,6 +87,29 @@ class TestAmplifiedIou:
         out = amplified_iou(np.array([0.5, 0.5]), np.array([0.0, 1.0]), 2.0)
         assert out[0] == 0.5
         assert out[1] == pytest.approx(2**-0.5)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # a NaN score used to move the positive silently to the 0.45 anchor
+        lambda: classify_to_localize(column([0.60, 0.45, 0.1]), column([NAN, 0.0, 0.0])),
+        lambda: localize_to_classify(column([0.6, 0.3]), column([7.0, 0.2])),
+        lambda: static_assign(column([0.6, -0.5])),
+        lambda: static_assign(column([0.6, NAN])),
+        # IoUMatrix's own range check lets NaN through
+        lambda: static_assign(IoUMatrix(column([0.6, NAN]))),
+        lambda: mutual_guidance_assign(column([0.6]), column([float("inf")]), column([0.0])),
+    ],
+    ids=["c2l-nan-score", "l2c-regressed-7", "static-negative", "static-nan",
+         "static-nan-ioumatrix", "mutual-inf-regressed"],
+)
+def test_invalid_matrix_values_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
 
 
 class TestStaticAssign:
