@@ -129,7 +129,13 @@ def _checked(*matrices: MatrixLike) -> list[np.ndarray]:
 
 
 def _amplify(values, scores, sigma):
-    return np.power(values, (sigma - scores) / sigma)
+    # 0 ** e is 0 for every exponent sigma > 1 allows: raise the overlaps only
+    arrays = np.broadcast_arrays(values, scores, sigma)
+    values, scores, sigma = (a.ravel() for a in arrays)
+    hit = np.flatnonzero(values > 0)
+    out = np.zeros(values.size)
+    out[hit] = np.power(values[hit], (sigma[hit] - scores[hit]) / sigma[hit])
+    return out.reshape(arrays[0].shape)
 
 
 def amplified_iou(iou_value, score, sigma):
@@ -169,30 +175,23 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> Assignment:
     best_obj = np.argmax(values, axis=1)
     best_iou = values[np.arange(n), best_obj]
 
-    labels = np.full(n, NEGATIVE, dtype=np.int64)
-    pos_mask = best_iou >= cfg.t_pos
-    labels[pos_mask] = best_obj[pos_mask]
-    labels[~pos_mask & (best_iou >= cfg.t_neg)] = IGNORED
+    below = np.where(best_iou >= cfg.t_neg, IGNORED, NEGATIVE)
+    labels = np.where(best_iou >= cfg.t_pos, best_obj, below)
 
     warnings: list[str] = []
-    for j in range(m):
-        if np.any(labels == j):
-            continue
-        for i in np.argsort(-values[:, j], kind="stable"):
-            if labels[i] < 0:  # never steal another object's positive
-                labels[i] = j
-                break
+    # a fallback only takes a non-positive anchor, so no other object's count moves
+    for j in np.flatnonzero(_positives(labels, m) == 0):
+        ranked = _ranking(values[:, j].copy())  # contiguous: ranking reads it 4 times
+        free = ranked[labels[ranked] < 0]  # never steal another object's positive
+        if free.size:
+            labels[free[0]] = j
         else:
             warnings.append(f"object {j}: no anchor available for the positive fallback")
 
-    counts = []
-    for j in range(m):
-        n_pos = int(np.sum(labels == j))
-        n_ign = int(np.sum((labels == IGNORED) & (best_obj == j)))
-        counts.append((n_pos, n_ign))
+    n_ign = np.bincount(best_obj[labels == IGNORED], minlength=m)
+    counts = list(zip(_positives(labels, m).tolist(), n_ign.tolist()))
 
-    localization = labels.copy()
-    localization[localization == IGNORED] = NEGATIVE
+    localization = np.where(labels == IGNORED, NEGATIVE, labels)
     return Assignment(
         classification_labels=labels,
         localization_labels=localization,
@@ -209,10 +208,10 @@ def ranked_selection(
 ) -> DynamicLabels:
     """Per-object top-k labeling with deterministic merge across objects.
 
-    For each object, anchors are ranked by its score column (descending,
-    ties to the lower anchor index) over the candidate pool; the first
-    ``n_pos`` become positive claims and the next ``n_ignored`` ignored
-    claims. Positive beats ignored beats negative. An anchor claimed positive
+    For each object, anchors are ranked by its score column (descending, ties
+    to the lower anchor index, so zeros rank last in index order) over the
+    candidate pool; the first ``n_pos`` become positive claims and the next
+    ``n_ignored`` ignored claims. Positive beats ignored beats negative. An anchor claimed positive
     by several objects goes to the highest-scoring claim (ties to the lower
     object index); displaced claims are not refilled, except that an object
     left with no positive at all takes its best-ranked anchor among those not
@@ -220,52 +219,69 @@ def ranked_selection(
     """
     values = score_matrix
     n, m = values.shape
-    labels = np.full(n, NEGATIVE, dtype=np.int64)
-    pos_claims = np.zeros((n, m), dtype=bool)
+    columns = np.ascontiguousarray(values.T)  # one object's scores per row
+    pools = [None] * m if candidate_mask is None else list(map(np.flatnonzero, candidate_mask.T))
+    pos_claims = np.zeros((m, n), dtype=bool)
     ignored_any = np.zeros(n, dtype=bool)
     premerge: list[int] = []
     warnings: list[str] = []
-    orders: list[np.ndarray] = []
 
     for j in range(m):
-        if candidate_mask is None:
-            cand = np.arange(n)
-        else:
-            cand = np.flatnonzero(candidate_mask[:, j])
-        order = cand[np.argsort(-values[cand, j], kind="stable")]
-        orders.append(order)
-        k_pos = min(int(n_pos[j]), order.size)
-        k_ign = min(int(n_ignored[j]), order.size - k_pos)
+        size = n if pools[j] is None else pools[j].size
+        k_pos = min(int(n_pos[j]), size)
+        k_ign = min(int(n_ignored[j]), size - k_pos)
         if k_pos < n_pos[j] or k_ign < n_ignored[j]:
             warnings.append(
-                f"object {j}: only {order.size} candidates for "
+                f"object {j}: only {size} candidates for "
                 f"{n_pos[j]} positive + {n_ignored[j]} ignored; clamped"
             )
-        pos_claims[order[:k_pos], j] = True
-        ignored_any[order[k_pos : k_pos + k_ign]] = True
+        top = _ranking(columns[j], pools[j], k_pos + k_ign)
+        pos_claims[j, top[:k_pos]] = True
+        ignored_any[top[k_pos:]] = True
         premerge.append(k_pos)
 
-    claimed = pos_claims.any(axis=1)
-    winner = np.argmax(np.where(pos_claims, values, -np.inf), axis=1)
-    labels[claimed] = winner[claimed]
-    labels[~claimed & ignored_any] = IGNORED
+    claimed = np.flatnonzero(pos_claims.any(axis=0))
+    claims = np.where(pos_claims[:, claimed].T, values[claimed], -np.inf)
+    labels = np.where(ignored_any, IGNORED, NEGATIVE)
+    labels[claimed] = np.argmax(claims, axis=1)
 
-    # an object displaced from every one of its picks keeps one positive
-    for j in range(m):
-        if premerge[j] > 0 and not np.any(labels == j):
-            _claim_one(labels, j, orders[j], m)
+    # an object displaced from every one of its picks keeps one positive; a
+    # claim never empties another object, so one count serves the whole loop
+    for j in np.flatnonzero((_positives(labels, m) == 0) & (np.asarray(premerge) > 0)):
+        _claim_one(labels, j, _ranking(columns[j], pools[j]), m)
 
     return DynamicLabels(labels=labels, premerge_positive_counts=premerge, warnings=warnings)
+
+
+def _positives(labels: np.ndarray, n_objects: int) -> np.ndarray:
+    return np.bincount(labels[labels >= 0], minlength=n_objects)
+
+
+def _ranking(column: np.ndarray, pool: Optional[np.ndarray] = None, k: Optional[int] = None):
+    """The first k (default all) of ``pool`` (default all indices) ranked by
+    ``column``, descending, ties to the lower index; zeros are ranked on demand."""
+    top = np.flatnonzero(column > 0) if pool is None else pool[column[pool] > 0]
+    if k and k < top.size:  # the k-th best score, then its ties in index order
+        scores = column[top]
+        kth = np.partition(scores, top.size - k)[top.size - k]
+        keep = scores > kth
+        keep[np.flatnonzero(scores == kth)[: k - np.count_nonzero(keep)]] = True
+        top = top[keep]
+    order = top[np.argsort(-column[top], kind="stable")]
+    if k is not None and k <= order.size:
+        return order[:k]
+    rest = np.flatnonzero(column <= 0) if pool is None else pool[column[pool] <= 0]
+    return np.concatenate([order, rest[np.argsort(-column[rest], kind="stable")]])[:k]
 
 
 def _claim_one(labels: np.ndarray, j: int, ranked: np.ndarray, n_objects: int) -> bool:
     """Give object j its best-ranked anchor: a free one if any, otherwise one
     whose current owner keeps at least one other positive."""
-    for i in ranked:
-        if labels[i] < 0:
-            labels[i] = j
-            return True
-    counts = np.bincount(labels[labels >= 0], minlength=n_objects)
+    free = ranked[labels[ranked] < 0]
+    if free.size:
+        labels[free[0]] = j
+        return True
+    counts = _positives(labels, n_objects)
     for i in ranked:
         owner = labels[i]
         if owner >= 0 and counts[owner] >= 2:
@@ -346,10 +362,10 @@ def mutual_guidance_assign(
     return ANCHOR_STRATEGIES["mutual"](iou_anchor, iou_regressed, classif_scores, cfg)[1]
 
 
-def _run_anchors(iou_anchor, iou_regressed, classif_scores, cfg=None, *, l2c, c2l):
+def _run_anchors(iou_anchor, iou_regressed, classif_scores, cfg=None, *, l2c, c2l, _base=None):
     cfg = cfg or MatchingConfig()
     anchor, regressed, scores = _checked(iou_anchor, iou_regressed, classif_scores)
-    base = _static(anchor, cfg)
+    base = _static(anchor, cfg) if _base is None else _base
     cls = _l2c(regressed, base) if l2c else None
     loc = _c2l(anchor, scores, base, cfg.sigma) if c2l else None
     return base, _guided(base, cls, loc)
@@ -357,7 +373,7 @@ def _run_anchors(iou_anchor, iou_regressed, classif_scores, cfg=None, *, l2c, c2
 
 # Strategy name -> f(iou_anchor, iou_regressed, classif_scores, cfg=None),
 # returning (static baseline, the strategy's Assignment). A task that its
-# strategy does not guide keeps the static labels.
+# strategy does not guide keeps the static labels; ``_base`` reuses a static run.
 ANCHOR_STRATEGIES = {
     "static": partial(_run_anchors, l2c=False, c2l=False),
     "l2c": partial(_run_anchors, l2c=True, c2l=False),

@@ -33,6 +33,7 @@ from .assignment import (
     _amplify,
     _claim_one,
     _guided,
+    _positives,
     matrix_values,
     ranked_selection,
 )
@@ -168,19 +169,15 @@ def _original(
 
     areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
     winner = np.argmin(np.where(candidate, areas[None, :], np.inf), axis=1)
-    labels = np.full(n, NEGATIVE, dtype=np.int64)
-    has = candidate.any(axis=1)
-    labels[has] = winner[has]
+    labels = np.where(candidate.any(axis=1), winner, NEGATIVE)
 
     warnings: list[str] = []
-    for j in range(m):
-        if np.any(labels == j):
-            continue
+    for j in np.flatnonzero(_positives(labels, m) == 0):
         center = (0.5 * (gt[j, 0] + gt[j, 2]), 0.5 * (gt[j, 1] + gt[j, 3]))
         tiers = (pool[:, j], in_box[:, j], np.ones(n, dtype=bool))
         _force_nearest(labels, j, tiers, points.xy, center, warnings)
 
-    counts = [int(np.sum(labels == j)) for j in range(m)]
+    counts = _positives(labels, m).tolist()
     base = PointAssignment(
         classification_labels=labels,
         localization_labels=labels.copy(),
@@ -204,15 +201,13 @@ def _ranked(values: np.ndarray, base: PointAssignment, pool: np.ndarray) -> Dyna
     m = len(base.per_object_counts)
     result = ranked_selection(values, base.per_object_counts, [0] * m, candidate_mask=pool)
     # objects whose ranking pool was empty fall back to their original points
-    for j in range(m):
-        if not np.any(result.labels == j):
-            _claim_one(result.labels, j, np.flatnonzero(base.classification_labels == j), m)
+    for j in np.flatnonzero(_positives(result.labels, m) == 0):
+        _claim_one(result.labels, j, np.flatnonzero(base.classification_labels == j), m)
     return result
 
 
 def _amplified_centerness(points, gt, scores, sigma) -> np.ndarray:
-    raw = _centerness_matrix(points.xy, gt)
-    return np.where(raw > 0, _amplify(raw, scores, sigma), 0.0)
+    return _amplify(_centerness_matrix(points.xy, gt), scores, sigma)
 
 
 def fcos_localize_to_classify(

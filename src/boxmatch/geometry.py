@@ -86,18 +86,28 @@ def _as_box_array(boxes: BoxesLike) -> np.ndarray:
     return boxes_to_array(boxes)
 
 
+def broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unchecked IoU of (..., 4) box arrays whose leading shapes broadcast:
+    ``a[:, None]`` against ``b`` is the pairwise matrix, equal shapes give the
+    row-wise IoU. Each float equals the scalar ``iou`` of its pair, bit for bit."""
+    iw = np.minimum(a[..., 2], b[..., 2])
+    iw -= np.maximum(a[..., 0], b[..., 0])
+    ih = np.minimum(a[..., 3], b[..., 3])
+    ih -= np.maximum(a[..., 1], b[..., 1])
+    inter = np.clip(iw, 0.0, None, out=iw)
+    inter *= np.clip(ih, 0.0, None, out=ih)
+    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
+    union = union + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union -= inter
+    return np.divide(inter, union, out=inter)
+
+
 def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
     """IoU between every box in `a` and every box in `b`; shape (len(a), len(b))."""
     a = _as_box_array(a)
     b = _as_box_array(b)
-    lt = np.maximum(a[:, None, :2], b[None, :, :2])
-    rb = np.minimum(a[:, None, 2:], b[None, :, 2:])
-    wh = np.clip(rb - lt, 0.0, None)
-    inter = wh[..., 0] * wh[..., 1]
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    return inter / union
+    # a's axis innermost (the long one for anchors against objects), then C order
+    return broadcast_iou(b[:, None], a).T.copy()
 
 
 @dataclass(frozen=True)
@@ -110,8 +120,9 @@ class IoUMatrix:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"IoU matrix must be 2-dimensional, got shape {arr.shape}")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-            raise ValueError("IoU matrix values must lie in [0, 1]")
+        # min and max propagate NaN, which then fails both comparisons
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise ValueError("IoU matrix values must be finite and lie in [0, 1]")
         object.__setattr__(self, "values", arr)
 
     @property

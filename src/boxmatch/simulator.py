@@ -20,7 +20,7 @@ import numpy as np
 from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, MatchingConfig, static_assign
 from .evaluation import Detection, GroundTruth
-from .geometry import Box, boxes_to_array, iou, pairwise_iou
+from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -177,15 +177,6 @@ def _snapshot_rng(seed: int, t: float) -> np.random.Generator:
     return np.random.default_rng([seed, int(round(t * 1_000_000_000))])
 
 
-def _rowwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    iw = np.clip(np.minimum(a[:, 2], b[:, 2]) - np.maximum(a[:, 0], b[:, 0]), 0.0, None)
-    ih = np.clip(np.minimum(a[:, 3], b[:, 3]) - np.maximum(a[:, 1], b[:, 1]), 0.0, None)
-    inter = iw * ih
-    area_a = (a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1])
-    area_b = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
-    return inter / (area_a + area_b - inter)
-
-
 def synth_predictions(
     scene: Scene,
     anchor_set: AnchorSet,
@@ -235,7 +226,7 @@ def synth_predictions(
     regressed = (1.0 - weights[:, None]) * anchors + weights[:, None] * effective
 
     # jitter must not push an anchor below its starting overlap
-    against_target = _rowwise_iou(regressed, targets)
+    against_target = broadcast_iou(regressed, targets)
     degraded = (against_target < best_iou) & ~drifted
     regressed[degraded] = anchors[degraded]
 
@@ -306,6 +297,8 @@ def run_trajectory(
     matching = matching or MatchingConfig()
     iou_anchor = pairwise_iou(anchor_set.array, boxes_to_array(scene.boxes))
     ts = np.linspace(0.0, 1.0, cfg.steps) if cfg.steps > 1 else np.asarray([0.0])
+    # iou_anchor does not depend on t: one static pass serves every step
+    base = None if strategy == "l2c-fixed" else static_assign(iou_anchor, matching)
 
     steps: list[TrajectoryStep] = []
     for t in ts:
@@ -314,7 +307,7 @@ def run_trajectory(
             labels = static_assign(snapshot.iou_regressed, matching).classification_labels
         else:
             _, result = ANCHOR_STRATEGIES[strategy](
-                iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, matching
+                iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, matching, _base=base
             )
             c2l = strategy == "c2l"
             labels = result.localization_labels if c2l else result.classification_labels

@@ -96,3 +96,45 @@ def brute_force_ap_at_threshold(dets, gts, threshold: float) -> float:
                 best = p
         total += best
     return total / 101
+
+
+def brute_force_ranked_selection(values, n_pos, n_ignored, candidate_mask=None):
+    """Reference per-object top-k with the cross-object merge and the
+    one-positive rescue, by sorted() and plain loops over nested lists.
+
+    Returns (labels, premerge counts); labels use -1 for negative and -2 for
+    ignored, like the library.
+    """
+    n, m = len(values), len(values[0])
+    rankings, claims, ignored, premerge = [], {}, set(), []
+    for j in range(m):
+        pool = [i for i in range(n) if candidate_mask is None or candidate_mask[i][j]]
+        ranked = sorted(pool, key=lambda i: (-values[i][j], i))
+        k_pos = min(n_pos[j], len(ranked))
+        k_ign = min(n_ignored[j], len(ranked) - k_pos)
+        for i in ranked[:k_pos]:
+            claims.setdefault(i, []).append(j)
+        ignored.update(ranked[k_pos : k_pos + k_ign])
+        rankings.append(ranked)
+        premerge.append(k_pos)
+
+    labels = [-1] * n
+    for i in range(n):
+        if i in claims:  # the highest score wins, ties to the lower object
+            labels[i] = max(claims[i], key=lambda j: (values[i][j], -j))
+        elif i in ignored:
+            labels[i] = -2
+
+    for j in range(m):
+        if premerge[j] == 0 or j in labels:
+            continue
+        free = [i for i in rankings[j] if labels[i] < 0]
+        if free:
+            labels[free[0]] = j
+            continue
+        counts = {k: labels.count(k) for k in range(m)}
+        for i in rankings[j]:
+            if labels[i] >= 0 and counts[labels[i]] >= 2:
+                labels[i] = j
+                break
+    return labels, premerge

@@ -121,3 +121,8 @@ class TestIouMatrix:
             IoUMatrix(np.array([[1.5]]))
         with pytest.raises(ValueError):
             IoUMatrix(np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            IoUMatrix([[0.5, value]])

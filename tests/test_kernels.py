@@ -1,0 +1,187 @@
+"""Property tests for the two O(n*m) labelling kernels: the broadcast IoU and
+the per-object ranking behind every anchor and point strategy."""
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from boxmatch import assignment
+from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors
+from boxmatch.assignment import (
+    NEGATIVE,
+    _amplify,
+    classify_to_localize,
+    localize_to_classify,
+    ranked_selection,
+    static_assign,
+)
+from boxmatch.geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
+from boxmatch.simulator import Scene, TrajectoryConfig, run_trajectory
+from oracles import brute_force_ranked_selection
+
+# integer corners make touching, nested and identical boxes common
+COORD = st.integers(0, 24) | st.floats(0, 24, allow_nan=False)
+EXTENT = st.integers(1, 12) | st.floats(0.5, 12, allow_nan=False)
+
+
+@st.composite
+def boxes(draw, min_size=1, max_size=6):
+    sides = draw(st.lists(st.tuples(COORD, COORD, EXTENT, EXTENT), min_size=min_size,
+                          max_size=max_size))
+    return [Box(x, y, x + w, y + h) for x, y, w, h in sides]
+
+
+class TestBroadcastIoU:
+    @given(boxes(), boxes())
+    def test_pairwise_equals_scalar_iou_exactly(self, a, b):
+        matrix = pairwise_iou(boxes_to_array(a), boxes_to_array(b))
+        assert matrix.shape == (len(a), len(b))
+        assert matrix.flags.c_contiguous
+        for i, box_a in enumerate(a):
+            for j, box_b in enumerate(b):
+                assert matrix[i, j] == iou(box_a, box_b)
+
+    @given(st.data())
+    def test_rowwise_equals_scalar_iou_exactly(self, data):
+        a = data.draw(boxes(max_size=8))
+        b = data.draw(boxes(min_size=len(a), max_size=len(a)))
+        rowwise = broadcast_iou(boxes_to_array(a), boxes_to_array(b))
+        assert rowwise.tolist() == [iou(x, y) for x, y in zip(a, b)]
+
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            ((0, 0, 2, 2), (5, 5, 7, 7), 0.0),  # disjoint
+            ((0, 0, 2, 2), (2, 0, 4, 2), 0.0),  # touching along an edge
+            ((0, 0, 2, 2), (2, 2, 4, 4), 0.0),  # touching at a corner
+            ((0, 0, 4, 4), (1, 1, 3, 3), 0.25),  # nested
+            ((1, 2, 3, 5), (1, 2, 3, 5), 1.0),  # identical
+        ],
+    )
+    def test_hand_cases(self, a, b, expected):
+        arr_a, arr_b = np.asarray([a], float), np.asarray([b], float)
+        assert pairwise_iou(arr_a, arr_b)[0, 0] == expected == iou(Box(*a), Box(*b))
+        assert broadcast_iou(arr_a, arr_b)[0] == expected
+
+
+# few distinct values, many zeros: ties, all-zero columns and pools with
+# fewer positive scores than the budget are common
+SCORE = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@st.composite
+def selection_cases(draw):
+    n, m = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    values = np.asarray(draw(st.lists(SCORE, min_size=n * m, max_size=n * m))).reshape(n, m)
+    n_pos = draw(st.lists(st.integers(0, n + 2), min_size=m, max_size=m))
+    n_ign = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    flags = st.lists(st.booleans(), min_size=n * m, max_size=n * m)
+    mask = draw(st.none() | flags.map(lambda f: np.asarray(f).reshape(n, m)))
+    return values, n_pos, n_ign, mask
+
+
+def check_against_oracle(values, n_pos, n_ign, mask=None):
+    result = ranked_selection(np.asarray(values, float), n_pos, n_ign, mask)
+    mask_rows = None if mask is None else np.asarray(mask).tolist()
+    labels, premerge = brute_force_ranked_selection(values, n_pos, n_ign, mask_rows)
+    assert result.labels.tolist() == labels
+    assert result.premerge_positive_counts == premerge
+    return result
+
+
+class TestRankedSelection:
+    @given(selection_cases())
+    def test_matches_brute_force_oracle(self, case):
+        values, n_pos, n_ign, mask = case
+        check_against_oracle(values.tolist(), n_pos, n_ign, mask)
+
+    def test_zeros_rank_last_in_index_order(self):
+        values = [[0.0], [0.3], [0.0], [0.0], [0.3]]
+        result = check_against_oracle(values, [4], [1])
+        assert result.labels.tolist() == [0, 0, 0, -2, 0]
+
+    def test_all_zero_column(self):
+        result = check_against_oracle([[0.0, 0.9], [0.0, 0.1], [0.0, 0.0]], [2, 1], [0, 1])
+        assert result.labels.tolist() == [1, 0, -1]
+
+    def test_budget_beyond_pool_is_clamped(self):
+        mask = np.asarray([[True], [False], [True]])
+        result = check_against_oracle([[0.2], [0.9], [0.0]], [5], [0], mask)
+        assert result.labels.tolist() == [0, -1, 0]
+        assert result.premerge_positive_counts == [2]
+        assert result.warnings
+
+    def test_displaced_object_takes_its_best_free_anchor(self):
+        # object 1 loses anchor 0 to object 0's higher score and is rescued
+        # with its next-ranked anchor, which nobody claimed
+        result = check_against_oracle([[0.9, 0.8], [0.0, 0.5], [0.1, 0.0]], [1, 1], [0, 0])
+        assert result.labels.tolist() == [0, 1, -1]
+
+    def test_displaced_object_takes_from_an_owner_with_two(self):
+        # every anchor is object 0's; object 1 takes its best-ranked one
+        result = check_against_oracle([[0.9, 0.4], [0.8, 0.2]], [2, 1], [0, 0])
+        assert result.labels.tolist() == [1, 0]
+
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=40), st.floats(0, 1),
+           st.floats(1.0001, 10))
+    @example([0.0, 0.5, 1.0], 1.0, 2.0)
+    def test_amplify_equals_the_full_power(self, overlaps, score, sigma):
+        values = np.asarray(overlaps)
+        scores = np.full_like(values, score)
+        full = np.power(values, (sigma - scores) / sigma)
+        assert _amplify(values, scores, sigma).tobytes() == full.tobytes()
+
+
+# each anchor overlaps one object at most, and each object has an anchor at
+# or above t_pos: the static positives are exactly each column's top n_pos
+@st.composite
+def cold_start_overlaps(draw):
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, 20))
+    owners = draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n))
+    levels = st.sampled_from([0.0, 0.1, 0.3, 0.4, 0.45, 0.5, 0.55, 0.7, 1.0])
+    values = np.zeros((n, m))
+    values[np.arange(n), owners] = draw(st.lists(levels, min_size=n, max_size=n))
+    values[np.arange(m)] = 0.0
+    values[np.arange(m), np.arange(m)] = draw(
+        st.lists(st.sampled_from([0.5, 0.6, 0.9]), min_size=m, max_size=m)
+    )
+    return values
+
+
+def positives(labels):
+    return np.where(labels >= 0, labels, NEGATIVE).tolist()
+
+
+class TestColdStart:
+    """Scores 0 and regressed boxes equal to the anchors: amplification is the
+    identity and the regressed overlap is the anchor overlap, so l2c and c2l
+    pick exactly static's top n_pos."""
+
+    @given(cold_start_overlaps())
+    def test_guided_picks_equal_static_positives(self, iou_anchor):
+        static = positives(static_assign(iou_anchor).classification_labels)
+        assert positives(localize_to_classify(iou_anchor, iou_anchor).labels) == static
+        zeros = np.zeros_like(iou_anchor)
+        assert positives(classify_to_localize(iou_anchor, zeros).labels) == static
+
+    @given(boxes(max_size=1))
+    def test_single_object_on_a_grid(self, objects):
+        grid = generate_anchors(AnchorGridSpec(32, 32, (LevelSpec(4, (8.0,), (1.0, 2.0)),)))
+        iou_anchor = pairwise_iou(grid.array, boxes_to_array(objects))
+        static = positives(static_assign(iou_anchor).classification_labels)
+        assert positives(localize_to_classify(iou_anchor, iou_anchor).labels) == static
+        zeros = np.zeros_like(iou_anchor)
+        assert positives(classify_to_localize(iou_anchor, zeros).labels) == static
+
+
+def test_trajectory_runs_static_once(monkeypatch):
+    calls = []
+    real = assignment._static
+    monkeypatch.setattr(assignment, "_static", lambda *a: calls.append(1) or real(*a))
+    grid = generate_anchors(AnchorGridSpec(64, 64, (LevelSpec(8, (16.0,), (1.0,)),)))
+    scene = Scene(64, 64, (Box(10, 10, 30, 34), Box(36, 8, 60, 28)), (0, 1))
+    result = run_trajectory(scene, grid, TrajectoryConfig(steps=5), "mutual")
+    assert len(result.steps) == 5
+    assert len(calls) == 1
