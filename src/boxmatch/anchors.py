@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Box
-
 
 @dataclass(frozen=True)
 class LevelSpec:
@@ -75,32 +73,20 @@ class AnchorGridSpec:
 
 @dataclass
 class AnchorSet:
-    """Flat anchor list with per-level index ranges and a packed (N, 4) array."""
+    """Packed (N, 4) anchor array plus per-level index ranges."""
 
-    boxes: tuple[Box, ...]
     level_offsets: tuple[tuple[int, int], ...]
     array: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.boxes)
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """A per-pixel sample location with its level's object-size range."""
-
-    x: float
-    y: float
-    level: int
-    scale_range: tuple[float, float]
-    stride: int
+        return self.array.shape[0]
 
 
 @dataclass
 class PointSet:
-    """Flat point list mirroring AnchorSet ordering, plus packed arrays."""
+    """Packed point arrays in AnchorSet ordering: (P, 2) centers, each
+    point's level index and stride, and each level's object-size range."""
 
-    points: tuple[GridPoint, ...]
     level_offsets: tuple[tuple[int, int], ...]
     xy: np.ndarray
     point_levels: np.ndarray
@@ -108,7 +94,7 @@ class PointSet:
     scale_ranges: tuple[tuple[float, float], ...]
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self.xy.shape[0]
 
 
 def _level_centers(spec: AnchorGridSpec, level: LevelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -150,9 +136,7 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
         arrays.append(level_boxes)
         offsets.append((start, start + level_boxes.shape[0]))
         start += level_boxes.shape[0]
-    array = np.concatenate(arrays, axis=0)
-    boxes = tuple(Box(*row) for row in array)
-    return AnchorSet(boxes=boxes, level_offsets=tuple(offsets), array=array)
+    return AnchorSet(level_offsets=tuple(offsets), array=np.concatenate(arrays, axis=0))
 
 
 def level_scale_ranges(spec: AnchorGridSpec) -> tuple[tuple[float, float], ...]:
@@ -170,36 +154,20 @@ def level_scale_ranges(spec: AnchorGridSpec) -> tuple[tuple[float, float], ...]:
 
 def generate_points(spec: AnchorGridSpec) -> PointSet:
     """Generate one point per grid cell per level, at cell centers."""
-    ranges = level_scale_ranges(spec)
-    points: list[GridPoint] = []
-    offsets = []
     xy = []
-    levels = []
-    strides = []
+    offsets = []
     start = 0
-    for idx, level in enumerate(spec.levels):
+    for level in spec.levels:
         cx, cy = _level_centers(spec, level)
-        for y in cy:
-            for x in cx:
-                points.append(
-                    GridPoint(
-                        x=float(x),
-                        y=float(y),
-                        level=idx,
-                        scale_range=ranges[idx],
-                        stride=level.stride,
-                    )
-                )
-                xy.append((x, y))
-                levels.append(idx)
-                strides.append(level.stride)
-        offsets.append((start, len(points)))
-        start = len(points)
+        gx, gy = np.meshgrid(cx, cy)  # (rows, cols): row-major is rows, then columns
+        xy.append(np.stack([gx.ravel(), gy.ravel()], axis=1))
+        offsets.append((start, start + gx.size))
+        start += gx.size
+    sizes = [end - begin for begin, end in offsets]
     return PointSet(
-        points=tuple(points),
         level_offsets=tuple(offsets),
-        xy=np.asarray(xy, dtype=np.float64),
-        point_levels=np.asarray(levels, dtype=np.int64),
-        point_strides=np.asarray(strides, dtype=np.float64),
-        scale_ranges=ranges,
+        xy=np.concatenate(xy, axis=0),
+        point_levels=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
+        point_strides=np.repeat([float(level.stride) for level in spec.levels], sizes),
+        scale_ranges=level_scale_ranges(spec),
     )

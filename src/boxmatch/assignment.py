@@ -163,15 +163,18 @@ def static_assign(iou_anchor: MatrixLike, cfg: Optional[MatchingConfig] = None) 
     object (ties to the lower object index); non-positive anchors with best
     overlap in [t_neg, t_pos) are ignored; the rest are negative. Every object
     is guaranteed at least one positive anchor: an object left without one
-    takes its highest-overlap anchor among those not positive elsewhere.
+    takes its highest-overlap anchor among those not positive elsewhere. An
+    image without objects (an (n, 0) matrix) gets all-NEGATIVE labels.
     """
     return _static(matrix_values(iou_anchor), cfg or MatchingConfig())
 
 
 def _static(values: np.ndarray, cfg: MatchingConfig) -> Assignment:
-    if values.size == 0:
-        raise ValueError("empty IoU matrix")
     n, m = values.shape
+    if n == 0:
+        raise ValueError("empty IoU matrix: no anchors")
+    if m == 0:  # an image without objects is all background
+        return Assignment(np.full(n, NEGATIVE), np.full(n, NEGATIVE), [])
     best_obj = np.argmax(values, axis=1)
     best_iou = values[np.arange(n), best_obj]
 
@@ -181,10 +184,9 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> Assignment:
     warnings: list[str] = []
     # a fallback only takes a non-positive anchor, so no other object's count moves
     for j in np.flatnonzero(_positives(labels, m) == 0):
-        ranked = _ranking(values[:, j].copy())  # contiguous: ranking reads it 4 times
-        free = ranked[labels[ranked] < 0]  # never steal another object's positive
-        if free.size:
-            labels[free[0]] = j
+        free = labels < 0  # never steal another object's positive
+        if free.any():  # highest overlap, ties and all-zero columns to the lower index
+            labels[np.argmax(np.where(free, values[:, j], -1.0))] = j
         else:
             warnings.append(f"object {j}: no anchor available for the positive fallback")
 
@@ -241,9 +243,10 @@ def ranked_selection(
         premerge.append(k_pos)
 
     claimed = np.flatnonzero(pos_claims.any(axis=0))
-    claims = np.where(pos_claims[:, claimed].T, values[claimed], -np.inf)
     labels = np.where(ignored_any, IGNORED, NEGATIVE)
-    labels[claimed] = np.argmax(claims, axis=1)
+    if claimed.size:  # argmax rejects the (0, 0) claims of an image without objects
+        claims = np.where(pos_claims[:, claimed].T, values[claimed], -np.inf)
+        labels[claimed] = np.argmax(claims, axis=1)
 
     # an object displaced from every one of its picks keeps one positive; a
     # claim never empties another object, so one count serves the whole loop

@@ -17,12 +17,19 @@ from typing import Optional
 
 import numpy as np
 
-from .anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
+from .anchors import (
+    AnchorGridSpec,
+    AnchorSet,
+    LevelSpec,
+    PointSet,
+    generate_anchors,
+    generate_points,
+)
 from .annotations import AnnotationError, load_annotations, load_detections
 from .assignment import ANCHOR_STRATEGIES, MatchingConfig
 from .evaluation import GroundTruth, average_precision
 from .fcos import POINT_STRATEGIES
-from .geometry import boxes_to_array, pairwise_iou
+from .geometry import Box, boxes_to_array, pairwise_iou
 from .render import STRATEGY_COLORS, render_assignment_svg
 from .simulator import (
     Scene,
@@ -238,22 +245,22 @@ def _diff_payload(
     }
 
 
-def _label_anchors(cfg: RunConfig, scene: Scene, seed: int):
+def _label_anchors(cfg: RunConfig, anchors: AnchorSet, scene: Scene, seed: int):
     """Return what _write_scene takes after the scene: the baseline's name,
     the baseline, the strategy's result, the SVG layer argument and the
-    anchor boxes it draws."""
-    anchors = generate_anchors(cfg.grid)
+    packed anchor boxes it draws."""
     iou_anchor = pairwise_iou(anchors.array, boxes_to_array(scene.boxes))
-    snapshot = synth_predictions(scene, anchors, cfg.trajectory, cfg.assign_progress, seed=seed)
+    snapshot = synth_predictions(
+        scene, anchors, cfg.trajectory, cfg.assign_progress, seed=seed, _iou_anchor=iou_anchor
+    )
     baseline, dynamic = ANCHOR_STRATEGIES[cfg.strategy](
         iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, cfg.matching
     )
-    return "static", baseline, dynamic, "box_layers", anchors.boxes
+    return "static", baseline, dynamic, "box_layers", anchors.array
 
 
-def _label_points(cfg: RunConfig, scene: Scene, seed: int):
+def _label_points(cfg: RunConfig, points: PointSet, scene: Scene, seed: int):
     """The point twin of _label_anchors; the SVG draws point coordinates."""
-    points = generate_points(cfg.grid)
     iou_regressed, scores = synth_point_predictions(
         scene, points, cfg.trajectory, cfg.assign_progress, seed=seed
     )
@@ -264,12 +271,13 @@ def _label_points(cfg: RunConfig, scene: Scene, seed: int):
 
 
 def _write_scene(
-    cfg: RunConfig, image_id, scene: Scene, baseline_name, baseline, dynamic, layer_kind, items
+    cfg: RunConfig, image_id, scene: Scene, baseline_name, baseline, dynamic, layer_kind, rows
 ) -> None:
     """Write a scene's baseline and strategy labels, their diff and the SVG.
 
-    ``items`` holds the anchor boxes or point coordinates the SVG draws for
-    positive labels, under the renderer's ``layer_kind`` argument.
+    ``rows`` packs the anchor boxes or point coordinates the SVG draws for
+    positive labels, under the renderer's ``layer_kind`` argument; only the
+    positive anchor rows become ``Box`` objects.
     """
     files = {
         f"{image_id}.{baseline_name}.json": baseline.to_json_dict(),
@@ -285,14 +293,16 @@ def _write_scene(
     for name, payload in files.items():
         _write_json(cfg.out / name, payload)
     if cfg.svg:
-        layers = [
-            (STRATEGY_COLORS[color], [items[i] for i in _positive_indices(labels)])
-            for color, labels in (
-                ("static", baseline.classification_labels),
-                ("l2c", dynamic.classification_labels),
-                ("c2l", dynamic.localization_labels),
-            )
-        ]
+        layers = []
+        for color, labels in (
+            ("static", baseline.classification_labels),
+            ("l2c", dynamic.classification_labels),
+            ("c2l", dynamic.localization_labels),
+        ):
+            items = rows[labels >= 0].tolist()
+            if layer_kind == "box_layers":
+                items = [Box(*row) for row in items]
+            layers.append((STRATEGY_COLORS[color], items))
         svg = render_assignment_svg(
             scene.image_width, scene.image_height, scene.boxes, **{layer_kind: layers}
         )
@@ -301,9 +311,12 @@ def _write_scene(
 
 def cmd_assign(cfg: RunConfig) -> int:
     cfg.out.mkdir(parents=True, exist_ok=True)
-    label = _label_points if cfg.strategy in POINT_STRATEGIES else _label_anchors
+    if cfg.strategy in POINT_STRATEGIES:
+        label, grid = _label_points, generate_points(cfg.grid)
+    else:
+        label, grid = _label_anchors, generate_anchors(cfg.grid)
     for image_id, scene, seed in _load_scenes(cfg):
-        _write_scene(cfg, image_id, scene, *label(cfg, scene, seed))
+        _write_scene(cfg, image_id, scene, *label(cfg, grid, scene, seed))
     return 0
 
 

@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geometry import Box, boxes_to_array, iou, pairwise_iou
+from .geometry import Box, boxes_to_array, broadcast_iou
 
 COCO_IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -77,6 +77,26 @@ class MisalignmentResult:
     flags: list[bool]
 
 
+def _groups(keys) -> dict[object, list[int]]:
+    """Input indices per key, in input order."""
+    groups: dict[object, list[int]] = defaultdict(list)
+    for i, key in enumerate(keys):
+        groups[key].append(i)
+    return groups
+
+
+def _score_order(indices, scores: np.ndarray) -> np.ndarray:
+    """``indices`` by descending score, ties to the lower index."""
+    idx = np.asarray(indices, dtype=np.intp)
+    return idx[np.lexsort((idx, -scores[idx]))]
+
+
+def _packed(items) -> tuple[np.ndarray, list[tuple]]:
+    """(N, 4) boxes and the (class, image) group key of each detection or
+    ground-truth object."""
+    return boxes_to_array(x.box for x in items), [(x.class_id, x.image_id) for x in items]
+
+
 def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """Greedy per-class non-maximum suppression.
 
@@ -87,55 +107,46 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> list[Detection]:
     """
     if not dets:
         return []
-    groups: dict[tuple, list[int]] = defaultdict(list)
-    for i, det in enumerate(dets):
-        groups[(det.image_id, det.class_id)].append(i)
-
+    boxes, keys = _packed(dets)
+    scores = np.asarray([d.score for d in dets], dtype=np.float64)
     kept: list[int] = []
-    for indices in groups.values():
-        idx = np.asarray(indices)
-        boxes = boxes_to_array([dets[i].box for i in indices])
-        scores = np.asarray([dets[i].score for i in indices])
-        order = np.lexsort((idx, -scores))
-        alive = np.ones(idx.size, dtype=bool)
-        for pos in range(idx.size):
-            cur = order[pos]
-            if not alive[cur]:
-                continue
-            kept.append(int(idx[cur]))
-            rest = order[pos + 1 :]
-            rest = rest[alive[rest]]
-            if rest.size:
-                overlaps = pairwise_iou(boxes[cur : cur + 1], boxes[rest])[0]
-                alive[rest[overlaps > iou_threshold]] = False
-    kept.sort(key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in kept]
+    for members in _groups(keys).values():
+        order = _score_order(members, scores)
+        group = boxes[order]
+        alive = np.arange(order.size)  # positions in ``order`` not yet suppressed
+        while alive.size:
+            cur, rest = alive[0], alive[1:]
+            kept.append(order[cur])
+            alive = rest[broadcast_iou(group[cur], group[rest]) <= iou_threshold]
+    return [dets[i] for i in _score_order(kept, scores)]
 
 
-def _match_flags(
-    dets: Sequence[Detection],
-    det_order: Sequence[int],
-    gts_by_image: dict[object, list[int]],
-    gt_boxes: Sequence[Box],
-    threshold: float,
-) -> np.ndarray:
-    """True-positive flags for detections of one class, in score order."""
-    matched: set[int] = set()
-    flags = np.zeros(len(det_order), dtype=bool)
-    for rank, i in enumerate(det_order):
-        det = dets[i]
-        best_iou = 0.0
-        best_gt = -1
-        for g in gts_by_image.get(det.image_id, []):
-            if g in matched:
-                continue
-            overlap = iou(det.box, gt_boxes[g])
-            if overlap > best_iou:
-                best_iou = overlap
-                best_gt = g
-        if best_gt >= 0 and best_iou >= threshold:
-            matched.add(best_gt)
-            flags[rank] = True
+def _match(overlaps: np.ndarray, thresholds: Sequence[float]) -> np.ndarray:
+    """True-positive flags, (thresholds, detections), of one (class, image)
+    group whose (detections, objects) IoU rows are in score order.
+
+    At each threshold a detection takes its best still-unmatched object
+    (highest IoU, ties to the lower object index, IoU > 0) when that IoU
+    reaches the threshold. Candidates below every threshold are dropped once.
+    """
+    flags = np.zeros((len(thresholds), overlaps.shape[0]), dtype=bool)
+    floor = min(thresholds, default=1.0)
+    rows, cols = np.nonzero((overlaps >= floor) & (overlaps > 0))
+    values = overlaps[rows, cols]
+    pick = np.lexsort((cols, -values, rows))
+    candidates: dict[int, list[tuple[float, int]]] = defaultdict(list)
+    for row, value, col in zip(*(a[pick].tolist() for a in (rows, values, cols))):
+        candidates[row].append((value, col))
+    for t, threshold in enumerate(thresholds):
+        matched: set[int] = set()
+        for row, ranked in candidates.items():
+            for value, col in ranked:
+                if value < threshold:
+                    break
+                if col not in matched:
+                    matched.add(col)
+                    flags[t, row] = True
+                    break
     return flags
 
 
@@ -156,41 +167,39 @@ def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
 
 
 def _mean_ap_per_threshold(
-    dets: Sequence[Detection],
-    ground_truth: Sequence[GroundTruth],
+    det_boxes: np.ndarray,
+    det_keys: list[tuple],
+    scores: np.ndarray,
+    gt_boxes: np.ndarray,
+    gt_keys: list[tuple],
     iou_thresholds: Sequence[float],
 ) -> list[float]:
-    classes = sorted({g.class_id for g in ground_truth})
-    gt_boxes = [g.box for g in ground_truth]
+    """Per threshold, the mean over ground-truth classes of the class AP, from
+    packed detections and ground truth (see ``_packed``).
 
-    per_class_orders: dict[int, list[int]] = {}
-    per_class_gts: dict[int, dict[object, list[int]]] = {}
-    for c in classes:
-        order = [i for i, d in enumerate(dets) if d.class_id == c]
-        order.sort(key=lambda i: (-dets[i].score, i))
-        per_class_orders[c] = order
-        by_image: dict[object, list[int]] = defaultdict(list)
-        for g, gt in enumerate(ground_truth):
-            if gt.class_id == c:
-                by_image[gt.image_id].append(g)
-        per_class_gts[c] = by_image
+    IoU is computed once per (class, image) group and matched at every
+    threshold, the layout of COCO's ``COCOeval``.
+    """
+    det_groups = _groups(det_keys)
+    flags = np.zeros((len(iou_thresholds), len(det_keys)), dtype=bool)
+    for key, gts in _groups(gt_keys).items():
+        rows = _score_order(det_groups.get(key, []), scores)
+        if rows.size:
+            overlaps = broadcast_iou(det_boxes[rows, None], gt_boxes[gts])
+            flags[:, rows] = _match(overlaps, iou_thresholds)
 
-    results = []
-    for threshold in iou_thresholds:
-        class_aps = []
-        for c in classes:
-            n_gt = sum(len(v) for v in per_class_gts[c].values())
-            flags = _match_flags(
-                dets, per_class_orders[c], per_class_gts[c], gt_boxes, threshold
-            )
-            class_aps.append(_ap_from_flags(flags, n_gt))
-        results.append(float(np.mean(class_aps)) if class_aps else 0.0)
-    return results
+    class_dets = _groups(c for c, _ in det_keys)
+    class_gts = _groups(c for c, _ in gt_keys)
+    classes = sorted(class_gts)
+    orders = [_score_order(class_dets.get(c, []), scores) for c in classes]
+    return [
+        float(np.mean([_ap_from_flags(row[o], len(class_gts[c])) for c, o in zip(classes, orders)]))
+        for row in flags
+    ]
 
 
-def _band_filter(items, band: tuple[float, float]):
-    low, high = band
-    return [x for x in items if low <= x.box.width * x.box.height < high]
+def _areas(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
 
 
 def average_precision(
@@ -210,20 +219,28 @@ def average_precision(
     """
     if not ground_truth:
         raise ValueError("ground truth must be non-empty")
-    per_threshold = _mean_ap_per_threshold(dets, ground_truth, iou_thresholds)
+    det_boxes, det_keys = _packed(dets)
+    gt_boxes, gt_keys = _packed(ground_truth)
+    scores = np.asarray([d.score for d in dets], dtype=np.float64)
+
+    def curve(det_rows: np.ndarray, gt_rows: np.ndarray) -> list[float]:
+        # ascending rows keep score ties going to the lower input index
+        return _mean_ap_per_threshold(
+            det_boxes[det_rows], [det_keys[i] for i in det_rows], scores[det_rows],
+            gt_boxes[gt_rows], [gt_keys[i] for i in gt_rows], iou_thresholds,
+        )
+
+    per_threshold = curve(np.arange(len(dets)), np.arange(len(ground_truth)))
     thresholds = tuple(float(t) for t in iou_thresholds)
     by_value = dict(zip(thresholds, per_threshold))
 
     banded = {}
     if area_bands:
-        for name, band in AREA_BANDS.items():
-            band_gt = _band_filter(ground_truth, band)
-            band_dets = _band_filter(dets, band)
-            if band_gt:
-                values = _mean_ap_per_threshold(band_dets, band_gt, iou_thresholds)
-                banded[name] = float(np.mean(values))
-            else:
-                banded[name] = None
+        det_area, gt_area = _areas(det_boxes), _areas(gt_boxes)
+        for name, (low, high) in AREA_BANDS.items():
+            gt_rows = np.flatnonzero((low <= gt_area) & (gt_area < high))
+            det_rows = np.flatnonzero((low <= det_area) & (det_area < high))
+            banded[name] = float(np.mean(curve(det_rows, gt_rows))) if gt_rows.size else None
 
     return EvalResult(
         ap=float(np.mean(per_threshold)),
@@ -250,19 +267,16 @@ def misalignment_rate(
     ``loc_threshold``. The rate is over confident detections only; it is 0.0
     when there are none.
     """
-    flags = [False] * len(dets)
-    confident = 0
-    misaligned = 0
-    for i, det in enumerate(dets):
-        if det.score < score_threshold:
-            continue
-        confident += 1
-        best = 0.0
-        for gt in ground_truth:
-            if gt.class_id == det.class_id and gt.image_id == det.image_id:
-                best = max(best, iou(det.box, gt.box))
-        if best < loc_threshold:
-            misaligned += 1
-            flags[i] = True
-    rate = misaligned / confident if confident else 0.0
-    return MisalignmentResult(rate=rate, flags=flags)
+    boxes, keys = _packed(dets)
+    gt_boxes, gt_keys = _packed(ground_truth)
+    gt_groups = _groups(gt_keys)
+    scores = np.asarray([d.score for d in dets], dtype=np.float64)
+    confident = np.flatnonzero(scores >= score_threshold)
+    flags = np.zeros(len(dets), dtype=bool)
+    for key, members in _groups(keys[i] for i in confident).items():
+        rows = confident[members]
+        gts = gt_groups.get(key)
+        best = broadcast_iou(boxes[rows, None], gt_boxes[gts]).max(axis=1) if gts else 0.0
+        flags[rows] = best < loc_threshold
+    rate = int(flags.sum()) / confident.size if confident.size else 0.0
+    return MisalignmentResult(rate=rate, flags=flags.tolist())

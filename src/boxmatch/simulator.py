@@ -183,6 +183,7 @@ def synth_predictions(
     cfg: TrajectoryConfig,
     t: float,
     seed: int = 0,
+    _iou_anchor: Optional[np.ndarray] = None,
 ) -> TrajectorySnapshot:
     """Simulate per-anchor predictions at progress t.
 
@@ -191,7 +192,8 @@ def synth_predictions(
     object and scores toward the regressed overlap. Except for injected
     misaligned anchors, regressed overlap with the target object never drops
     below the anchor's overlap; the injected fraction is small, so at least
-    90% of anchors keep that property.
+    90% of anchors keep that property. ``_iou_anchor`` reuses a caller's
+    ``pairwise_iou(anchors, objects)``, which does not depend on t.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"progress t must lie in [0, 1], got {t}")
@@ -200,7 +202,7 @@ def synth_predictions(
     gt = boxes_to_array(scene.boxes)
     n = anchors.shape[0]
 
-    iou_anchor = pairwise_iou(anchors, gt)
+    iou_anchor = pairwise_iou(anchors, gt) if _iou_anchor is None else _iou_anchor
     best = np.argmax(iou_anchor, axis=1)
     best_iou = iou_anchor[np.arange(n), best]
 
@@ -297,12 +299,14 @@ def run_trajectory(
     matching = matching or MatchingConfig()
     iou_anchor = pairwise_iou(anchor_set.array, boxes_to_array(scene.boxes))
     ts = np.linspace(0.0, 1.0, cfg.steps) if cfg.steps > 1 else np.asarray([0.0])
-    # iou_anchor does not depend on t: one static pass serves every step
+    # iou_anchor does not depend on t: one IoU and one static pass serve every step
     base = None if strategy == "l2c-fixed" else static_assign(iou_anchor, matching)
 
     steps: list[TrajectoryStep] = []
     for t in ts:
-        snapshot = synth_predictions(scene, anchor_set, cfg, float(t), seed=seed)
+        snapshot = synth_predictions(
+            scene, anchor_set, cfg, float(t), seed=seed, _iou_anchor=iou_anchor
+        )
         if strategy == "l2c-fixed":
             labels = static_assign(snapshot.iou_regressed, matching).classification_labels
         else:

@@ -5,6 +5,8 @@ rasterization oracle counts pixels, the NMS oracle is a direct O(n^2) loop,
 and the AP oracle walks the precision/recall curve literally.
 """
 
+import math
+
 import numpy as np
 
 from boxmatch.geometry import Box, iou
@@ -27,6 +29,26 @@ def rasterized_iou(a: Box, b: Box, canvas: int = 64) -> float:
     inter = np.count_nonzero(ma & mb)
     union = np.count_nonzero(ma | mb)
     return inter / union
+
+
+def brute_force_grid(spec):
+    """Reference grids by nested loops over levels, rows, columns, scales and
+    ratios: (anchor boxes, point centers, point levels, point strides) as
+    plain lists."""
+    anchors, xy, levels, strides = [], [], [], []
+    for index, level in enumerate(spec.levels):
+        for row in range(spec.image_height // level.stride):
+            cy = (row + 0.5) * level.stride
+            for col in range(spec.image_width // level.stride):
+                cx = (col + 0.5) * level.stride
+                xy.append([cx, cy])
+                levels.append(index)
+                strides.append(level.stride)
+                for scale in level.scales:
+                    for ratio in level.aspect_ratios:
+                        w, h = scale * math.sqrt(ratio), scale / math.sqrt(ratio)
+                        anchors.append([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2])
+    return anchors, xy, levels, strides
 
 
 def brute_force_nms(dets, threshold: float):
@@ -96,6 +118,48 @@ def brute_force_ap_at_threshold(dets, gts, threshold: float) -> float:
                 best = p
         total += best
     return total / 101
+
+
+def brute_force_misalignment(dets, gts, loc_threshold=0.75, score_threshold=0.5):
+    """Reference misalignment: for each confident detection, a scalar-IoU
+    loop over every ground-truth object. Returns (rate, flags)."""
+    flags = []
+    for det in dets:
+        best = 0.0
+        for gt in gts:
+            if gt.class_id == det.class_id and gt.image_id == det.image_id:
+                best = max(best, iou(det.box, gt.box))
+        flags.append(det.score >= score_threshold and best < loc_threshold)
+    confident = sum(det.score >= score_threshold for det in dets)
+    return (sum(flags) / confident if confident else 0.0), flags
+
+
+def brute_force_static_assign(values, t_pos=0.5, t_neg=0.4):
+    """Reference static labels from nested lists: per-anchor thresholds on the
+    best overlap, then, per object left without a positive, the first free
+    anchor of ``sorted(range(n), key=lambda i: (-v[i], i))``.
+
+    Returns (labels, warnings); labels use -1 for negative and -2 for ignored.
+    """
+    n, m = len(values), len(values[0])
+    labels = []
+    for row in values:
+        best = max(range(m), key=lambda j: (row[j], -j))
+        if row[best] >= t_pos:
+            labels.append(best)
+        else:
+            labels.append(-2 if row[best] >= t_neg else -1)
+    warnings = []
+    for j in range(m):
+        if j in labels:
+            continue
+        ranked = sorted(range(n), key=lambda i: (-values[i][j], i))
+        free = [i for i in ranked if labels[i] < 0]
+        if free:
+            labels[free[0]] = j
+        else:
+            warnings.append(f"object {j}: no anchor available for the positive fallback")
+    return labels, warnings
 
 
 def brute_force_ranked_selection(values, n_pos, n_ignored, candidate_mask=None):

@@ -10,8 +10,14 @@ from boxmatch.anchors import (
     generate_points,
     level_scale_ranges,
 )
+from oracles import brute_force_grid
 
 SINGLE_LEVEL = AnchorGridSpec(320, 320, (LevelSpec(160, (64.0,), (1.0,)),))
+# a non-square image with two levels, several scales and ratios
+MULTI_LEVEL = AnchorGridSpec(96, 64, (
+    LevelSpec(8, (16.0, 24.0), (1.0, 2.0, 0.5)),
+    LevelSpec(32, (48.0,), (1.0, 3.0)),
+))
 
 
 class TestSpecs:
@@ -36,11 +42,11 @@ class TestGenerateAnchors:
     def test_single_coarse_level(self):
         aset = generate_anchors(SINGLE_LEVEL)
         assert len(aset) == 4
-        centers = [b.center for b in aset.boxes]
+        x0, y0, x1, y1 = aset.array.T
+        centers = list(zip((0.5 * (x0 + x1)).tolist(), (0.5 * (y0 + y1)).tolist()))
         assert centers == [(80, 80), (240, 80), (80, 240), (240, 240)]
-        for box in aset.boxes:
-            assert box.width == 64
-            assert box.height == 64
+        assert np.all(x1 - x0 == 64)
+        assert np.all(y1 - y0 == 64)
 
     def test_count_formula(self):
         spec = AnchorGridSpec(320, 320, (LevelSpec(32, (64.0, 128.0), (1.0, 2.0, 0.5)),))
@@ -48,17 +54,17 @@ class TestGenerateAnchors:
 
     def test_ratio_preserves_area(self):
         spec = AnchorGridSpec(320, 320, (LevelSpec(160, (64.0,), (2.0,)),))
-        box = generate_anchors(spec).boxes[0]
-        assert box.width == pytest.approx(64 * math.sqrt(2))
-        assert box.height == pytest.approx(64 / math.sqrt(2))
-        assert box.width * box.height == pytest.approx(64**2, rel=1e-12)
+        x0, y0, x1, y1 = generate_anchors(spec).array[0]
+        width, height = x1 - x0, y1 - y0
+        assert width == pytest.approx(64 * math.sqrt(2))
+        assert height == pytest.approx(64 / math.sqrt(2))
+        assert width * height == pytest.approx(64**2, rel=1e-12)
 
     def test_deterministic(self):
         spec = AnchorGridSpec()
         a, b = generate_anchors(spec), generate_anchors(spec)
         assert np.array_equal(a.array, b.array)
         assert a.level_offsets == b.level_offsets
-        assert a.boxes == b.boxes
 
     def test_level_offsets_partition(self):
         aset = generate_anchors(AnchorGridSpec())
@@ -70,25 +76,17 @@ class TestGenerateAnchors:
         assert len(aset) == 4800 + 2400 + 300
 
     def test_centers_inside_image_even_when_boxes_spill(self):
-        aset = generate_anchors(AnchorGridSpec())
-        spills = 0
-        for box in aset.boxes:
-            cx, cy = box.center
-            assert 0 < cx < 320 and 0 < cy < 320
-            if box.x_min < 0 or box.y_min < 0 or box.x_max > 320 or box.y_max > 320:
-                spills += 1
-        assert spills > 0  # anchors are not clipped
+        x0, y0, x1, y1 = generate_anchors(AnchorGridSpec()).array.T
+        for center in (0.5 * (x0 + x1), 0.5 * (y0 + y1)):
+            assert np.all((0 < center) & (center < 320))
+        spills = (x0 < 0) | (y0 < 0) | (x1 > 320) | (y1 > 320)
+        assert spills.any()  # anchors are not clipped
 
 
 class TestGeneratePoints:
     def test_single_coarse_level(self):
         pset = generate_points(SINGLE_LEVEL)
-        assert [(p.x, p.y) for p in pset.points] == [
-            (80, 80),
-            (240, 80),
-            (80, 240),
-            (240, 240),
-        ]
+        assert pset.xy.tolist() == [[80, 80], [240, 80], [80, 240], [240, 240]]
 
     def test_count_and_position(self):
         spec = AnchorGridSpec()
@@ -108,7 +106,17 @@ class TestGeneratePoints:
 
     def test_points_carry_level_metadata(self):
         pset = generate_points(AnchorGridSpec())
-        first_l1 = pset.points[pset.level_offsets[1][0]]
-        assert first_l1.level == 1
-        assert first_l1.stride == 16
-        assert first_l1.scale_range == (64.0, 256.0)
+        first_l1 = pset.level_offsets[1][0]
+        assert pset.point_levels[first_l1] == 1
+        assert pset.point_strides[first_l1] == 16
+        assert pset.scale_ranges[pset.point_levels[first_l1]] == (64.0, 256.0)
+
+
+@pytest.mark.parametrize("spec", [AnchorGridSpec(), MULTI_LEVEL, SINGLE_LEVEL])
+def test_grids_equal_the_nested_loop_oracle(spec):
+    anchors, xy, levels, strides = brute_force_grid(spec)
+    assert generate_anchors(spec).array.tolist() == anchors
+    pset = generate_points(spec)
+    assert pset.xy.tolist() == xy
+    assert pset.point_levels.tolist() == levels
+    assert pset.point_strides.tolist() == strides

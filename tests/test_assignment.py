@@ -5,6 +5,7 @@ from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors
 from boxmatch.assignment import (
     IGNORED,
     NEGATIVE,
+    Assignment,
     MatchingConfig,
     amplified_iou,
     classify_to_localize,
@@ -110,6 +111,31 @@ NAN = float("nan")
 def test_invalid_matrix_values_rejected(call):
     with pytest.raises(ValueError, match="finite"):
         call()
+
+
+EMPTY = np.zeros((6, 0))  # an image without objects
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: static_assign(EMPTY),
+        lambda: localize_to_classify(EMPTY, EMPTY),
+        lambda: classify_to_localize(EMPTY, EMPTY),
+        lambda: mutual_guidance_assign(EMPTY, EMPTY, EMPTY),
+    ],
+    ids=["static", "l2c", "c2l", "mutual"],
+)
+def test_image_without_objects_is_background(call):
+    result = call()
+    if isinstance(result, Assignment):
+        label_sets = [result.classification_labels, result.localization_labels]
+        counts = result.per_object_counts
+    else:
+        label_sets, counts = [result.labels], result.premerge_positive_counts
+    assert all(labels.tolist() == [NEGATIVE] * 6 for labels in label_sets)
+    assert counts == []
+    assert result.warnings == []
 
 
 class TestStaticAssign:

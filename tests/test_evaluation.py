@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boxmatch.evaluation import (
+    AREA_BANDS,
     COCO_IOU_THRESHOLDS,
     Detection,
     GroundTruth,
@@ -9,8 +12,8 @@ from boxmatch.evaluation import (
     misalignment_rate,
     nms,
 )
-from boxmatch.geometry import Box
-from oracles import brute_force_ap_at_threshold, brute_force_nms
+from boxmatch.geometry import Box, area
+from oracles import brute_force_ap_at_threshold, brute_force_misalignment, brute_force_nms
 
 
 def det(x, y, w, h, class_id=0, score=0.9, image_id=0):
@@ -155,6 +158,18 @@ class TestAveragePrecision:
         for value in (result.ap, result.ap50, result.ap75, *result.per_threshold_ap):
             assert 0.0 <= value <= 1.0
 
+    def test_tied_iou_goes_to_the_lower_ground_truth(self):
+        # the first detection overlaps both objects at IoU 1/3 and takes
+        # object 0, so the second, which overlaps only object 0, is a false
+        # positive; recall stops at 1/2
+        gts = [gt(0, 0, 10, 10), gt(10, 0, 10, 10)]
+        dets = [det(5, 0, 10, 10, score=0.9), det(0, 0, 10, 10, score=0.8)]
+        result = average_precision(dets, gts, iou_thresholds=[0.3])
+        assert result.per_threshold_ap[0] == pytest.approx(51 / 101)
+        assert result.per_threshold_ap[0] == pytest.approx(
+            brute_force_ap_at_threshold(dets, gts, 0.3)
+        )
+
     def test_each_gt_matched_once(self):
         # two detections on the same object: the second is a false positive
         gts = [gt(0, 0, 10, 10)]
@@ -171,6 +186,16 @@ class TestAveragePrecision:
         result = average_precision(dets, gts, area_bands=True)
         assert result.ap_small == 1.0
         assert result.ap_medium is None  # no medium ground truth
+        assert result.ap_large == 1.0
+
+    def test_area_bands_are_half_open(self):
+        # 32**2 is the first medium area and 96**2 the first large one; a
+        # large detection leaking into the medium band would rank first there
+        gts = [gt(0, 0, 32, 32), gt(100, 100, 96, 96)]
+        dets = [Detection(gts[0].box, 0, 0.8), Detection(gts[1].box, 0, 0.9)]
+        result = average_precision(dets, gts, area_bands=True)
+        assert result.ap_small is None
+        assert result.ap_medium == 1.0
         assert result.ap_large == 1.0
 
     def test_default_thresholds(self):
@@ -195,6 +220,11 @@ class TestMisalignmentRate:
         result = misalignment_rate(dets, gts)
         assert result.rate == 1.0
         assert result.flags == [True, True]
+
+    def test_boundary_iou_is_aligned(self):
+        # IoU 3/4 exactly: not below the 0.75 localization threshold
+        result = misalignment_rate([det(0, 0, 3, 1)], [gt(0, 0, 4, 1)])
+        assert result.flags == [False]
 
     def test_low_scores_not_counted(self):
         gts = [gt(0, 0, 10, 10)]
@@ -243,3 +273,79 @@ class TestMisalignmentRate:
             0.5,
         )
         assert misalignment_rate(static_dets, gts).rate > misalignment_rate(mutual_dets, gts).rate
+
+
+# corners and sides on a coarse 20 px lattice: duplicate boxes, tied IoU and
+# IoU exactly at a threshold are common, and the areas reach all COCO bands
+SIDE = st.sampled_from([1, 2, 3, 5])
+BOX = st.tuples(st.integers(0, 3), st.integers(0, 3), SIDE, SIDE).map(
+    lambda c: Box(20 * c[0], 20 * c[1], 20 * (c[0] + c[2]), 20 * (c[1] + c[3]))
+)
+TIED_SCORE = st.sampled_from([0.2, 0.5, 0.5, 0.9, 1.0])
+
+
+@st.composite
+def eval_cases(draw):
+    """Ground truth in images 0-1 and classes 0-2; detections also in image 2
+    and class 3, which have no ground truth."""
+    gts = draw(st.lists(st.builds(GroundTruth, BOX, st.integers(0, 2), st.integers(0, 1)),
+                        min_size=1, max_size=8))
+    dets = draw(st.lists(st.builds(Detection, BOX, st.integers(0, 3), TIED_SCORE,
+                                   st.integers(0, 2)), max_size=14))
+    return dets, gts
+
+
+def oracle_mean_ap(dets, gts, threshold):
+    """Mean over ground-truth classes of the oracle's per-class AP."""
+    return np.mean([
+        brute_force_ap_at_threshold(
+            [d for d in dets if d.class_id == c], [g for g in gts if g.class_id == c], threshold
+        )
+        for c in sorted({g.class_id for g in gts})
+    ])
+
+
+class TestAgainstOracles:
+    @given(eval_cases(), st.sampled_from([0.0, 1 / 3, 0.5]))
+    def test_nms_keeps_the_oracles_objects(self, case, threshold):
+        dets, _ = case
+        kept = nms(dets, threshold)
+        assert [id(d) for d in kept] == [id(d) for d in brute_force_nms(dets, threshold)]
+
+    @given(eval_cases())
+    def test_per_class_ap(self, case):
+        dets, gts = case
+        for c in {g.class_id for g in gts}:
+            class_dets = [d for d in dets if d.class_id == c]
+            class_gts = [g for g in gts if g.class_id == c]
+            # at 0.0, an IoU-0 object is still no match
+            thresholds = (0.0, 0.5, 0.75)
+            result = average_precision(class_dets, class_gts, iou_thresholds=thresholds)
+            for value, threshold in zip(result.per_threshold_ap, thresholds):
+                reference = brute_force_ap_at_threshold(class_dets, class_gts, threshold)
+                assert value == pytest.approx(reference, abs=1e-12)
+
+    @given(eval_cases())
+    def test_area_bands(self, case):
+        dets, gts = case
+        result = average_precision(dets, gts, iou_thresholds=(0.5, 0.75), area_bands=True)
+        assert result.ap == pytest.approx(
+            np.mean([oracle_mean_ap(dets, gts, t) for t in (0.5, 0.75)]), abs=1e-12
+        )
+        banded = {"small": result.ap_small, "medium": result.ap_medium, "large": result.ap_large}
+        for name, (low, high) in AREA_BANDS.items():
+            band_gts = [g for g in gts if low <= area(g.box) < high]
+            band_dets = [d for d in dets if low <= area(d.box) < high]
+            if not band_gts:
+                assert banded[name] is None
+                continue
+            expected = np.mean([oracle_mean_ap(band_dets, band_gts, t) for t in (0.5, 0.75)])
+            assert banded[name] == pytest.approx(expected, abs=1e-12)
+
+    @given(eval_cases(), st.sampled_from([0.5, 0.75, 1.0]), st.sampled_from([0.0, 0.5, 0.9]))
+    def test_misalignment(self, case, loc_threshold, score_threshold):
+        dets, gts = case
+        result = misalignment_rate(dets, gts, loc_threshold, score_threshold)
+        rate, flags = brute_force_misalignment(dets, gts, loc_threshold, score_threshold)
+        assert result.flags == flags
+        assert result.rate == rate

@@ -58,8 +58,8 @@ class TestOriginalAssignment:
         points = generate_points(SINGLE_32)
         objects = [Box(40, 40, 280, 280), Box(100, 100, 180, 180)]
         result = fcos_assign_original(points, objects)
-        for i, p in enumerate(points.points):
-            if 100 <= p.x < 180 and 100 <= p.y < 180:
+        for i, (x, y) in enumerate(points.xy.tolist()):
+            if 100 <= x < 180 and 100 <= y < 180:
                 assert result.classification_labels[i] == 1
         assert all(c >= 1 for c in result.per_object_counts)
 
@@ -90,10 +90,10 @@ class TestOriginalAssignment:
         result = fcos_assign_original(points, [box])
         expected = {
             i
-            for i, p in enumerate(points.points)
-            if p.level == 1
-            and box.x_min <= p.x < box.x_max
-            and box.y_min <= p.y < box.y_max
+            for i, ((x, y), level) in enumerate(zip(points.xy.tolist(), points.point_levels))
+            if level == 1
+            and box.x_min <= x < box.x_max
+            and box.y_min <= y < box.y_max
         }
         assert set(np.flatnonzero(result.classification_labels == 0).tolist()) == expected
 
@@ -108,9 +108,9 @@ class TestPointLocalizeToClassify:
         points = generate_points(SINGLE_32)
         in_box = [
             i
-            for i, p in enumerate(points.points)
-            if SIX_POINT_BOX.x_min <= p.x < SIX_POINT_BOX.x_max
-            and SIX_POINT_BOX.y_min <= p.y < SIX_POINT_BOX.y_max
+            for i, (x, y) in enumerate(points.xy.tolist())
+            if SIX_POINT_BOX.x_min <= x < SIX_POINT_BOX.x_max
+            and SIX_POINT_BOX.y_min <= y < SIX_POINT_BOX.y_max
         ]
         iou_regressed = np.zeros((len(points), 1))
         for value, i in zip([0.1, 0.9, 0.5, 0.8], in_box):
@@ -148,10 +148,9 @@ class TestPointLocalizeToClassify:
             rng = np.random.default_rng(seed + 999)
             iou_regressed = rng.uniform(0, 1, (len(points), len(scene.boxes)))
             result = fcos_localize_to_classify(points, scene.boxes, iou_regressed)
-            for i in np.flatnonzero(result.labels >= 0):
-                p = points.points[i]
+            for x, y in points.xy[result.labels >= 0].tolist():
                 assert any(
-                    b.x_min <= p.x < b.x_max and b.y_min <= p.y < b.y_max
+                    b.x_min <= x < b.x_max and b.y_min <= y < b.y_max
                     for b in scene.boxes
                 )
 
@@ -165,17 +164,14 @@ class TestPointClassifyToLocalize:
         )
         # n_pos = 1; the (80, 80) point has the highest raw centerness
         picked = np.flatnonzero(result.labels == 0)
-        point = points.points[int(picked[0])]
-        assert (point.x, point.y) == (80.0, 80.0)
+        assert points.xy[picked[0]].tolist() == [80.0, 80.0]
 
     def test_score_amplification_flips_selection(self):
         points = generate_points(SINGLE_32)
         # centerness 0.4364 at (80, 48) vs 0.5 at (80, 80); a 0.9 score
         # amplifies the former to 0.4364**0.55 = 0.634 and flips the pick
         scores = np.zeros((len(points), 1))
-        flip_idx = next(
-            i for i, p in enumerate(points.points) if (p.x, p.y) == (80.0, 48.0)
-        )
+        flip_idx = points.xy.tolist().index([80.0, 48.0])
         scores[flip_idx, 0] = 0.9
         result = fcos_classify_to_localize(
             points, [SIX_POINT_BOX], scores, center_sampling_radius=0.5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from boxmatch import assignment
+from boxmatch import assignment, simulator
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors
 from boxmatch.assignment import (
     NEGATIVE,
@@ -18,7 +18,7 @@ from boxmatch.assignment import (
 )
 from boxmatch.geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
 from boxmatch.simulator import Scene, TrajectoryConfig, run_trajectory
-from oracles import brute_force_ranked_selection
+from oracles import brute_force_ranked_selection, brute_force_static_assign
 
 # integer corners make touching, nested and identical boxes common
 COORD = st.integers(0, 24) | st.floats(0, 24, allow_nan=False)
@@ -185,3 +185,50 @@ def test_trajectory_runs_static_once(monkeypatch):
     result = run_trajectory(scene, grid, TrajectoryConfig(steps=5), "mutual")
     assert len(result.steps) == 5
     assert len(calls) == 1
+
+
+# few distinct overlaps around the default thresholds: ties, all-zero columns
+# and objects without an anchor at or above t_pos are common
+OVERLAP = st.sampled_from([0.0, 0.0, 0.0, 0.2, 0.4, 0.45, 0.5, 0.7, 1.0])
+
+
+@st.composite
+def static_cases(draw):
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 5))
+    return draw(st.lists(st.lists(OVERLAP, min_size=m, max_size=m), min_size=n, max_size=n))
+
+
+class TestStaticFallback:
+    @given(static_cases())
+    @example([[0.9, 0.0]])  # the only anchor is object 0's: object 1 warns
+    @example([[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])  # all-zero columns
+    @example([[0.3, 0.3], [0.3, 0.3]])  # tied overlaps go to the lower anchor
+    def test_matches_brute_force_oracle(self, values):
+        result = static_assign(np.asarray(values, float))
+        labels, warnings = brute_force_static_assign(values)
+        assert result.classification_labels.tolist() == labels
+        assert result.warnings == warnings
+
+    def test_fallback_cases(self):
+        assert static_assign([[0.9, 0.0]]).warnings == [
+            "object 1: no anchor available for the positive fallback"
+        ]
+        zeros = static_assign(np.zeros((3, 2)))
+        assert zeros.classification_labels.tolist() == [0, 1, -1]
+        # object 1's overlaps tie at 0.3: the lower free anchor wins
+        ties = static_assign([[0.2, 0.3], [0.9, 0.3], [0.45, 0.3]])
+        assert ties.classification_labels.tolist() == [1, 0, -2]
+
+
+def test_trajectory_computes_anchor_iou_once(monkeypatch):
+    grid = generate_anchors(AnchorGridSpec(64, 64, (LevelSpec(8, (16.0,), (1.0,)),)))
+    calls = []
+    real = simulator.pairwise_iou
+    monkeypatch.setattr(
+        simulator, "pairwise_iou", lambda a, b: calls.append(a is grid.array) or real(a, b)
+    )
+    scene = Scene(64, 64, (Box(10, 10, 30, 34), Box(36, 8, 60, 28)), (0, 1))
+    result = run_trajectory(scene, grid, TrajectoryConfig(steps=5), "mutual")
+    assert len(result.steps) == 5
+    assert calls.count(True) == 1  # the anchor overlap; the rest are regressed boxes
+    assert calls.count(False) == 5
