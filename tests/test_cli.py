@@ -277,6 +277,23 @@ GOLDEN_ARGV = {
     },
     "simulate": ["simulate", "--synthetic", "--seed", "15"],
     "evaluate": ["evaluate", "--area-bands"],
+    "config": ["assign", "--synthetic", "--seed", "15", "--svg", "--sigma", "1.5"],
+}
+
+# every config section off its default, for the "config" run
+GOLDEN_CONFIG = {
+    "image": {"width": 256, "height": 192},
+    "levels": [
+        {"stride": 8, "scales": [24, 40], "aspect_ratios": [1, 3]},
+        {"stride": 32, "scales": [96]},
+    ],
+    "matching": {"t_pos": 0.55, "t_neg": 0.35, "sigma": 2.5},
+    "scene": {"count_range": [2, 4], "size_range": [24, 96], "max_pairwise_iou": 0.3,
+              "num_classes": 2},
+    "trajectory": {"steps": 4, "localization_gain": "sqrt", "score_gain": "quadratic",
+                   "noise": 0.1, "misalignment_fraction": 0.2},
+    "assign_progress": 0.7,
+    "num_scenes": 2,
 }
 
 GOLDEN_DETECTIONS = [
@@ -293,6 +310,16 @@ GOLDEN_SHA256 = {
         "scene-0000.diff.json": "f03e59d18d9dd65c80e1eef901aabfe56ea9e4aefe74b73b07df0ef565e4b437",
         "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
         "scene-0000.svg": "432f9a5b3dac0703e336d63dfbf99c8916a9165f38a447624c14875eceabef93",
+    },
+    "config": {
+        "scene-0000.diff.json": "3f5e7b50497856038bd4745b302adae7a02f7b3381d306284ec22fefa12c101b",
+        "scene-0000.mutual.json": "f7325cfdeb47c24a0ab9c37380b5904543fe4e9c836ca3e09bb403a4a17736af",
+        "scene-0000.static.json": "217ce36f9fe1e07cbdf1e50b7b0d1219e55a25b14e26d5ea8675bb3a5e73d65e",
+        "scene-0000.svg": "59b0d1c5ba0c4a16060146aeeabb0cb52059e8307c16449cc45914cc685d93e2",
+        "scene-0001.diff.json": "f374e6784ae674a756110590fe31f053f331d5bf68285f8017b77013f22b77dc",
+        "scene-0001.mutual.json": "0c3c574fb2fac12d17bb7b8711f8e70603be605834d47ccf475882082b5ada7e",
+        "scene-0001.static.json": "ac7de10997d57381bfe7c4b3378f6780697a57f31f9da10e3462582dcb8eb7b8",
+        "scene-0001.svg": "01592002392d3412510a6b6eb66fe027a441c909efa480a32ead6476890239a2",
     },
     "evaluate": {
         "evaluation.json": "4c6014d08fc4400181588b71463da8b5b43be8b148cd8982899f7a8c5f46ec67",
@@ -337,6 +364,8 @@ def golden_digests(run, annotation_file, tmp_path):
     if run == "evaluate":
         dets = write_json(tmp_path / "dets.json", GOLDEN_DETECTIONS)
         argv += ["--annotations", annotation_file, "--detections", dets]
+    if run == "config":
+        argv += ["--config", write_json(tmp_path / "config.json", GOLDEN_CONFIG)]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 0
     return {
