@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import IoUMatrix
+from .geometry import IoUMatrix, _unit_interval
 
 NEGATIVE = -1
 IGNORED = -2
@@ -52,8 +52,7 @@ class MatchingConfig:
             raise ValueError(
                 f"need 0 <= t_neg <= t_pos <= 1, got t_pos={self.t_pos}, t_neg={self.t_neg}"
             )
-        if not self.sigma > 1.0:
-            raise ValueError(f"sigma must be > 1, got {self.sigma}")
+        _check_sigma(self.sigma)
 
 
 @dataclass
@@ -97,13 +96,6 @@ class DynamicLabels:
     warnings: list[str] = field(default_factory=list)
 
 
-def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:
-    # min and max propagate NaN, which then fails both comparisons
-    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-        raise ValueError(f"{what} must be finite and lie in [0, 1]")
-    return arr
-
-
 def matrix_values(matrix: MatrixLike) -> np.ndarray:
     """The one checked entry for overlap and score matrices.
 
@@ -128,6 +120,13 @@ def _checked(*matrices: MatrixLike) -> list[np.ndarray]:
     return values
 
 
+def _check_sigma(sigma) -> None:
+    """Reject an exponent ``sigma`` (a scalar or an array) that is not > 1 everywhere."""
+    above = np.greater(sigma, 1.0)  # NaN is not above 1
+    if np.size(above) == 0 or not np.all(above):
+        raise ValueError(f"sigma must be > 1, got {sigma}")
+
+
 def _amplify(values, scores, sigma):
     # 0 ** e is 0 for every exponent sigma > 1 allows: raise the overlaps only
     arrays = np.broadcast_arrays(values, scores, sigma)
@@ -145,9 +144,8 @@ def amplified_iou(iou_value, score, sigma):
     Accepts scalars or broadcastable arrays; sigma must exceed 1 so the
     exponent stays positive for every score in [0, 1].
     """
+    _check_sigma(sigma)
     sigma_arr = np.asarray(sigma, dtype=np.float64)
-    if sigma_arr.size == 0 or np.any(sigma_arr <= 1.0):
-        raise ValueError(f"sigma must be > 1, got {sigma}")
     iou_arr = _unit_interval(np.asarray(iou_value, dtype=np.float64), "iou values")
     score_arr = _unit_interval(np.asarray(score, dtype=np.float64), "classification scores")
     out = _amplify(iou_arr, score_arr, sigma_arr)

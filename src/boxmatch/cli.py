@@ -17,14 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .anchors import (
-    AnchorGridSpec,
-    AnchorSet,
-    LevelSpec,
-    PointSet,
-    generate_anchors,
-    generate_points,
-)
+from .anchors import AnchorGridSpec, LevelSpec, PointSet, generate_anchors, generate_points
 from .annotations import AnnotationError, load_annotations, load_detections
 from .assignment import ANCHOR_STRATEGIES, MatchingConfig
 from .evaluation import GroundTruth, average_precision
@@ -35,7 +28,7 @@ from .simulator import (
     Scene,
     SceneSpec,
     TrajectoryConfig,
-    run_trajectory,
+    _trajectories,
     synth_point_predictions,
     synth_predictions,
     synth_scene,
@@ -48,52 +41,20 @@ class CliError(Exception):
 
 @dataclass
 class RunConfig:
+    """The library configs a run is built from, plus the two settings that
+    only the CLI has."""
+
     grid: AnchorGridSpec
     matching: MatchingConfig
     scene_spec: SceneSpec
     trajectory: TrajectoryConfig
-    annotations: Optional[str]
-    synthetic: bool
-    num_scenes: int
-    assign_progress: float
-    strategy: str
-    seed: int
-    out: Path
-    svg: bool
-    detections: Optional[str]
-    area_bands: bool
+    num_scenes: int = 1
+    assign_progress: float = 0.5
 
 
-_DEFAULT_CONFIG = {
-    "image": {"width": 320, "height": 320},
-    "levels": [
-        {"stride": 8, "scales": [32], "aspect_ratios": [1, 2, 0.5]},
-        {"stride": 16, "scales": [64, 128], "aspect_ratios": [1, 2, 0.5]},
-        {"stride": 32, "scales": [256], "aspect_ratios": [1, 2, 0.5]},
-    ],
-    "matching": {"t_pos": 0.5, "t_neg": 0.4, "sigma": 2.0},
-    "scene": {
-        "count_range": [1, 5],
-        "size_range": [32, 128],
-        "max_pairwise_iou": 0.2,
-        "num_classes": 3,
-    },
-    "trajectory": {
-        "steps": 10,
-        "localization_gain": "linear",
-        "score_gain": "linear",
-        "noise": 0.05,
-        "misalignment_fraction": 0.0,
-    },
-    "assign_progress": 0.5,
-    "num_scenes": 1,
-}
-
-
-def _merged_config(path: Optional[str]) -> dict:
-    merged = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
+def _read_config(path: Optional[str]) -> dict:
     if path is None:
-        return merged
+        return {}
     try:
         loaded = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -102,77 +63,46 @@ def _merged_config(path: Optional[str]) -> dict:
         raise CliError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise CliError(f"config {path} must be a JSON object")
-    for key, value in loaded.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key].update(value)
-        else:
-            merged[key] = value
-    return merged
+    return loaded
+
+
+def _coerced(section: dict, **casts) -> dict:
+    """``section`` with the value of each key named in ``casts`` passed through its cast."""
+    return {key: casts[key](value) if key in casts else value for key, value in section.items()}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    raw = _merged_config(getattr(args, "config", None))
-    if args.sigma is not None:
-        raw["matching"]["sigma"] = args.sigma
+    """Apply each ``--config`` section on top of its library type's defaults.
 
+    A key the type does not have is rejected, and so is an unknown top-level key.
+    """
+    raw = _read_config(args.config)
     try:
-        grid = AnchorGridSpec(
-            image_width=int(raw["image"]["width"]),
-            image_height=int(raw["image"]["height"]),
-            levels=tuple(
-                LevelSpec(
-                    stride=int(level["stride"]),
-                    scales=tuple(level["scales"]),
-                    aspect_ratios=tuple(level.get("aspect_ratios", [1.0])),
-                )
-                for level in raw["levels"]
-            ),
+        image = {f"image_{key}": int(value) for key, value in raw.pop("image", {}).items()}
+        if "levels" in raw:
+            image["levels"] = [LevelSpec(**_coerced(lv, stride=int)) for lv in raw.pop("levels")]
+        grid = AnchorGridSpec(**image)
+        matching = raw.pop("matching", {})
+        if args.sigma is not None:
+            matching["sigma"] = args.sigma
+        scene = _coerced(
+            raw.pop("scene", {}), count_range=tuple, size_range=tuple, num_classes=int
         )
-        matching = MatchingConfig(**raw["matching"])
-        scene_cfg = dict(raw["scene"])
-        scene_spec = SceneSpec(
-            image_width=grid.image_width,
-            image_height=grid.image_height,
-            count_range=tuple(scene_cfg["count_range"]),
-            size_range=tuple(scene_cfg["size_range"]),
-            max_pairwise_iou=scene_cfg["max_pairwise_iou"],
-            num_classes=int(scene_cfg["num_classes"]),
-            seed=args.seed,
+        cfg = RunConfig(
+            grid=grid,
+            matching=MatchingConfig(**matching),
+            scene_spec=SceneSpec(grid.image_width, grid.image_height, seed=args.seed, **scene),
+            trajectory=TrajectoryConfig(**raw.pop("trajectory", {})),
+            **_coerced(raw, num_scenes=int, assign_progress=float),
         )
-        trajectory = TrajectoryConfig(**raw["trajectory"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
 
-    annotations = getattr(args, "annotations", None)
-    synthetic = bool(getattr(args, "synthetic", False))
-    if annotations and synthetic:
+    if args.annotations and args.synthetic:
         raise CliError("choose exactly one input source: --annotations or --synthetic")
-    if annotations and not Path(annotations).exists():
-        raise CliError(f"annotation file does not exist: {annotations}")
-
-    return RunConfig(
-        grid=grid,
-        matching=matching,
-        scene_spec=scene_spec,
-        trajectory=trajectory,
-        annotations=annotations,
-        synthetic=synthetic,
-        num_scenes=int(raw["num_scenes"]),
-        assign_progress=float(raw["assign_progress"]),
-        strategy=getattr(args, "strategy", "mutual"),
-        seed=args.seed,
-        out=Path(args.out),
-        svg=bool(getattr(args, "svg", False)),
-        detections=getattr(args, "detections", None),
-        area_bands=bool(getattr(args, "area_bands", False)),
-    )
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    if args.annotations and not Path(args.annotations).exists():
+        raise CliError(f"annotation file does not exist: {args.annotations}")
+    return cfg
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -181,11 +111,15 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _load_scenes(cfg: RunConfig) -> list[tuple[object, Scene, int]]:
-    """Return (image_id, scene, per-scene seed) triples from the configured source."""
+def _write_json(path: Path, payload: dict) -> None:
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+
+
+def _load_scenes(args: argparse.Namespace, cfg: RunConfig) -> list[tuple[object, Scene, int]]:
+    """Return (image_id, scene, per-scene seed) triples from the chosen source."""
     scenes: list[tuple[object, Scene, int]] = []
-    if cfg.annotations:
-        images, _ = load_annotations(cfg.annotations)
+    if args.annotations:
+        images, _ = load_annotations(args.annotations)
         for k, image in enumerate(images):
             if not image.boxes:
                 print(
@@ -193,37 +127,24 @@ def _load_scenes(cfg: RunConfig) -> list[tuple[object, Scene, int]]:
                     file=sys.stderr,
                 )
                 continue
-            scene = Scene(
-                image_width=image.width,
-                image_height=image.height,
-                boxes=tuple(image.boxes),
-                class_ids=tuple(image.class_ids),
-            )
-            scenes.append((image.image_id, scene, cfg.seed + k))
+            scene = Scene(image.width, image.height, tuple(image.boxes), tuple(image.class_ids))
+            scenes.append((image.image_id, scene, args.seed + k))
     else:
-        if not cfg.synthetic:
+        if not args.synthetic:
             raise CliError("choose an input source: --annotations <path> or --synthetic")
         for k in range(cfg.num_scenes):
-            spec = replace(cfg.scene_spec, seed=cfg.seed + k)
-            scenes.append((f"scene-{k:04d}", synth_scene(spec), cfg.seed + k))
+            spec = replace(cfg.scene_spec, seed=args.seed + k)
+            scenes.append((f"scene-{k:04d}", synth_scene(spec), args.seed + k))
     if not scenes:
         raise CliError("no usable scenes in the input source")
     return scenes
 
 
-def _positive_indices(labels: np.ndarray) -> list[int]:
-    return [int(i) for i in np.flatnonzero(labels >= 0)]
-
-
-def _diff_payload(
-    image_id: object,
-    strategy: str,
-    baseline: np.ndarray,
-    dynamic: np.ndarray,
-    n_objects: int,
-) -> dict:
-    base_pos = set(_positive_indices(baseline))
-    dyn_pos = set(_positive_indices(dynamic))
+def _diff_payload(image_id: object, strategy: str, baseline, dynamic, n_objects: int) -> dict:
+    """Compare the two results' classification labels, anchor by anchor and per object."""
+    baseline, dynamic = baseline.classification_labels, dynamic.classification_labels
+    base_pos = set(np.flatnonzero(baseline >= 0).tolist())
+    dyn_pos = set(np.flatnonzero(dynamic >= 0).tolist())
     per_object = [
         {
             "object": j,
@@ -245,54 +166,43 @@ def _diff_payload(
     }
 
 
-def _label_anchors(cfg: RunConfig, anchors: AnchorSet, scene: Scene, seed: int):
-    """Return what _write_scene takes after the scene: the baseline's name,
-    the baseline, the strategy's result, the SVG layer argument and the
-    packed anchor boxes it draws."""
-    iou_anchor = pairwise_iou(anchors.array, boxes_to_array(scene.boxes))
+def _label(cfg: RunConfig, strategy: str, grid, scene: Scene, seed: int):
+    """Simulate predictions on the grid at ``cfg.assign_progress`` and label
+    the scene; return (the static or original baseline, the strategy's result)."""
+    if isinstance(grid, PointSet):
+        iou_regressed, scores = synth_point_predictions(
+            scene, grid, cfg.trajectory, cfg.assign_progress, seed=seed
+        )
+        return POINT_STRATEGIES[strategy](grid, scene.boxes, iou_regressed, scores, cfg.matching)
+    iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
     snapshot = synth_predictions(
-        scene, anchors, cfg.trajectory, cfg.assign_progress, seed=seed, _iou_anchor=iou_anchor
+        scene, grid, cfg.trajectory, cfg.assign_progress, seed=seed, _iou_anchor=iou_anchor
     )
-    baseline, dynamic = ANCHOR_STRATEGIES[cfg.strategy](
+    return ANCHOR_STRATEGIES[strategy](
         iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, cfg.matching
     )
-    return "static", baseline, dynamic, "box_layers", anchors.array
 
 
-def _label_points(cfg: RunConfig, points: PointSet, scene: Scene, seed: int):
-    """The point twin of _label_anchors; the SVG draws point coordinates."""
-    iou_regressed, scores = synth_point_predictions(
-        scene, points, cfg.trajectory, cfg.assign_progress, seed=seed
-    )
-    baseline, dynamic = POINT_STRATEGIES[cfg.strategy](
-        points, scene.boxes, iou_regressed, scores, cfg.matching
-    )
-    return "fcos", baseline, dynamic, "point_layers", points.xy
-
-
-def _write_scene(
-    cfg: RunConfig, image_id, scene: Scene, baseline_name, baseline, dynamic, layer_kind, rows
-) -> None:
+def _write_scene(args: argparse.Namespace, image_id, scene: Scene, grid, baseline, dynamic):
     """Write a scene's baseline and strategy labels, their diff and the SVG.
 
-    ``rows`` packs the anchor boxes or point coordinates the SVG draws for
-    positive labels, under the renderer's ``layer_kind`` argument; only the
-    positive anchor rows become ``Box`` objects.
+    On a point grid the baseline is "fcos" and the SVG dots the positive
+    points; on an anchor grid it is "static" and only the positive anchor
+    rows become ``Box`` outlines.
     """
+    out = Path(args.out)
+    points = isinstance(grid, PointSet)
     files = {
-        f"{image_id}.{baseline_name}.json": baseline.to_json_dict(),
-        f"{image_id}.{cfg.strategy}.json": dynamic.to_json_dict(),
+        f"{image_id}.{'fcos' if points else 'static'}.json": baseline.to_json_dict(),
+        f"{image_id}.{args.strategy}.json": dynamic.to_json_dict(),
         f"{image_id}.diff.json": _diff_payload(
-            image_id,
-            cfg.strategy,
-            baseline.classification_labels,
-            dynamic.classification_labels,
-            len(scene.boxes),
+            image_id, args.strategy, baseline, dynamic, len(scene.boxes)
         ),
     }
     for name, payload in files.items():
-        _write_json(cfg.out / name, payload)
-    if cfg.svg:
+        _write_json(out / name, payload)
+    if args.svg:
+        rows = grid.xy if points else grid.array
         layers = []
         for color, labels in (
             ("static", baseline.classification_labels),
@@ -300,32 +210,31 @@ def _write_scene(
             ("c2l", dynamic.localization_labels),
         ):
             items = rows[labels >= 0].tolist()
-            if layer_kind == "box_layers":
-                items = [Box(*row) for row in items]
-            layers.append((STRATEGY_COLORS[color], items))
+            layers.append((STRATEGY_COLORS[color], items if points else [Box(*r) for r in items]))
+        kind = "point_layers" if points else "box_layers"
         svg = render_assignment_svg(
-            scene.image_width, scene.image_height, scene.boxes, **{layer_kind: layers}
+            scene.image_width, scene.image_height, scene.boxes, **{kind: layers}
         )
-        _write_text(cfg.out / f"{image_id}.svg", svg)
+        _write_text(out / f"{image_id}.svg", svg)
 
 
-def cmd_assign(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    if cfg.strategy in POINT_STRATEGIES:
-        label, grid = _label_points, generate_points(cfg.grid)
-    else:
-        label, grid = _label_anchors, generate_anchors(cfg.grid)
-    for image_id, scene, seed in _load_scenes(cfg):
-        _write_scene(cfg, image_id, scene, *label(cfg, grid, scene, seed))
+def cmd_assign(args: argparse.Namespace, cfg: RunConfig) -> int:
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    grid = (generate_points if args.strategy in POINT_STRATEGIES else generate_anchors)(cfg.grid)
+    for image_id, scene, seed in _load_scenes(args, cfg):
+        baseline, dynamic = _label(cfg, args.strategy, grid, scene, seed)
+        _write_scene(args, image_id, scene, grid, baseline, dynamic)
     return 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    image_id, scene, seed = _load_scenes(cfg)[0]
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    image_id, scene, seed = _load_scenes(args, cfg)[0]
     anchors = generate_anchors(cfg.grid)
-    dynamic = run_trajectory(scene, anchors, cfg.trajectory, "l2c", cfg.matching, seed=seed)
-    fixed = run_trajectory(scene, anchors, cfg.trajectory, "l2c-fixed", cfg.matching, seed=seed)
+    dynamic, fixed = _trajectories(
+        scene, anchors, cfg.trajectory, ("l2c", "l2c-fixed"), cfg.matching, seed
+    )
 
     dynamic_constant = len(set(dynamic.counts)) == 1
     growth = fixed.counts[-1] / fixed.counts[0] if fixed.counts[0] else float("inf")
@@ -340,7 +249,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "fixed": fixed.to_json_dict(),
         "verdict": verdict,
     }
-    _write_json(cfg.out / "trajectory.json", payload)
+    _write_json(out / "trajectory.json", payload)
     print(
         f"dynamic constant: {'yes' if dynamic_constant else 'no'}; "
         f"fixed growth factor: {growth:.2f}"
@@ -348,13 +257,13 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_evaluate(cfg: RunConfig) -> int:
-    if not cfg.annotations:
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    if not args.annotations:
         raise CliError("evaluate requires --annotations")
-    if not cfg.detections:
+    if not args.detections:
         raise CliError("evaluate requires --detections")
-    images, _ = load_annotations(cfg.annotations)
-    dets = load_detections(cfg.detections, [img.image_id for img in images])
+    images, _ = load_annotations(args.annotations)
+    dets = load_detections(args.detections, [img.image_id for img in images])
     ground_truth = [
         GroundTruth(box=b, class_id=c, image_id=img.image_id)
         for img in images
@@ -362,13 +271,14 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     ]
     if not ground_truth:
         raise CliError("annotation file contains no boxes to evaluate against")
-    result = average_precision(dets, ground_truth, area_bands=cfg.area_bands)
+    result = average_precision(dets, ground_truth, area_bands=args.area_bands)
 
-    cfg.out.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.out / "evaluation.json", result.to_json_dict())
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "evaluation.json", result.to_json_dict())
 
     rows = [("AP", result.ap), ("AP50", result.ap50), ("AP75", result.ap75)]
-    if cfg.area_bands:
+    if args.area_bands:
         rows += [("AP_s", result.ap_small), ("AP_m", result.ap_medium), ("AP_l", result.ap_large)]
     print(f"{'metric':<8}{'value':>8}")
     for name, value in rows:
@@ -414,15 +324,14 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
         cfg = build_run_config(args)
         if args.command == "assign":
-            return cmd_assign(cfg)
+            return cmd_assign(args, cfg)
         if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_evaluate(cfg)
+            return cmd_simulate(args, cfg)
+        return cmd_evaluate(args)
     except (CliError, AnnotationError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

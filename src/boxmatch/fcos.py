@@ -31,6 +31,7 @@ from .assignment import (
     MatchingConfig,
     MatrixLike,
     _amplify,
+    _check_sigma,
     _claim_one,
     _guided,
     _positives,
@@ -236,8 +237,7 @@ def fcos_classify_to_localize(
     """Localization labels: per object, its n_pos highest amplified-centerness
     points, where centerness is raised to (sigma - score) / sigma and is 0 for
     points outside the box."""
-    if not sigma > 1.0:
-        raise ValueError(f"sigma must be > 1, got {sigma}")
+    _check_sigma(sigma)
     gt, base, pool = _original(points, objects, center_sampling_radius)
     scores = _point_matrix(classif_scores, "classif_scores", points, gt)
     return _ranked(_amplified_centerness(points, gt, scores, sigma), base, pool)

@@ -110,6 +110,14 @@ def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
     return broadcast_iou(b[:, None], a).T.copy()
 
 
+def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` itself once every value is finite and in [0, 1]; ValueError otherwise."""
+    # min and max propagate NaN, which then fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValueError(f"{what} must be finite and lie in [0, 1]")
+    return arr
+
+
 @dataclass(frozen=True)
 class IoUMatrix:
     """Unit-interval overlap values, rows = anchors/points, cols = objects."""
@@ -120,10 +128,7 @@ class IoUMatrix:
         arr = np.asarray(self.values, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"IoU matrix must be 2-dimensional, got shape {arr.shape}")
-        # min and max propagate NaN, which then fails both comparisons
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-            raise ValueError("IoU matrix values must be finite and lie in [0, 1]")
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _unit_interval(arr, "IoU matrix values"))
 
     @property
     def row_count(self) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -112,7 +112,6 @@ class TrajectorySnapshot:
 class TrajectoryStep:
     t: float
     positive_count: int
-    labels: np.ndarray
 
 
 @dataclass
@@ -293,32 +292,46 @@ def run_trajectory(
     to regressed overlap. The count is over classification labels except for
     "c2l", which only guides localization labels.
     """
-    if strategy != "l2c-fixed" and strategy not in ANCHOR_STRATEGIES:
-        choices = sorted([*ANCHOR_STRATEGIES, "l2c-fixed"])
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {choices}")
+    return _trajectories(scene, anchor_set, cfg, (strategy,), matching, seed)[0]
+
+
+def _trajectories(
+    scene: Scene,
+    anchor_set: AnchorSet,
+    cfg: TrajectoryConfig,
+    strategies: Sequence[str],
+    matching: Optional[MatchingConfig],
+    seed: int,
+) -> list[TrajectoryResult]:
+    """One run_trajectory result per strategy, in order; each step's snapshot
+    is simulated once and labelled for every strategy."""
+    for strategy in strategies:
+        if strategy != "l2c-fixed" and strategy not in ANCHOR_STRATEGIES:
+            choices = sorted([*ANCHOR_STRATEGIES, "l2c-fixed"])
+            raise ValueError(f"unknown strategy {strategy!r}; choose from {choices}")
     matching = matching or MatchingConfig()
     iou_anchor = pairwise_iou(anchor_set.array, boxes_to_array(scene.boxes))
     ts = np.linspace(0.0, 1.0, cfg.steps) if cfg.steps > 1 else np.asarray([0.0])
     # iou_anchor does not depend on t: one IoU and one static pass serve every step
-    base = None if strategy == "l2c-fixed" else static_assign(iou_anchor, matching)
+    base = None if set(strategies) <= {"l2c-fixed"} else static_assign(iou_anchor, matching)
 
-    steps: list[TrajectoryStep] = []
+    results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
     for t in ts:
         snapshot = synth_predictions(
             scene, anchor_set, cfg, float(t), seed=seed, _iou_anchor=iou_anchor
         )
-        if strategy == "l2c-fixed":
-            labels = static_assign(snapshot.iou_regressed, matching).classification_labels
-        else:
-            _, result = ANCHOR_STRATEGIES[strategy](
-                iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, matching, _base=base
-            )
-            c2l = strategy == "c2l"
-            labels = result.localization_labels if c2l else result.classification_labels
-        steps.append(
-            TrajectoryStep(t=float(t), positive_count=int(np.sum(labels >= 0)), labels=labels)
-        )
-    return TrajectoryResult(strategy=strategy, steps=steps)
+        for result in results:
+            if result.strategy == "l2c-fixed":
+                labels = static_assign(snapshot.iou_regressed, matching).classification_labels
+            else:
+                _, labeled = ANCHOR_STRATEGIES[result.strategy](
+                    iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, matching,
+                    _base=base,
+                )
+                c2l = result.strategy == "c2l"
+                labels = labeled.localization_labels if c2l else labeled.classification_labels
+            result.steps.append(TrajectoryStep(t=float(t), positive_count=int(np.sum(labels >= 0))))
+    return results
 
 
 def detections_from_snapshot(

@@ -1,8 +1,15 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors
+from boxmatch import assignment
+from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.assignment import (
+    ANCHOR_STRATEGIES,
     IGNORED,
     NEGATIVE,
     Assignment,
@@ -13,7 +20,8 @@ from boxmatch.assignment import (
     mutual_guidance_assign,
     static_assign,
 )
-from boxmatch.geometry import IoUMatrix, boxes_to_array, pairwise_iou
+from boxmatch.fcos import fcos_classify_to_localize
+from boxmatch.geometry import Box, IoUMatrix, boxes_to_array, pairwise_iou
 from boxmatch.simulator import SceneSpec, synth_scene
 
 # 13 anchors A-M around one object: 6 above the positive threshold, 3 in the
@@ -111,6 +119,26 @@ NAN = float("nan")
 def test_invalid_matrix_values_rejected(call):
     with pytest.raises(ValueError, match="finite"):
         call()
+
+
+POINTS = generate_points(AnchorGridSpec(32, 32, (LevelSpec(8, (16.0,)),)))
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.5, NAN, [2.0, 1.0]])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sigma: MatchingConfig(sigma=sigma),
+        lambda sigma: amplified_iou(0.5, 0.5, sigma),
+        lambda sigma: fcos_classify_to_localize(
+            POINTS, [Box(4, 4, 20, 20)], np.zeros((len(POINTS), 1)), sigma=sigma
+        ),
+    ],
+    ids=["config", "amplified_iou", "fcos_c2l"],
+)
+def test_sigma_rejected_alike_everywhere(call, sigma):
+    with pytest.raises(ValueError, match=re.escape(f"sigma must be > 1, got {sigma}")):
+        call(sigma)
 
 
 EMPTY = np.zeros((6, 0))  # an image without objects
@@ -348,3 +376,96 @@ class TestSceneProperties:
         assert np.array_equal(a.classification_labels, b.classification_labels)
         assert np.array_equal(a.localization_labels, b.localization_labels)
         assert a.per_object_counts == b.per_object_counts
+
+
+# few distinct values around the default thresholds: ties, zeros, objects
+# without an anchor at or above t_pos and images without objects are common
+LATTICE = st.sampled_from([0.0, 0.0, 0.2, 0.4, 0.45, 0.5, 0.7, 1.0]) | st.floats(0, 1)
+
+
+@st.composite
+def strategy_inputs(draw):
+    """(iou_anchor, iou_regressed, classif_scores), each of shape (n, m)."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(0, 4))
+    cells = st.lists(LATTICE, min_size=n * m, max_size=n * m)
+    return tuple(np.asarray(draw(cells), float).reshape(n, m) for _ in range(3))
+
+
+@st.composite
+def tie_free_inputs(draw):
+    """strategy_inputs whose values are all distinct, plus an object permutation."""
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 4))
+    ranks = [np.asarray(draw(st.permutations(range(n * m))), float) for _ in range(3)]
+    anchor, regressed, scores = ((r.reshape(n, m) + 1) / (n * m) for r in ranks)
+    return anchor, regressed, scores, draw(st.permutations(range(m)))
+
+
+def run_row(strategy, *matrices):
+    """The strategy row's (baseline, result) and the pre-merge counts of every
+    ranked selection it made."""
+    premerge, real = [], assignment.ranked_selection
+
+    def spy(*args, **kwargs):
+        selection = real(*args, **kwargs)
+        premerge.append(selection.premerge_positive_counts)
+        return selection
+
+    with mock.patch.object(assignment, "ranked_selection", spy):
+        return (*ANCHOR_STRATEGIES[strategy](*matrices), premerge)
+
+
+# each example runs every row of the strategy table
+class TestStrategyTableProperties:
+    @given(strategy_inputs())
+    def test_budgets_are_conserved(self, inputs):
+        static = static_assign(inputs[0])
+        budgets = [p for p, _ in static.per_object_counts]
+        m = len(budgets)
+        for strategy, guided_tasks in (("static", 0), ("l2c", 1), ("c2l", 1), ("mutual", 2)):
+            base, result, premerge = run_row(strategy, *inputs)
+            assert base.per_object_counts == result.per_object_counts == static.per_object_counts
+            # each guided task ranks once, and every object claims its whole budget
+            assert premerge == [budgets] * guided_tasks
+            labels = base.classification_labels
+            assert np.bincount(labels[labels >= 0], minlength=m).tolist() == budgets
+            for labels in (result.classification_labels, result.localization_labels):
+                assert np.all(np.bincount(labels[labels >= 0], minlength=m) <= budgets)
+
+    @given(strategy_inputs())
+    def test_deterministic_and_inputs_untouched(self, inputs):
+        pristine = [matrix.copy() for matrix in inputs]
+        for row in ANCHOR_STRATEGIES.values():
+            first = [result.to_json_dict() for result in row(*inputs)]
+            assert [result.to_json_dict() for result in row(*inputs)] == first
+            assert all(np.array_equal(a, b) for a, b in zip(inputs, pristine))
+
+    @given(strategy_inputs())
+    def test_localization_never_ignored(self, inputs):
+        for row in ANCHOR_STRATEGIES.values():
+            for result in row(*inputs):
+                assert IGNORED not in result.localization_labels
+
+    @given(tie_free_inputs())
+    def test_object_permutation_equivariance(self, case):
+        *inputs, perm = case
+        anchor, _, scores = inputs
+        # no two objects tie on any anchor's amplified overlap either
+        amplified = amplified_iou(anchor, scores, MatchingConfig().sigma)
+        assume(all(np.unique(row).size == row.size for row in amplified))
+        # the fallbacks serve objects in index order: keep them out of play,
+        # except a single static fallback, which no other object competes for
+        best = anchor.argmax(axis=1)[anchor.max(axis=1) >= MatchingConfig().t_pos]
+        assume(anchor.shape[1] - np.unique(best).size <= 1)
+        permuted_inputs = [matrix[:, perm] for matrix in inputs]
+        with mock.patch.object(assignment, "_claim_one", wraps=assignment._claim_one) as rescue:
+            runs = [
+                (row(*inputs)[1], row(*permuted_inputs)[1]) for row in ANCHOR_STRATEGIES.values()
+            ]
+        assume(rescue.call_count == 0)
+        back = np.asarray(perm)
+        for result, permuted in runs:
+            for task in ("classification_labels", "localization_labels"):
+                labels = getattr(permuted, task)
+                mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)
+                assert mapped.tolist() == getattr(result, task).tolist()
+            assert permuted.per_object_counts == [result.per_object_counts[j] for j in perm]

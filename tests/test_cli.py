@@ -3,8 +3,12 @@ import json
 
 import pytest
 
+from boxmatch import simulator
+from boxmatch.anchors import AnchorGridSpec
 from boxmatch.annotations import AnnotationError, load_annotations, load_detections
-from boxmatch.cli import main
+from boxmatch.assignment import MatchingConfig
+from boxmatch.cli import RunConfig, build_run_config, main, make_parser
+from boxmatch.simulator import SceneSpec, TrajectoryConfig
 
 # this box produces per-object counts (6, 3) under the default grid and
 # thresholds - the 13-anchor worked example realized in annotation form
@@ -182,6 +186,62 @@ class TestAssignCommand:
         assert len(payload["classification"]) == 100  # 10x10 grid, one shape
         assert len(payload["per_object_counts"]) == 2
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"scene": {"count_rang": [2, 2]}},
+            {"levels": [{"stride": 32, "scales": [64], "aspect_ratio": [2.0]}]},
+            {"image": {"widht": 320}},
+            {"matching": {"t_po": 0.6}},
+            {"trajectory": {"step": 3}},
+            {"num_scene": 2},
+            {"scene": {"seed": 4}},  # the scene seed comes from --seed
+        ],
+    )
+    def test_unknown_config_keys_rejected(self, config, tmp_path, capsys):
+        path = write_json(tmp_path / "config.json", config)
+        argv = ["assign", "--synthetic", "--config", path, "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "invalid configuration" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestRunConfig:
+    def test_defaults_are_the_library_types_own(self):
+        args = make_parser().parse_args(["assign", "--synthetic", "--seed", "4"])
+        assert build_run_config(args) == RunConfig(
+            grid=AnchorGridSpec(),
+            matching=MatchingConfig(),
+            scene_spec=SceneSpec(seed=4),
+            trajectory=TrajectoryConfig(),
+            num_scenes=1,
+            assign_progress=0.5,
+        )
+
+    def test_sections_apply_on_top_of_the_defaults(self, tmp_path):
+        config = write_json(
+            tmp_path / "config.json",
+            {
+                "image": {"height": 160},
+                "matching": {"t_pos": 0.6},
+                "scene": {"count_range": [2, 3], "num_classes": 5.0},
+                "trajectory": {"noise": 0.0},
+                "num_scenes": "3",
+            },
+        )
+        argv = ["simulate", "--synthetic", "--config", config, "--sigma", "3"]
+        cfg = build_run_config(make_parser().parse_args(argv))
+        assert cfg.grid == AnchorGridSpec(image_height=160)
+        assert cfg.matching == MatchingConfig(t_pos=0.6, sigma=3.0)
+        assert cfg.scene_spec == SceneSpec(image_height=160, count_range=(2, 3), num_classes=5)
+        assert cfg.trajectory == TrajectoryConfig(noise=0.0)
+        assert (cfg.num_scenes, cfg.assign_progress) == (3, 0.5)
+
+    def test_sigma_flag_is_checked_with_the_matching_section(self, tmp_path, capsys):
+        argv = ["assign", "--synthetic", "--sigma", "1", "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "invalid configuration: sigma must be > 1, got 1.0" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_writes_trajectory_and_verdict(self, tmp_path, capsys):
@@ -201,6 +261,18 @@ class TestSimulateCommand:
         assert main(argv + ["--out", str(out_a)]) == 0
         assert main(argv + ["--out", str(out_b)]) == 0
         assert (out_a / "trajectory.json").read_bytes() == (out_b / "trajectory.json").read_bytes()
+
+
+    def test_each_step_is_simulated_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = simulator.synth_predictions
+        monkeypatch.setattr(
+            simulator, "synth_predictions", lambda *a, **k: calls.append(a[3]) or real(*a, **k)
+        )
+        assert main(["simulate", "--synthetic", "--seed", "7", "--out", str(tmp_path)]) == 0
+        steps = json.loads((tmp_path / "trajectory.json").read_text())["fixed"]["steps"]
+        assert len(calls) == TrajectoryConfig().steps == len(steps)
+        assert calls == [s["t"] for s in steps]
 
 
 class TestEvaluateCommand:
