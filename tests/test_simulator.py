@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -187,3 +189,52 @@ class TestPointPredictions:
         a = synth_point_predictions(scene, points, TrajectoryConfig(), 0.5, seed=5)
         b = synth_point_predictions(scene, points, TrajectoryConfig(), 0.5, seed=5)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+    # SHA-256 of (iou_regressed, scores) bytes for a fixed 3-object scene on
+    # GRID's points: any change to the draws, their order or the arithmetic
+    # moves them. The second config also shows that points ignore the
+    # misalignment fraction.
+    PINNED = {
+        ("default", 0.0): (
+            "768b81eb64d477aa4d7657470dd798eec13674fca6a60af630fa32fdc8113a54",
+            "ff6698a6e831ffcf47af2fed388ffc262f319e72b26cd140929d1e19b1246ad4",
+        ),
+        ("default", 0.37): (
+            "cb627d39527e43541bb372e20f3b38444996e64b953b0ef4e5c69a93d3a7582c",
+            "71fa564b842cd2ba48e054b8dad3b4be78857cd7949131bdd78ef5d48d7bf660",
+        ),
+        ("default", 1.0): (
+            "b2e2d037788fb410450b83d73bd8d4fccc92b85e308f1333b3679404adf0fe86",
+            "b2e2d037788fb410450b83d73bd8d4fccc92b85e308f1333b3679404adf0fe86",
+        ),
+        ("misaligned", 0.0): (
+            "768b81eb64d477aa4d7657470dd798eec13674fca6a60af630fa32fdc8113a54",
+            "ff6698a6e831ffcf47af2fed388ffc262f319e72b26cd140929d1e19b1246ad4",
+        ),
+        ("misaligned", 0.37): (
+            "b02fc9a412fb5950afb877972ca68f4876a92e45897af8cdb92c905327a572cb",
+            "d3db79ad460cef2adc26e5f7beab5c4fa9817f0eec4f58ed82c6663a53f728a1",
+        ),
+        ("misaligned", 1.0): (
+            "b2e2d037788fb410450b83d73bd8d4fccc92b85e308f1333b3679404adf0fe86",
+            "b2e2d037788fb410450b83d73bd8d4fccc92b85e308f1333b3679404adf0fe86",
+        ),
+    }
+    CONFIGS = {
+        "default": TrajectoryConfig(),
+        "misaligned": TrajectoryConfig(
+            misalignment_fraction=0.3,
+            localization_gain="sqrt",
+            score_gain="quadratic",
+            noise=0.1,
+        ),
+    }
+
+    @pytest.mark.parametrize("config, t", sorted(PINNED))
+    def test_pinned_bytes(self, config, t):
+        scene = synth_scene(SceneSpec(count_range=(3, 5), seed=11))
+        arrays = synth_point_predictions(
+            scene, generate_points(GRID), self.CONFIGS[config], t, seed=11
+        )
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+        assert digests == self.PINNED[config, t]
