@@ -9,6 +9,12 @@ counts but re-rank the same candidate pools: by regressed-box overlap for
 classification labels, by amplified centerness for localization labels.
 Points inside several matching boxes go to the smallest-area box.
 
+Every point fallback is the anchor path's ``_claim_one`` over a ranking:
+pool, then in-box, then any point, nearest the box center first, for the
+original strategy; an object's original points after a dynamic merge. An
+object no fallback can serve gets the warning "object j: no point available
+for the positive fallback". An image without objects is all NEGATIVE.
+
 As in the anchor module, each public function checks its inputs once and
 computes the original strategy (and the point membership masks) once; the
 private cores take those results. ``POINT_STRATEGIES`` maps each point
@@ -121,22 +127,11 @@ def _central(points: PointSet, gt: np.ndarray, radius: float) -> np.ndarray:
     )
 
 
-def _force_nearest(
-    labels: np.ndarray,
-    j: int,
-    tiers: Sequence[np.ndarray],
-    xy: np.ndarray,
-    center: tuple[float, float],
-    warnings: list[str],
-) -> None:
-    dist = (xy[:, 0] - center[0]) ** 2 + (xy[:, 1] - center[1]) ** 2
-    for tier in tiers:
-        available = tier & (labels < 0)
-        if available.any():
-            pick = int(np.argmin(np.where(available, dist, np.inf)))
-            labels[pick] = j
-            return
-    warnings.append(f"object {j}: no point available for the positive fallback")
+def _rescue(labels: np.ndarray, j: int, ranked: np.ndarray, m: int, warnings: list[str]) -> None:
+    """Give object j one point of ``ranked`` by the anchor path's ``_claim_one``
+    rule, and record the object in ``warnings`` when none can be had."""
+    if not _claim_one(labels, j, ranked, m):
+        warnings.append(f"object {j}: no point available for the positive fallback")
 
 
 def fcos_assign_original(
@@ -148,9 +143,11 @@ def fcos_assign_original(
 
     With ``center_sampling_radius`` set, positives are further restricted to
     points within radius*stride of the box center. Ambiguous points go to the
-    smallest-area box. An object that captures no point gets its nearest
-    in-box point forced positive (nearest point overall if none is in-box),
-    so every object keeps at least one positive.
+    smallest-area box. An object that captures no point takes the first free
+    point (else the first whose owner keeps another positive) of its pool,
+    then its in-box points, then all points, each nearest its center first,
+    ties to the lower index; if none, a "no point available" warning names
+    it. An image without objects gets all-NEGATIVE labels and no counts.
     """
     return _original(points, objects, center_sampling_radius)[1]
 
@@ -159,56 +156,47 @@ def _original(
     points: PointSet, objects: Sequence[Box], center_sampling_radius: Optional[float]
 ) -> tuple[np.ndarray, PointAssignment, np.ndarray]:
     """Return (gt array, original assignment, ranking pool)."""
-    if len(objects) == 0:
-        raise ValueError("objects must be non-empty")
     gt = boxes_to_array(objects)
     in_box, pool = _membership(points, gt)
     candidate = pool
     if center_sampling_radius is not None:
         candidate = pool & _central(points, gt, center_sampling_radius)
-    n, m = candidate.shape
+    m = gt.shape[0]
 
     areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
-    winner = np.argmin(np.where(candidate, areas[None, :], np.inf), axis=1)
+    # argmin rejects the empty rows of an image without objects
+    winner = np.argmin(np.where(candidate, areas[None, :], np.inf), axis=1) if m else NEGATIVE
     labels = np.where(candidate.any(axis=1), winner, NEGATIVE)
 
     warnings: list[str] = []
     for j in np.flatnonzero(_positives(labels, m) == 0):
-        center = (0.5 * (gt[j, 0] + gt[j, 2]), 0.5 * (gt[j, 1] + gt[j, 3]))
-        tiers = (pool[:, j], in_box[:, j], np.ones(n, dtype=bool))
-        _force_nearest(labels, j, tiers, points.xy, center, warnings)
+        dist = ((points.xy - 0.5 * (gt[j, :2] + gt[j, 2:])) ** 2).sum(axis=1)
+        tier = 2 - in_box[:, j] - pool[:, j]  # 0 pool, 1 in-box only, 2 outside
+        _rescue(labels, j, np.lexsort((dist, tier)), m, warnings)
 
-    counts = _positives(labels, m).tolist()
-    base = PointAssignment(
-        classification_labels=labels,
-        localization_labels=labels.copy(),
-        per_object_counts=counts,
-        warnings=warnings,
-    )
+    base = PointAssignment(labels, labels.copy(), _positives(labels, m).tolist(), warnings)
     return gt, base, pool
 
 
 def _point_matrix(matrix: MatrixLike, name: str, points: PointSet, gt: np.ndarray) -> np.ndarray:
-    values = matrix_values(matrix)
-    if values.shape != (len(points), gt.shape[0]):
-        raise ValueError(
-            f"{name} must have shape {(len(points), gt.shape[0])}, got {values.shape}"
-        )
+    values, shape = matrix_values(matrix), (len(points), gt.shape[0])
+    if values.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {values.shape}")
     return values
 
 
 def _ranked(values: np.ndarray, base: PointAssignment, pool: np.ndarray) -> DynamicLabels:
-    """Each object's n_pos best points of its pool by ``values``."""
+    """Each object's n_pos best points of its pool by ``values``; an object
+    the merge leaves without a positive then takes one of its original points.
+    This rescue stays after the merge: made the pool of an empty-pool object,
+    those points would displace other objects' claims, moving labels and
+    leaving more objects without a positive."""
     m = len(base.per_object_counts)
     result = ranked_selection(values, base.per_object_counts, [0] * m, candidate_mask=pool)
-    # objects whose ranking pool was empty fall back to their original points
     for j in np.flatnonzero(_positives(result.labels, m) == 0):
-        _claim_one(result.labels, j, np.flatnonzero(base.classification_labels == j), m)
+        original = np.flatnonzero(base.classification_labels == j)
+        _rescue(result.labels, j, original, m, result.warnings)
     return result
-
-
-def _amplified_centerness(points, gt, scores, sigma) -> np.ndarray:
-    return _amplify(_centerness_matrix(points.xy, gt), scores, sigma)
 
 
 def fcos_localize_to_classify(
@@ -240,7 +228,7 @@ def fcos_classify_to_localize(
     _check_sigma(sigma)
     gt, base, pool = _original(points, objects, center_sampling_radius)
     scores = _point_matrix(classif_scores, "classif_scores", points, gt)
-    return _ranked(_amplified_centerness(points, gt, scores, sigma), base, pool)
+    return _ranked(_amplify(_centerness_matrix(points.xy, gt), scores, sigma), base, pool)
 
 
 def _run_points(points, objects, iou_regressed, classif_scores, cfg=None, *, mutual):
@@ -252,7 +240,7 @@ def _run_points(points, objects, iou_regressed, classif_scores, cfg=None, *, mut
         return base, base
     # the point twin of mutual_guidance_assign
     cls = _ranked(regressed, base, pool)
-    loc = _ranked(_amplified_centerness(points, gt, scores, sigma), base, pool)
+    loc = _ranked(_amplify(_centerness_matrix(points.xy, gt), scores, sigma), base, pool)
     return base, _guided(base, cls, loc)
 
 

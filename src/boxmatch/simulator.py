@@ -12,7 +12,7 @@ given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -172,10 +172,6 @@ def ground_truth_from_scene(scene: Scene, image_id: object = 0) -> list[GroundTr
     ]
 
 
-def _snapshot_rng(seed: int, t: float) -> np.random.Generator:
-    return np.random.default_rng([seed, int(round(t * 1_000_000_000))])
-
-
 def synth_predictions(
     scene: Scene,
     anchor_set: AnchorSet,
@@ -196,7 +192,7 @@ def synth_predictions(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"progress t must lie in [0, 1], got {t}")
-    rng = _snapshot_rng(seed, t)
+    rng = np.random.default_rng([seed, int(round(t * 1_000_000_000))])
     anchors = anchor_set.array
     gt = boxes_to_array(scene.boxes)
     n = anchors.shape[0]
@@ -253,28 +249,16 @@ def synth_point_predictions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-point analogue of synth_predictions.
 
-    Each point regresses a proxy box (a square with the smallest scale of its
-    level) toward its best-overlap object. Returns (iou_regressed, scores),
-    both of shape (points, objects).
+    Each point regresses a proxy box (a square four strides wide) toward its
+    best-overlap object through the synth_predictions core, with the same
+    draws in the same order; points take no misalignment injection. Returns
+    (iou_regressed, scores), both of shape (points, objects).
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"progress t must lie in [0, 1], got {t}")
-    rng = _snapshot_rng(seed, t)
     half = (point_set.point_strides * 4.0)[:, None] / 2.0
-    xy = point_set.xy
-    proxies = np.concatenate([xy - half, xy + half], axis=1)
-    gt = boxes_to_array(scene.boxes)
-    n = proxies.shape[0]
-
-    iou_proxy = pairwise_iou(proxies, gt)
-    best = np.argmax(iou_proxy, axis=1)
-    w_base = GAIN_CURVES[cfg.localization_gain](t)
-    jitter = cfg.noise * rng.uniform(-1.0, 1.0, size=n) * 4.0 * w_base * (1.0 - w_base)
-    weights = np.clip(w_base + jitter, 0.0, 1.0)
-    regressed = (1.0 - weights[:, None]) * proxies + weights[:, None] * gt[best]
-    iou_regressed = pairwise_iou(regressed, gt)
-    scores = np.clip(GAIN_CURVES[cfg.score_gain](t) * iou_regressed, 0.0, 1.0)
-    return iou_regressed, scores
+    proxies = np.concatenate([point_set.xy - half, point_set.xy + half], axis=1)
+    cfg = replace(cfg, misalignment_fraction=0.0)
+    snapshot = synth_predictions(scene, AnchorSet(point_set.level_offsets, proxies), cfg, t, seed)
+    return snapshot.iou_regressed, snapshot.classif_scores
 
 
 def run_trajectory(

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: the
 rasterization oracle counts pixels, the NMS oracle is a direct O(n^2) loop,
-and the AP oracle walks the precision/recall curve literally.
+the AP oracle walks the precision/recall curve literally, and the FCOS
+oracle labels points one at a time.
 """
 
 import math
@@ -202,3 +203,74 @@ def brute_force_ranked_selection(values, n_pos, n_ignored, candidate_mask=None):
                 labels[i] = j
                 break
     return labels, premerge
+
+
+def brute_force_fcos_original(points, boxes, radius=None):
+    """Reference original point labels by plain loops over points and boxes.
+
+    A point is a candidate of a box when it lies in the box half-open
+    (min <= coordinate < max), the box's longer side lies in the point's
+    level range [lower, upper) and, with ``radius``, the point lies within
+    radius * stride of the box center on both axes. The candidate box of
+    smallest area wins, ties to the lower object index. Then each object left
+    without a point, in index order, ranks every point by (tier, squared
+    distance to its center, index), with tier 0 for in-box level-matched,
+    1 for in-box and 2 for any other point, and takes the first free point,
+    else the first whose owner holds two or more.
+
+    Returns (labels, warnings); labels use -1 for negative.
+    """
+    xy = points.xy.tolist()
+    levels = points.point_levels.tolist()
+    strides = points.point_strides.tolist()
+
+    def inside(i, box):
+        x, y = xy[i]
+        return box.x_min <= x < box.x_max and box.y_min <= y < box.y_max
+
+    def level_matched(i, box):
+        lower, upper = points.scale_ranges[levels[i]]
+        return lower <= max(box.width, box.height) < upper
+
+    def central(i, box):
+        reach = radius * strides[i]
+        cx, cy = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
+        return abs(xy[i][0] - cx) <= reach and abs(xy[i][1] - cy) <= reach
+
+    labels = []
+    for i in range(len(xy)):
+        winner = -1
+        for j, box in enumerate(boxes):
+            if not (inside(i, box) and level_matched(i, box)):
+                continue
+            if radius is not None and not central(i, box):
+                continue
+            if winner < 0 or box.width * box.height < boxes[winner].width * boxes[winner].height:
+                winner = j
+        labels.append(winner)
+
+    warnings = []
+    empty = [j for j in range(len(boxes)) if j not in labels]
+    for j in empty:
+        box = boxes[j]
+        cx, cy = 0.5 * (box.x_min + box.x_max), 0.5 * (box.y_min + box.y_max)
+
+        def key(i):
+            tier = 2
+            if inside(i, box):
+                tier = 0 if level_matched(i, box) else 1
+            return (tier, (xy[i][0] - cx) ** 2 + (xy[i][1] - cy) ** 2, i)
+
+        ranked = sorted(range(len(xy)), key=key)
+        free = [i for i in ranked if labels[i] < 0]
+        if free:
+            labels[free[0]] = j
+            continue
+        counts = [labels.count(k) for k in range(len(boxes))]
+        for i in ranked:
+            if labels[i] >= 0 and counts[labels[i]] >= 2:
+                labels[i] = j
+                break
+        else:
+            warnings.append(f"object {j}: no point available for the positive fallback")
+    return labels, warnings

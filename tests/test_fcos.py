@@ -1,20 +1,33 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from boxmatch import assignment, fcos
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_points
-from boxmatch.assignment import NEGATIVE
+from boxmatch.assignment import NEGATIVE, amplified_iou
 from boxmatch.fcos import (
+    POINT_STRATEGIES,
     centerness,
     fcos_assign_original,
     fcos_classify_to_localize,
     fcos_localize_to_classify,
 )
-from boxmatch.geometry import Box
+from boxmatch.geometry import Box, boxes_to_array
 from boxmatch.simulator import SceneSpec, synth_scene
+from oracles import brute_force_fcos_original
 
 SINGLE_COARSE = AnchorGridSpec(320, 320, (LevelSpec(160, (64.0,), (1.0,)),))
 SINGLE_32 = AnchorGridSpec(320, 320, (LevelSpec(32, (64.0,), (1.0,)),))
 DEFAULT = AnchorGridSpec()
+# four points, (16, 16), (48, 16), (16, 48) and (48, 48), all on one level
+FOUR_POINTS = generate_points(AnchorGridSpec(64, 64, (LevelSpec(32, (16.0,)),)))
+# 256 + 64 + 16 points; level ranges [0, 64), [64, 128) and [128, inf)
+THREE_LEVELS = AnchorGridSpec(
+    128, 128, (LevelSpec(8, (32.0,)), LevelSpec(16, (64.0,)), LevelSpec(32, (128.0,)))
+)
 
 # (40, 40, 120, 90) on the stride-32 grid contains six points; its center
 # region at radius 0.55 contains two, at radius 0.5 only the (80, 80) point
@@ -97,10 +110,27 @@ class TestOriginalAssignment:
         }
         assert set(np.flatnonzero(result.classification_labels == 0).tolist()) == expected
 
-    def test_objects_required(self):
+    def test_image_without_objects_is_background(self):
         points = generate_points(SINGLE_32)
-        with pytest.raises(ValueError):
-            fcos_assign_original(points, [])
+        n = len(points)
+        empty = np.zeros((n, 0))
+        results = [
+            fcos_assign_original(points, []),
+            *POINT_STRATEGIES["fcos"](points, [], empty, empty),
+            *POINT_STRATEGIES["fcos-mutual"](points, [], empty, empty),
+        ]
+        for result in results:
+            assert result.classification_labels.tolist() == [NEGATIVE] * n
+            assert result.localization_labels.tolist() == [NEGATIVE] * n
+            assert result.per_object_counts == []
+            assert result.warnings == []
+        for guided in (
+            fcos_localize_to_classify(points, [], empty),
+            fcos_classify_to_localize(points, [], empty),
+        ):
+            assert guided.labels.tolist() == [NEGATIVE] * n
+            assert guided.premerge_positive_counts == []
+            assert guided.warnings == []
 
 
 class TestPointLocalizeToClassify:
@@ -202,3 +232,206 @@ class TestPointClassifyToLocalize:
             fcos_classify_to_localize(
                 points, [SIX_POINT_BOX], np.zeros((len(points), 1)), sigma=1.0
             )
+
+
+NO_POINT = "object {}: no point available for the positive fallback"
+
+
+class TestPointFallbacks:
+    # both objects hold only the (16, 48) point; the smaller object 0 wins
+    # it, and object 1 falls back to the nearest free point, (48, 48)
+    SHARED = [Box(12, 36, 22, 49), Box(12, 40, 22, 64)]
+
+    def test_lost_only_positive_is_warned(self):
+        original = fcos_assign_original(FOUR_POINTS, self.SHARED)
+        assert original.classification_labels.tolist() == [NEGATIVE, NEGATIVE, 0, 1]
+        # object 1 wins the shared point on regressed overlap; object 0 can
+        # take neither its pool's point nor its original point back
+        matrix = np.zeros((4, 2))
+        matrix[2] = [0.1, 0.9]
+        guided = fcos_localize_to_classify(FOUR_POINTS, self.SHARED, matrix)
+        assert guided.labels.tolist() == [NEGATIVE, NEGATIVE, 1, NEGATIVE]
+        assert guided.warnings == [NO_POINT.format(0)]
+        _, mutual = POINT_STRATEGIES["fcos-mutual"](FOUR_POINTS, self.SHARED, matrix, matrix)
+        for labels in (mutual.classification_labels, mutual.localization_labels):
+            assert labels.tolist() == [NEGATIVE, NEGATIVE, 1, NEGATIVE]
+        assert mutual.warnings == [NO_POINT.format(0)] * 2
+
+    def test_without_a_free_point_the_fallback_takes_a_shared_one(self):
+        # object 0 holds all four points; object 1 holds none and every point
+        # is equally near its center, so it takes the lowest index
+        result = fcos_assign_original(FOUR_POINTS, [Box(0, 0, 64, 64), Box(30, 30, 34, 34)])
+        assert result.classification_labels.tolist() == [1, 0, 0, 0]
+        assert result.per_object_counts == [3, 1]
+        assert result.warnings == []
+
+
+def lattice_boxes(rng):
+    """1-4 boxes on a 4-pixel lattice, so edges fall on point centers and
+    sides on level bounds, half the time the first one transposed, and one
+    thin box (the only one 6 wide) whose level has no point in it."""
+    boxes = []
+    for _ in range(int(rng.integers(1, 5))):
+        w, h = 4 * rng.integers(1, 33, size=2)
+        x = 4 * rng.integers(0, (128 - w) // 4 + 1)
+        y = 4 * rng.integers(0, (128 - h) // 4 + 1)
+        boxes.append(Box(x, y, x + w, y + h))
+    if rng.random() < 0.5:  # the first box transposed: an equal area on shared points
+        x, y = boxes[0].x_min, boxes[0].y_min
+        boxes.append(Box(x, y, x + boxes[0].height, y + boxes[0].width))
+    # 6 wide between two stride-8 centers and under 64 tall: level 0, no pool
+    x, y = 8 * int(rng.integers(0, 15)) + 4.5, float(rng.uniform(0, 64))
+    boxes.insert(int(rng.integers(0, len(boxes) + 1)), Box(x, y, x + 6.0, y + rng.uniform(8, 60)))
+    return boxes
+
+
+class TestOriginalOracle:
+    @pytest.mark.parametrize("radius", [None, 0.5, 1.0])
+    def test_matches_brute_force(self, radius):
+        points = generate_points(THREE_LEVELS)
+        for seed in range(20):
+            boxes = lattice_boxes(np.random.default_rng(seed))
+            result = fcos_assign_original(points, boxes, center_sampling_radius=radius)
+            labels, warnings = brute_force_fcos_original(points, boxes, radius)
+            assert result.classification_labels.tolist() == labels
+            assert result.warnings == warnings
+            # the thin box's pool is empty: its one positive is a fallback's
+            thin = next(j for j, box in enumerate(boxes) if box.width == 6.0)
+            assert labels.count(thin) == 1
+
+    def test_matches_brute_force_when_points_run_out(self):
+        # 1-6 boxes over four points: fallbacks often find no free point,
+        # and from five boxes on, sometimes none to take at all
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            boxes = []
+            for _ in range(int(rng.integers(1, 7))):
+                (x0, x1), (y0, y1) = np.sort(rng.uniform(0, 64, (2, 2)), axis=1)
+                boxes.append(Box(x0, y0, x1, y1))
+            result = fcos_assign_original(FOUR_POINTS, boxes)
+            labels, warnings = brute_force_fcos_original(FOUR_POINTS, boxes)
+            assert result.classification_labels.tolist() == labels
+            assert result.warnings == warnings
+
+
+TWO_LEVELS = generate_points(
+    AnchorGridSpec(64, 64, (LevelSpec(8, (16.0,)), LevelSpec(16, (32.0,))))
+)
+LATTICE = np.asarray([0.0, 0.0, 0.2, 0.5, 0.9, 1.0])
+
+
+@st.composite
+def lattice_box(draw):
+    x0, x1 = sorted(draw(st.lists(st.integers(0, 32), min_size=2, max_size=2, unique=True)))
+    y0, y1 = sorted(draw(st.lists(st.integers(0, 32), min_size=2, max_size=2, unique=True)))
+    return Box(2 * x0, 2 * y0, 2 * x1, 2 * y1)
+
+
+@st.composite
+def point_inputs(draw):
+    """(points, boxes, iou_regressed, classif_scores) on the 4- or 80-point
+    grid, with half the matrix cells from a small lattice: shared points,
+    objects without a point, ties and images without objects are common."""
+    points = draw(st.sampled_from([FOUR_POINTS, TWO_LEVELS]))
+    boxes = draw(st.lists(lattice_box(), max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (len(points), len(boxes))
+    matrices = [
+        np.where(rng.random(shape) < 0.5, rng.choice(LATTICE, shape), rng.random(shape))
+        for _ in range(2)
+    ]
+    return points, boxes, *matrices
+
+
+@st.composite
+def tie_free_point_inputs(draw):
+    """point_inputs on the 80-point grid with distinct box areas and
+    distinct matrix values, plus an object permutation."""
+    area = lambda box: box.width * box.height  # noqa: E731
+    boxes = draw(st.lists(lattice_box(), min_size=1, max_size=4, unique_by=area))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    regressed, scores = rng.random((2, len(TWO_LEVELS), len(boxes)))
+    return TWO_LEVELS, boxes, regressed, scores, draw(st.permutations(range(len(boxes))))
+
+
+def run_point_row(strategy, *inputs):
+    """The point row's (baseline, result) and the pre-merge counts of every
+    ranked selection it made."""
+    premerge, real = [], fcos.ranked_selection
+
+    def spy(*args, **kwargs):
+        selection = real(*args, **kwargs)
+        premerge.append(selection.premerge_positive_counts)
+        return selection
+
+    with mock.patch.object(fcos, "ranked_selection", spy):
+        return (*POINT_STRATEGIES[strategy](*inputs), premerge)
+
+
+def positives(labels, m):
+    return np.bincount(labels[labels >= 0], minlength=m).tolist()
+
+
+# each example runs both rows of the point strategy table
+class TestPointStrategyProperties:
+    @settings(max_examples=50)
+    @given(point_inputs())
+    def test_budgets_are_conserved(self, inputs):
+        points, boxes = inputs[:2]
+        budgets = fcos_assign_original(points, boxes).per_object_counts
+        pool_sizes = fcos._membership(points, boxes_to_array(boxes))[1].sum(axis=0)
+        m = len(boxes)
+        for strategy, guided_tasks in (("fcos", 0), ("fcos-mutual", 2)):
+            base, result, premerge = run_point_row(strategy, *inputs)
+            assert base.per_object_counts == result.per_object_counts == budgets
+            assert positives(base.classification_labels, m) == budgets
+            assert len(premerge) == guided_tasks
+            if np.all(pool_sizes >= budgets):  # every pool holds its budget
+                assert premerge == [budgets] * guided_tasks
+            for labels in (result.classification_labels, result.localization_labels):
+                assert np.all(np.asarray(positives(labels, m)) <= budgets)
+
+    @settings(max_examples=50)
+    @given(point_inputs())
+    def test_deterministic_and_inputs_untouched(self, inputs):
+        pristine = [matrix.copy() for matrix in inputs[2:]]
+        for row in POINT_STRATEGIES.values():
+            first = [result.to_json_dict() for result in row(*inputs)]
+            assert [result.to_json_dict() for result in row(*inputs)] == first
+            assert all(np.array_equal(a, b) for a, b in zip(inputs[2:], pristine))
+
+    @settings(max_examples=50)
+    @given(point_inputs())
+    def test_every_object_has_a_positive_or_a_warning(self, inputs):
+        for row in POINT_STRATEGIES.values():
+            for result in row(*inputs):
+                for labels in (result.classification_labels, result.localization_labels):
+                    for j in range(len(inputs[1])):
+                        assert j in labels or NO_POINT.format(j) in result.warnings
+
+    @settings(max_examples=50)
+    @given(tie_free_point_inputs())
+    def test_object_permutation_equivariance(self, case):
+        points, boxes, regressed, scores, perm = case
+        gt = boxes_to_array(boxes)
+        # no two objects tie on a shared pool point's amplified centerness
+        amplified = amplified_iou(fcos._centerness_matrix(points.xy, gt), scores, 2.0)
+        pool = fcos._membership(points, gt)[1]
+        pooled = np.sort(np.where(pool, amplified, -1.0 - np.arange(len(boxes))), axis=1)
+        assume(np.all(np.diff(pooled, axis=1) != 0))
+        permuted = ([boxes[j] for j in perm], regressed[:, perm], scores[:, perm])
+        # the fallbacks serve objects in index order: keep them out of play
+        with mock.patch.object(fcos, "_claim_one", wraps=fcos._claim_one) as rescue, \
+                mock.patch.object(assignment, "_claim_one", wraps=assignment._claim_one) as merge:
+            runs = [
+                (row(points, boxes, regressed, scores)[1], row(points, *permuted)[1])
+                for row in POINT_STRATEGIES.values()
+            ]
+        assume(rescue.call_count == merge.call_count == 0)
+        back = np.asarray(perm)
+        for result, permuted_result in runs:
+            for task in ("classification_labels", "localization_labels"):
+                labels = getattr(permuted_result, task)
+                mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)
+                assert mapped.tolist() == getattr(result, task).tolist()
+            assert permuted_result.per_object_counts == [result.per_object_counts[j] for j in perm]

@@ -192,8 +192,8 @@ class TestPointPredictions:
 
     # SHA-256 of (iou_regressed, scores) bytes for a fixed 3-object scene on
     # GRID's points: any change to the draws, their order or the arithmetic
-    # moves them. The second config also shows that points ignore the
-    # misalignment fraction.
+    # moves them. The pins were made by code that ignores the second
+    # config's misalignment fraction on points, so they also catch its use.
     PINNED = {
         ("default", 0.0): (
             "768b81eb64d477aa4d7657470dd798eec13674fca6a60af630fa32fdc8113a54",
