@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 from .evaluation import Detection
 from .geometry import Box
@@ -29,19 +30,42 @@ class ImageAnnotations:
     class_ids: list[int] = field(default_factory=list)
 
 
-def _require(record: dict, key: str, where: str):
+def _require(record, key: str, where: str, cast: Callable):
+    """``cast(record[key])``; AnnotationError naming the record ``where`` when
+    it is not a JSON object, lacks the key, or the cast fails."""
+    if not isinstance(record, dict):
+        raise AnnotationError(f"{where}: expected an object, got {record!r}")
     if key not in record:
         raise AnnotationError(f"{where}: missing required field {key!r} in {record!r}")
-    return record[key]
+    try:
+        return cast(record[key])
+    except (TypeError, ValueError) as exc:
+        raise AnnotationError(f"{where}: bad field {key!r}: {exc}") from exc
 
 
-def _bbox_to_box(bbox, where: str) -> Box:
+def _image_id(value):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"image id must be an integer or a string, got {value!r}")
+    return value
+
+
+def _bbox_to_box(bbox) -> Box:
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
-        raise AnnotationError(f"{where}: bbox must be [x, y, width, height], got {bbox!r}")
+        raise ValueError(f"must be [x, y, width, height], got {bbox!r}")
     x, y, w, h = (float(v) for v in bbox)
     if w <= 0 or h <= 0:
-        raise AnnotationError(f"{where}: bbox width/height must be positive, got {bbox!r}")
+        raise ValueError(f"width and height must be positive, got {bbox!r}")
     return Box(x, y, x + w, y + h)
+
+
+def _read_json(path, kind: type, expected: str):
+    try:
+        data = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise AnnotationError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(data, kind):
+        raise AnnotationError(f"{path}: expected {expected}")
+    return data
 
 
 def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
@@ -50,19 +74,13 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
     Returns the images in file order (including images without annotations)
     and the category id -> name mapping.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, dict):
-        raise AnnotationError(f"{path}: expected a JSON object at the top level")
-
+    data = _read_json(path, dict, "a JSON object at the top level")
     images: dict[object, ImageAnnotations] = {}
     for k, record in enumerate(data.get("images", [])):
         where = f"{path}: images[{k}]"
-        image_id = _require(record, "id", where)
-        width = int(_require(record, "width", where))
-        height = int(_require(record, "height", where))
+        image_id = _require(record, "id", where, _image_id)
+        width = _require(record, "width", where, int)
+        height = _require(record, "height", where, int)
         if image_id in images:
             raise AnnotationError(f"{where}: duplicate image id {image_id!r}")
         if width <= 0 or height <= 0:
@@ -73,54 +91,35 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
 
     for k, record in enumerate(data.get("annotations", [])):
         where = f"{path}: annotations[{k}]"
-        image_id = _require(record, "image_id", where)
+        image_id = _require(record, "image_id", where, _image_id)
         if image_id not in images:
             raise AnnotationError(f"{where}: unknown image id {image_id!r}")
-        box = _bbox_to_box(_require(record, "bbox", where), where)
-        category = int(_require(record, "category_id", where))
+        box = _require(record, "bbox", where, _bbox_to_box)
+        category = _require(record, "category_id", where, int)
         images[image_id].boxes.append(box)
         images[image_id].class_ids.append(category)
 
     categories = {}
     for k, record in enumerate(data.get("categories", [])):
         where = f"{path}: categories[{k}]"
-        categories[int(_require(record, "id", where))] = str(record.get("name", ""))
+        categories[_require(record, "id", where, int)] = str(record.get("name", ""))
     return list(images.values()), categories
 
 
 def load_detections(path, known_image_ids) -> list[Detection]:
     """Parse a detection results file; every image id must be known."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise AnnotationError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(data, list):
-        raise AnnotationError(f"{path}: expected a JSON array of detections")
-
-    known = set(known_image_ids)
-    unknown = sorted(
-        {r.get("image_id") for r in data if isinstance(r, dict)} - known,
-        key=repr,
-    )
-    if unknown:
-        raise AnnotationError(f"{path}: detections reference unknown image ids: {unknown}")
-
     dets = []
-    for k, record in enumerate(data):
+    for k, record in enumerate(_read_json(path, list, "a JSON array of detections")):
         where = f"{path}: detections[{k}]"
-        if not isinstance(record, dict):
-            raise AnnotationError(f"{where}: expected an object, got {record!r}")
-        image_id = _require(record, "image_id", where)
-        box = _bbox_to_box(_require(record, "bbox", where), where)
-        score = float(_require(record, "score", where))
+        image_id = _require(record, "image_id", where, _image_id)
+        box = _require(record, "bbox", where, _bbox_to_box)
+        score = _require(record, "score", where, float)
         if not 0.0 <= score <= 1.0:
             raise AnnotationError(f"{where}: score must lie in [0, 1], got {score}")
-        dets.append(
-            Detection(
-                box=box,
-                class_id=int(_require(record, "category_id", where)),
-                score=score,
-                image_id=image_id,
-            )
-        )
+        category = _require(record, "category_id", where, int)
+        dets.append(Detection(box=box, class_id=category, score=score, image_id=image_id))
+
+    unknown = sorted({d.image_id for d in dets} - set(known_image_ids), key=repr)
+    if unknown:
+        raise AnnotationError(f"{path}: detections reference unknown image ids: {unknown}")
     return dets

@@ -72,8 +72,8 @@ class Assignment:
         return {
             "format_version": 1,
             "mode": "anchors",
-            "classification": [int(v) for v in self.classification_labels],
-            "localization": [int(v) for v in self.localization_labels],
+            "classification": self.classification_labels.tolist(),
+            "localization": self.localization_labels.tolist(),
             "per_object_counts": [
                 {"positive": int(p), "ignored": int(i)} for p, i in self.per_object_counts
             ],

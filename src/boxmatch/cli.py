@@ -19,10 +19,10 @@ import numpy as np
 
 from .anchors import AnchorGridSpec, LevelSpec, PointSet, generate_anchors, generate_points
 from .annotations import AnnotationError, load_annotations, load_detections
-from .assignment import ANCHOR_STRATEGIES, MatchingConfig
+from .assignment import ANCHOR_STRATEGIES, MatchingConfig, static_assign
 from .evaluation import GroundTruth, average_precision
-from .fcos import POINT_STRATEGIES
-from .geometry import Box, boxes_to_array, pairwise_iou
+from .fcos import POINT_STRATEGIES, fcos_assign_original
+from .geometry import boxes_to_array, pairwise_iou
 from .render import STRATEGY_COLORS, render_assignment_svg
 from .simulator import (
     Scene,
@@ -121,12 +121,6 @@ def _load_scenes(args: argparse.Namespace, cfg: RunConfig) -> list[tuple[object,
     if args.annotations:
         images, _ = load_annotations(args.annotations)
         for k, image in enumerate(images):
-            if not image.boxes:
-                print(
-                    f"warning: image {image.image_id!r} has no annotations; skipped",
-                    file=sys.stderr,
-                )
-                continue
             scene = Scene(image.width, image.height, tuple(image.boxes), tuple(image.class_ids))
             scenes.append((image.image_id, scene, args.seed + k))
     else:
@@ -140,81 +134,80 @@ def _load_scenes(args: argparse.Namespace, cfg: RunConfig) -> list[tuple[object,
     return scenes
 
 
-def _diff_payload(image_id: object, strategy: str, baseline, dynamic, n_objects: int) -> dict:
-    """Compare the two results' classification labels, anchor by anchor and per object."""
+def _diff_payload(image_id: object, strategy: str, name: str, baseline, dynamic, m: int) -> dict:
+    """Compare the classification labels of the baseline called ``name`` and
+    of the strategy, sample by sample and per object (``m`` objects)."""
     baseline, dynamic = baseline.classification_labels, dynamic.classification_labels
-    base_pos = set(np.flatnonzero(baseline >= 0).tolist())
-    dyn_pos = set(np.flatnonzero(dynamic >= 0).tolist())
-    per_object = [
-        {
-            "object": j,
-            "baseline_positives": int(np.sum(baseline == j)),
-            "strategy_positives": int(np.sum(dynamic == j)),
-        }
-        for j in range(n_objects)
-    ]
+    base_pos, dyn_pos = baseline >= 0, dynamic >= 0
+    base_counts = np.bincount(baseline[base_pos], minlength=m).tolist()
+    dyn_counts = np.bincount(dynamic[dyn_pos], minlength=m).tolist()
     return {
         "format_version": 1,
         "image_id": image_id,
         "baseline": "static",
         "strategy": strategy,
-        "baseline_positive_count": len(base_pos),
-        "strategy_positive_count": len(dyn_pos),
-        "only_baseline": sorted(base_pos - dyn_pos),
-        "only_strategy": sorted(dyn_pos - base_pos),
-        "per_object": per_object,
+        "baseline_positive_count": int(np.count_nonzero(base_pos)),
+        "strategy_positive_count": int(np.count_nonzero(dyn_pos)),
+        "only_baseline": np.flatnonzero(base_pos & ~dyn_pos).tolist(),
+        "only_strategy": np.flatnonzero(dyn_pos & ~base_pos).tolist(),
+        "per_object": [
+            {"object": j, "baseline_positives": b, "strategy_positives": d}
+            for j, (b, d) in enumerate(zip(base_counts, dyn_counts))
+        ],
     }
 
 
 def _label(cfg: RunConfig, strategy: str, grid, scene: Scene, seed: int):
-    """Simulate predictions on the grid at ``cfg.assign_progress`` and label
-    the scene; return (the static or original baseline, the strategy's result)."""
-    if isinstance(grid, PointSet):
-        iou_regressed, scores = synth_point_predictions(
-            scene, grid, cfg.trajectory, cfg.assign_progress, seed=seed
-        )
-        return POINT_STRATEGIES[strategy](grid, scene.boxes, iou_regressed, scores, cfg.matching)
-    iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+    """Label the scene with the strategy and with its baseline, the unguided
+    labelling it is compared against ("static" on anchors, "fcos" on points);
+    return (baseline name, baseline result, strategy result). Predictions are
+    simulated only for a guided strategy on an image with objects."""
+    points = isinstance(grid, PointSet)
+    name = "fcos" if points else "static"
+    iou_anchor = None if points else pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+    if strategy == name or not scene.boxes:
+        if points:
+            base = fcos_assign_original(grid, scene.boxes)
+        else:
+            base = static_assign(iou_anchor, cfg.matching)
+        return name, base, base
+    if points:
+        predicted = synth_point_predictions(scene, grid, cfg.trajectory, cfg.assign_progress, seed)
+        return name, *POINT_STRATEGIES[strategy](grid, scene.boxes, *predicted, cfg.matching)
     snapshot = synth_predictions(
         scene, grid, cfg.trajectory, cfg.assign_progress, seed=seed, _iou_anchor=iou_anchor
     )
-    return ANCHOR_STRATEGIES[strategy](
-        iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, cfg.matching
-    )
+    predicted = snapshot.iou_regressed, snapshot.classif_scores
+    return name, *ANCHOR_STRATEGIES[strategy](iou_anchor, *predicted, cfg.matching)
 
 
-def _write_scene(args: argparse.Namespace, image_id, scene: Scene, grid, baseline, dynamic):
-    """Write a scene's baseline and strategy labels, their diff and the SVG.
-
-    On a point grid the baseline is "fcos" and the SVG dots the positive
-    points; on an anchor grid it is "static" and only the positive anchor
-    rows become ``Box`` outlines.
-    """
+def _write_scene(
+    args: argparse.Namespace, image_id, scene: Scene, grid, name: str, baseline, dynamic
+):
+    """Write the labels of the baseline called ``name`` and of the strategy,
+    their diff and the SVG, whose positives are the rows of the grid's
+    anchor boxes or point coordinates."""
     out = Path(args.out)
-    points = isinstance(grid, PointSet)
     files = {
-        f"{image_id}.{'fcos' if points else 'static'}.json": baseline.to_json_dict(),
+        f"{image_id}.{name}.json": baseline.to_json_dict(),
         f"{image_id}.{args.strategy}.json": dynamic.to_json_dict(),
         f"{image_id}.diff.json": _diff_payload(
-            image_id, args.strategy, baseline, dynamic, len(scene.boxes)
+            image_id, args.strategy, name, baseline, dynamic, len(scene.boxes)
         ),
     }
-    for name, payload in files.items():
-        _write_json(out / name, payload)
+    for file_name, payload in files.items():
+        _write_json(out / file_name, payload)
     if args.svg:
-        rows = grid.xy if points else grid.array
-        layers = []
-        for color, labels in (
-            ("static", baseline.classification_labels),
-            ("l2c", dynamic.classification_labels),
-            ("c2l", dynamic.localization_labels),
-        ):
-            items = rows[labels >= 0].tolist()
-            layers.append((STRATEGY_COLORS[color], items if points else [Box(*r) for r in items]))
-        kind = "point_layers" if points else "box_layers"
-        svg = render_assignment_svg(
-            scene.image_width, scene.image_height, scene.boxes, **{kind: layers}
-        )
+        rows = grid.xy if isinstance(grid, PointSet) else grid.array
+        layers = [
+            (STRATEGY_COLORS[color], rows[labels >= 0].tolist())
+            for color, labels in (
+                ("static", baseline.classification_labels),
+                ("l2c", dynamic.classification_labels),
+                ("c2l", dynamic.localization_labels),
+            )
+        ]
+        svg = render_assignment_svg(scene.image_width, scene.image_height, scene.boxes, layers)
         _write_text(out / f"{image_id}.svg", svg)
 
 
@@ -222,15 +215,17 @@ def cmd_assign(args: argparse.Namespace, cfg: RunConfig) -> int:
     Path(args.out).mkdir(parents=True, exist_ok=True)
     grid = (generate_points if args.strategy in POINT_STRATEGIES else generate_anchors)(cfg.grid)
     for image_id, scene, seed in _load_scenes(args, cfg):
-        baseline, dynamic = _label(cfg, args.strategy, grid, scene, seed)
-        _write_scene(args, image_id, scene, grid, baseline, dynamic)
+        _write_scene(args, image_id, scene, grid, *_label(cfg, args.strategy, grid, scene, seed))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    image_id, scene, seed = _load_scenes(args, cfg)[0]
+    with_objects = [found for found in _load_scenes(args, cfg) if found[1].boxes]
+    if not with_objects:
+        raise CliError("simulate needs an image with at least one object")
+    image_id, scene, seed = with_objects[0]
     anchors = generate_anchors(cfg.grid)
     dynamic, fixed = _trajectories(
         scene, anchors, cfg.trajectory, ("l2c", "l2c-fixed"), cfg.matching, seed

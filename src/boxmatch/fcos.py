@@ -60,8 +60,8 @@ class PointAssignment:
         return {
             "format_version": 1,
             "mode": "points",
-            "classification": [int(v) for v in self.classification_labels],
-            "localization": [int(v) for v in self.localization_labels],
+            "classification": self.classification_labels.tolist(),
+            "localization": self.localization_labels.tolist(),
             "per_object_counts": [{"positive": int(p)} for p in self.per_object_counts],
             "warnings": list(self.warnings),
         }

@@ -9,7 +9,7 @@ The output embeds no timestamps, so identical inputs give identical bytes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .geometry import Box
 
@@ -26,11 +26,10 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _rect(box: Box, color: str, width: float, dash: str = "") -> str:
+def _rect(x0: float, y0: float, x1: float, y1: float, color: str, width: float, dash="") -> str:
     dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
     return (
-        f'<rect x="{_fmt(box.x_min)}" y="{_fmt(box.y_min)}" '
-        f'width="{_fmt(box.width)}" height="{_fmt(box.height)}" '
+        f'<rect x="{_fmt(x0)}" y="{_fmt(y0)}" width="{_fmt(x1 - x0)}" height="{_fmt(y1 - y0)}" '
         f'fill="none" stroke="{color}" stroke-width="{_fmt(width)}"{dash_attr}/>'
     )
 
@@ -46,13 +45,13 @@ def render_assignment_svg(
     image_width: int,
     image_height: int,
     gt_boxes: Sequence[Box],
-    box_layers: Sequence[tuple[str, Sequence[Box]]] = (),
-    point_layers: Sequence[tuple[str, Iterable[tuple[float, float]]]] = (),
+    layers: Sequence[tuple[str, Sequence[Sequence[float]]]],
 ) -> str:
     """Render GT plus per-strategy positives; 1 SVG unit = 1 image pixel.
 
-    ``box_layers`` and ``point_layers`` pair a color with the positive anchor
-    boxes / point coordinates of one strategy.
+    Each layer pairs a color with one strategy's positive rows: a row of four
+    numbers (x_min, y_min, x_max, y_max) is outlined as a box, a row of two
+    (x, y) is drawn as a dot.
     """
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{image_width}" '
@@ -60,13 +59,10 @@ def render_assignment_svg(
         f'<rect x="0" y="0" width="{image_width}" height="{image_height}" '
         f'fill="{_BACKGROUND}"/>',
     ]
-    for color, boxes in box_layers:
-        for box in boxes:
-            parts.append(_rect(box, color, width=1.0))
-    for color, points in point_layers:
-        for x, y in points:
-            parts.append(_dot(x, y, color, radius=2.0))
+    for color, rows in layers:
+        for row in rows:
+            parts.append(_rect(*row, color, 1.0) if len(row) == 4 else _dot(*row, color, 2.0))
     for box in gt_boxes:
-        parts.append(_rect(box, "#ffffff", width=1.5, dash="6 4"))
+        parts.append(_rect(*box.as_tuple(), "#ffffff", width=1.5, dash="6 4"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -34,6 +34,10 @@ _INJECTION_IOU_FLOOR = 0.5
 # x-shift of the drifted regression target, as a fraction of object width;
 # leaves the drifted box overlapping its object at IoU 0.25
 _DRIFT_SHIFT = 0.6
+# detections_from_snapshot: the score factor of a sample its strategy labels
+# negative or ignored, and the lowest score that still makes a detection
+_SUPPRESSED_SCORE_FACTOR = 0.05
+_SCORE_THRESHOLD = 0.05
 
 
 @dataclass(frozen=True)
@@ -217,9 +221,9 @@ def synth_predictions(
             dampened[chosen[half:]] = True
 
     targets = gt[best]
-    width = (targets[:, 2] - targets[:, 0])[:, None]
-    shifted = targets + width * np.asarray([[_DRIFT_SHIFT, 0.0, _DRIFT_SHIFT, 0.0]])
-    effective = np.where(drifted[:, None], shifted, targets)
+    width = targets[:, 2] - targets[:, 0]
+    effective = targets.copy()
+    effective[drifted, ::2] += (_DRIFT_SHIFT * width[drifted])[:, None]
     regressed = (1.0 - weights[:, None]) * anchors + weights[:, None] * effective
 
     # jitter must not push an anchor below its starting overlap
@@ -323,31 +327,22 @@ def detections_from_snapshot(
     anchor_set: AnchorSet,
     snapshot: TrajectorySnapshot,
     classification_labels: Optional[np.ndarray] = None,
-    suppressed_score_factor: float = 0.05,
-    score_threshold: float = 0.05,
     image_id: object = 0,
 ) -> list[Detection]:
-    """Turn a snapshot into detections, one per sufficiently scored anchor.
+    """Turn a snapshot into detections, one per anchor scored at least 0.05.
 
     With ``classification_labels`` given, anchors the strategy labeled
-    negative or ignored have their scores multiplied by
-    ``suppressed_score_factor``, modeling a network trained to score them as
-    background.
+    negative or ignored have their scores multiplied by 0.05, modeling a
+    network trained to score them as background.
     """
     scores = snapshot.classif_scores
     if classification_labels is not None:
         scores = scores.copy()
-        scores[classification_labels < 0] *= suppressed_score_factor
+        scores[classification_labels < 0] *= _SUPPRESSED_SCORE_FACTOR
     best = np.argmax(scores, axis=1)
     values = scores[np.arange(scores.shape[0]), best]
-    dets = []
-    for i in np.flatnonzero(values >= score_threshold):
-        dets.append(
-            Detection(
-                box=Box(*snapshot.regressed_boxes[i]),
-                class_id=scene.class_ids[int(best[i])],
-                score=float(values[i]),
-                image_id=image_id,
-            )
-        )
-    return dets
+    keep = np.flatnonzero(values >= _SCORE_THRESHOLD)
+    rows = zip(snapshot.regressed_boxes[keep].tolist(), best[keep].tolist(), values[keep].tolist())
+    return [
+        Detection(Box(*row), scene.class_ids[j], score, image_id) for row, j, score in rows
+    ]

@@ -1,13 +1,15 @@
 import hashlib
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from boxmatch import simulator
+from boxmatch import cli, simulator
 from boxmatch.anchors import AnchorGridSpec
 from boxmatch.annotations import AnnotationError, load_annotations, load_detections
 from boxmatch.assignment import MatchingConfig
-from boxmatch.cli import RunConfig, build_run_config, main, make_parser
+from boxmatch.cli import RunConfig, _diff_payload, build_run_config, main, make_parser
 from boxmatch.simulator import SceneSpec, TrajectoryConfig
 
 # this box produces per-object counts (6, 3) under the default grid and
@@ -97,6 +99,68 @@ class TestAnnotations:
         assert det.box.as_tuple() == (10, 20, 40, 60)
 
 
+IMAGE = {"id": 1, "width": 320, "height": 320}
+ONE_IMAGE = {"images": [IMAGE]}
+DETECTION = {"image_id": 1, "bbox": [1, 1, 5, 5], "category_id": 1, "score": 0.5}
+
+
+def one_annotation(**fields):
+    record = {"image_id": 1, "bbox": [1, 1, 5, 5], "category_id": 1, **fields}
+    return {"images": [IMAGE], "annotations": [record]}
+
+
+# name -> (annotation file, detection file or None for `assign`, the record named)
+MALFORMED = {
+    "list-image-id": ({"images": [{**IMAGE, "id": [1]}]}, None, "images[0]"),
+    "float-image-id": ({"images": [{**IMAGE, "id": 1.0}]}, None, "images[0]"),
+    "bool-image-id": ({"images": [{**IMAGE, "id": True}]}, None, "images[0]"),
+    "image-not-object": ({"images": [1]}, None, "images[0]"),
+    "string-width": ({"images": [IMAGE, {**IMAGE, "id": 2, "width": "w"}]}, None, "images[1]"),
+    "null-category": (one_annotation(category_id=None), None, "annotations[0]"),
+    "string-coordinate": (one_annotation(bbox=["a", 1, 5, 5]), None, "annotations[0]"),
+    "dict-image-id": (one_annotation(image_id={"a": 1}), None, "annotations[0]"),
+    "annotation-not-object": ({**ONE_IMAGE, "annotations": [None]}, None, "annotations[0]"),
+    "string-category-id": ({**ONE_IMAGE, "categories": [{"id": "x"}]}, None, "categories[0]"),
+    "det-dict-image-id": (ONE_IMAGE, [{**DETECTION, "image_id": {"a": 1}}], "detections[0]"),
+    "det-null-category": (ONE_IMAGE, [DETECTION, {**DETECTION, "category_id": None}],
+                          "detections[1]"),
+    "det-string-coordinate": (ONE_IMAGE, [{**DETECTION, "bbox": [1, 1, "a", 5]}],
+                              "detections[0]"),
+    "det-null-score": (ONE_IMAGE, [{**DETECTION, "score": None}], "detections[0]"),
+    "det-not-object": (ONE_IMAGE, [7], "detections[0]"),
+    # a malformed record is named before the unknown image ids are listed
+    "det-malformed-before-unknown": (
+        ONE_IMAGE, [{**DETECTION, "image_id": 9}, {**DETECTION, "image_id": [9]}], "detections[1]"
+    ),
+}
+
+
+@pytest.mark.parametrize("annotations, detections, where", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_records_are_named(annotations, detections, where, tmp_path, capsys):
+    argv = ["--annotations", write_json(tmp_path / "gt.json", annotations),
+            "--out", str(tmp_path / "out")]
+    if detections is None:
+        argv = ["assign", *argv]
+    else:
+        argv = ["evaluate", *argv, "--detections", write_json(tmp_path / "d.json", detections)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{where}: " in err
+
+
+def count_simulations(monkeypatch):
+    """Record the scene of every call the CLI makes to each simulator."""
+    calls = {"synth_predictions": [], "synth_point_predictions": []}
+    for name, scenes in calls.items():
+        real = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda scene, *a, real=real, scenes=scenes, **k: (
+                scenes.append(scene) or real(scene, *a, **k)
+            )
+        )
+    return calls
+
+
 class TestAssignCommand:
     def test_synthetic_run_writes_files(self, tmp_path):
         out = tmp_path / "out"
@@ -122,8 +186,49 @@ class TestAssignCommand:
         assert main(["assign", "--annotations", annotation_file, "--out", str(out)]) == 0
         payload = json.loads((out / "1.static.json").read_text())
         assert payload["per_object_counts"][0] == {"positive": 6, "ignored": 3}
-        # the empty image is skipped with a warning on stderr
-        assert "no annotations" in capsys.readouterr().err
+        # the empty image is labelled, not skipped
+        assert "no annotations" not in capsys.readouterr().err
+        assert (out / "2.static.json").exists()
+
+    @pytest.mark.parametrize("strategy, baseline", [("mutual", "static"), ("fcos-mutual", "fcos")])
+    def test_image_without_objects_is_background(self, strategy, baseline, annotation_file,
+                                                 tmp_path):
+        out = tmp_path / "out"
+        argv = ["assign", "--annotations", annotation_file, "--strategy", strategy, "--svg",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert sorted(p.name for p in out.glob("2.*")) == sorted(
+            f"2.{name}" for name in (f"{baseline}.json", f"{strategy}.json", "diff.json", "svg")
+        )
+        for name in (baseline, strategy):
+            payload = json.loads((out / f"2.{name}.json").read_text())
+            assert set(payload["classification"]) == set(payload["localization"]) == {-1}
+            assert payload["per_object_counts"] == [] and payload["warnings"] == []
+        diff = json.loads((out / "2.diff.json").read_text())
+        assert diff["per_object"] == [] and diff["baseline_positive_count"] == 0
+
+    @pytest.mark.parametrize(
+        "strategy, simulated",
+        [("static", None), ("fcos", None), ("l2c", "synth_predictions"),
+         ("mutual", "synth_predictions"), ("fcos-mutual", "synth_point_predictions")],
+    )
+    def test_simulates_only_what_the_strategy_reads(self, strategy, simulated, tmp_path,
+                                                     monkeypatch):
+        calls = count_simulations(monkeypatch)
+        config = write_json(tmp_path / "config.json", {"num_scenes": 3})
+        argv = ["assign", "--synthetic", "--config", config, "--strategy", strategy,
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert {name: len(scenes) for name, scenes in calls.items()} == {
+            name: 3 if name == simulated else 0 for name in calls
+        }
+
+    def test_image_without_objects_is_not_simulated(self, annotation_file, tmp_path,
+                                                    monkeypatch):
+        calls = count_simulations(monkeypatch)
+        argv = ["assign", "--annotations", annotation_file, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert [len(scene.boxes) for scene in calls["synth_predictions"]] == [2]
 
     def test_rerun_byte_identical(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -206,6 +311,46 @@ class TestAssignCommand:
         assert not (tmp_path / "out").exists()
 
 
+def reference_diff(image_id, strategy, name, baseline, dynamic, n_objects):
+    """The diff as plain sets and per-object sums, the CLI's original logic."""
+    baseline, dynamic = baseline.classification_labels, dynamic.classification_labels
+    base_pos = set(np.flatnonzero(baseline >= 0).tolist())
+    dyn_pos = set(np.flatnonzero(dynamic >= 0).tolist())
+    return {
+        "format_version": 1,
+        "image_id": image_id,
+        "baseline": name,
+        "strategy": strategy,
+        "baseline_positive_count": len(base_pos),
+        "strategy_positive_count": len(dyn_pos),
+        "only_baseline": sorted(base_pos - dyn_pos),
+        "only_strategy": sorted(dyn_pos - base_pos),
+        "per_object": [
+            {
+                "object": j,
+                "baseline_positives": int(np.sum(baseline == j)),
+                "strategy_positives": int(np.sum(dynamic == j)),
+            }
+            for j in range(n_objects)
+        ],
+    }
+
+
+class TestDiffPayload:
+    @pytest.mark.parametrize("name", ["static"])
+    def test_matches_the_set_reference(self, name):
+        rng = np.random.default_rng(0)
+        cases = [(np.full(9, -1), np.full(9, -1), 0), (np.full(9, -1), np.full(9, -2), 3)]
+        for _ in range(300):
+            n, m = int(rng.integers(1, 60)), int(rng.integers(0, 6))
+            labels = [rng.integers(-2, m, size=n) for _ in range(2)]
+            cases.append((*labels, m))
+        for base, dyn, m in cases:
+            results = [SimpleNamespace(classification_labels=v) for v in (base, dyn)]
+            args = ("img", "mutual", name, *results, m)
+            assert json.dumps(_diff_payload(*args)) == json.dumps(reference_diff(*args))
+
+
 class TestRunConfig:
     def test_defaults_are_the_library_types_own(self):
         args = make_parser().parse_args(["assign", "--synthetic", "--seed", "4"])
@@ -244,6 +389,28 @@ class TestRunConfig:
 
 
 class TestSimulateCommand:
+    def test_takes_the_first_image_with_an_object(self, tmp_path, monkeypatch):
+        gt = write_json(
+            tmp_path / "gt.json",
+            {
+                "images": [{"id": 1, "width": 320, "height": 320},
+                           {"id": 2, "width": 320, "height": 320}],
+                "annotations": [{"image_id": 2, "bbox": BOAT_BBOX, "category_id": 1}],
+            },
+        )
+        seeds = []
+        real = cli._trajectories
+        monkeypatch.setattr(cli, "_trajectories", lambda *a: seeds.append(a[-1]) or real(*a))
+        out = tmp_path / "out"
+        assert main(["simulate", "--annotations", gt, "--seed", "5", "--out", str(out)]) == 0
+        assert json.loads((out / "trajectory.json").read_text())["image_id"] == 2
+        assert seeds == [6]  # the per-image seed: --seed plus the image's index
+
+    def test_no_image_with_an_object_fails(self, tmp_path, capsys):
+        gt = write_json(tmp_path / "gt.json", {"images": [{"id": 1, "width": 320, "height": 320}]})
+        assert main(["simulate", "--annotations", gt, "--out", str(tmp_path / "out")]) == 1
+        assert "error: simulate needs an image with at least one object" in capsys.readouterr().err
+
     def test_writes_trajectory_and_verdict(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["simulate", "--synthetic", "--seed", "7", "--out", str(out)]) == 0

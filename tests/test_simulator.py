@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
+from boxmatch.assignment import mutual_guidance_assign
 from boxmatch.geometry import boxes_to_array, iou, pairwise_iou
 from boxmatch.simulator import (
     SceneSpec,
     TrajectoryConfig,
+    detections_from_snapshot,
     run_trajectory,
     synth_point_predictions,
     synth_predictions,
@@ -20,6 +22,10 @@ GRID = AnchorGridSpec(320, 320, (
     LevelSpec(32, (96.0, 160.0), (1.0, 2.0, 0.5)),
 ))
 ANCHORS = generate_anchors(GRID)
+MISALIGNED = TrajectoryConfig(
+    misalignment_fraction=0.3, localization_gain="sqrt", score_gain="quadratic", noise=0.1
+)
+MISALIGNED_SCENE = synth_scene(SceneSpec(count_range=(3, 5), seed=11))
 
 
 class TestSynthScene:
@@ -117,6 +123,39 @@ class TestSynthPredictions:
         best_scores = snap.classif_scores.max(axis=1)
         best_iou = snap.iou_regressed.max(axis=1)
         assert np.any((best_scores >= 0.5) & (best_iou < 0.5))
+
+    # SHA-256 of (regressed_boxes, iou_regressed, classif_scores) bytes for a
+    # fixed scene on GRID's anchors at 30% misalignment: any change to the
+    # draws, the drifted and dampened rows or the arithmetic moves them
+    PINNED = {
+        0.0: (
+            "a02deb9bf36cd6beb882f4ae41564808d2dd9f537ed80d7c118846433563ae5b",
+            "8ad906e74cbcfdd6b4a319c8d47ce4085b06d627e3bed185091cd16c7bac79bc",
+            "e19d750c09c65857034cb57d3021349141c001da44d8e310a5281090f9b1f78a",
+        ),
+        0.37: (
+            "5399621ea8471a6b179f1b02a81433b76d8aa070e391359d566352ed4245e5db",
+            "4cb578f8f47fec6e056ae3eadee19256e2d8bce18a64793980aede6e7cb6fe20",
+            "ab9582394a69a5d8c050cced533dedecfb7ef9c07de62f33b3dc053e4004f46e",
+        ),
+        0.8: (
+            "66aed6a47f5f1a66c631674b616788d9789777478173c9561bc390eeb39c386e",
+            "4fe07adf724c2ace45328d8e24f94ccf256c3f9a7e41de4a69d0a56431bc513f",
+            "245dbf176e8b616e9d9f823cf536e6069f4494fbaa85f3e9cdc3f513eba91314",
+        ),
+        1.0: (
+            "0bf8269e31bbddda1379be7f140791bd527378252354a96456f6b0c742b8b2cc",
+            "7c47f7a92d08c0efd8f8ebab7d0a551ce5f2e5e272fcc898822fa978c1cdd40e",
+            "27adbf71dd72571a6e7bd32a88173285f2c10e057a0e45ae20a1e070767ae26c",
+        ),
+    }
+
+    @pytest.mark.parametrize("t", sorted(PINNED))
+    def test_pinned_bytes_misaligned(self, t):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, t, seed=11)
+        arrays = (snapshot.regressed_boxes, snapshot.iou_regressed, snapshot.classif_scores)
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+        assert digests == self.PINNED[t]
 
     def test_progress_validated(self):
         scene = synth_scene(SceneSpec(seed=0))
@@ -238,3 +277,40 @@ class TestPointPredictions:
         )
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
         assert digests == self.PINNED[config, t]
+
+
+class TestDetectionsFromSnapshot:
+    # SHA-256 of the detections' (boxes, class ids, scores) at t=0.8 on the
+    # misaligned snapshot, unsuppressed and suppressed by mutual labels
+    PINNED = {
+        "all": (1799, (
+            "41089c7e1791e596a6c7c53bd108cbf16d782b1841eb2f437c45044832a8585d",
+            "1b59a3fbd0aeccd90d6424f6d8b690bab3442ab054c77eb8f98926edb34d25ee",
+            "793c250c0d8137891d078d8ae454c0fae7e40a19036ccafa4cbfebf345190983",
+        )),
+        "mutual": (6, (
+            "1ac0ddb54814d261fb4d44a51da61d66ee7291ef672f4f6f288ec0cef31d2511",
+            "65a8fbd38a0a1cdc501cebef21c462aaf52563a95a3815de299264d2aa185616",
+            "1bc637e4dd361e993fc2501cd34cf536d2ab63266f92ddd6a304dd34e8eb0367",
+        )),
+    }
+
+    @pytest.mark.parametrize("labels", sorted(PINNED))
+    def test_pinned_detections(self, labels):
+        scene = MISALIGNED_SCENE
+        snapshot = synth_predictions(scene, ANCHORS, MISALIGNED, 0.8, seed=11)
+        classification = None
+        if labels == "mutual":
+            iou_anchor = pairwise_iou(ANCHORS.array, boxes_to_array(scene.boxes))
+            classification = mutual_guidance_assign(
+                iou_anchor, snapshot.iou_regressed, snapshot.classif_scores
+            ).classification_labels
+        dets = detections_from_snapshot(scene, ANCHORS, snapshot, classification, image_id=4)
+        assert {d.image_id for d in dets} == {4}
+        arrays = (
+            np.asarray([d.box.as_tuple() for d in dets]),
+            np.asarray([d.class_id for d in dets]),
+            np.asarray([d.score for d in dets]),
+        )
+        digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
+        assert (len(dets), digests) == self.PINNED[labels]
