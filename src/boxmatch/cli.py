@@ -144,7 +144,7 @@ def _diff_payload(image_id: object, strategy: str, name: str, baseline, dynamic,
     return {
         "format_version": 1,
         "image_id": image_id,
-        "baseline": "static",
+        "baseline": name,
         "strategy": strategy,
         "baseline_positive_count": int(np.count_nonzero(base_pos)),
         "strategy_positive_count": int(np.count_nonzero(dyn_pos)),

@@ -337,7 +337,7 @@ def reference_diff(image_id, strategy, name, baseline, dynamic, n_objects):
 
 
 class TestDiffPayload:
-    @pytest.mark.parametrize("name", ["static"])
+    @pytest.mark.parametrize("name", ["static", "fcos"])
     def test_matches_the_set_reference(self, name):
         rng = np.random.default_rng(0)
         cases = [(np.full(9, -1), np.full(9, -1), 0), (np.full(9, -1), np.full(9, -2), 3)]
@@ -349,6 +349,18 @@ class TestDiffPayload:
             results = [SimpleNamespace(classification_labels=v) for v in (base, dyn)]
             args = ("img", "mutual", name, *results, m)
             assert json.dumps(_diff_payload(*args)) == json.dumps(reference_diff(*args))
+
+    @pytest.mark.parametrize(
+        "strategy, baseline",
+        [("static", "static"), ("mutual", "static"), ("fcos", "fcos"), ("fcos-mutual", "fcos")],
+    )
+    def test_names_the_grid_baseline(self, strategy, baseline, tmp_path):
+        out = tmp_path / "out"
+        argv = ["assign", "--synthetic", "--strategy", strategy, "--out", str(out)]
+        assert main(argv) == 0
+        diff = json.loads((out / "scene-0000.diff.json").read_text())
+        assert (diff["baseline"], diff["strategy"]) == (baseline, strategy)
+        assert (out / f"scene-0000.{baseline}.json").exists()
 
 
 class TestRunConfig:
@@ -564,12 +576,12 @@ GOLDEN_SHA256 = {
         "evaluation.json": "4c6014d08fc4400181588b71463da8b5b43be8b148cd8982899f7a8c5f46ec67",
     },
     "fcos": {
-        "scene-0000.diff.json": "6c0d072d251c7c7be1f58479fa453b0f42e9c73da98ad7f1979b3e4fb848ffc0",
+        "scene-0000.diff.json": "9e0001d238da868781010783c04104e0cf2f38ce600ee1cbe851f9f9458e7a90",
         "scene-0000.fcos.json": "3851f99af8957c38ed6a22a09ebb30b6708e504b451b98d73e278cd70a3230b1",
         "scene-0000.svg": "ef358b9e2017b36a76f103712946eb523fe847794840645727bc21c70732a027",
     },
     "fcos-mutual": {
-        "scene-0000.diff.json": "c7264e6ae456b1f7465353a3f3f039f127da3c78ecbf3bc9e06f38ee3f001bcd",
+        "scene-0000.diff.json": "5fe07678049ca6aeca196483765fa2a56ce997b6e5d6324711533b3179a79806",
         "scene-0000.fcos-mutual.json": "b644db7c0426b6ba87e2595b9e7118d3be8be3dd9a2f34c78ad7e928e381e393",
         "scene-0000.fcos.json": "3851f99af8957c38ed6a22a09ebb30b6708e504b451b98d73e278cd70a3230b1",
         "scene-0000.svg": "18b57a82301ad8c78783718c9e13863530e93ab2ab9ce1a2b5c785f47bec4d91",
