@@ -49,6 +49,15 @@ def _image_id(value):
     return value
 
 
+def _integer(value) -> int:
+    """A JSON integer, or a float with an integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"must be an integer, got {value!r}")
+    return value
+
+
 def _bbox_to_box(bbox) -> Box:
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ValueError(f"must be [x, y, width, height], got {bbox!r}")
@@ -68,6 +77,14 @@ def _read_json(path, kind: type, expected: str):
     return data
 
 
+def _section(data: dict, key: str, path) -> list:
+    """The array ``data[key]``, empty when the key is absent."""
+    records = data.get(key, [])
+    if not isinstance(records, list):
+        raise AnnotationError(f'{path}: "{key}" must be an array')
+    return records
+
+
 def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
     """Parse an annotation file into per-image ground truth.
 
@@ -76,11 +93,11 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
     """
     data = _read_json(path, dict, "a JSON object at the top level")
     images: dict[object, ImageAnnotations] = {}
-    for k, record in enumerate(data.get("images", [])):
+    for k, record in enumerate(_section(data, "images", path)):
         where = f"{path}: images[{k}]"
         image_id = _require(record, "id", where, _image_id)
-        width = _require(record, "width", where, int)
-        height = _require(record, "height", where, int)
+        width = _require(record, "width", where, _integer)
+        height = _require(record, "height", where, _integer)
         if image_id in images:
             raise AnnotationError(f"{where}: duplicate image id {image_id!r}")
         if width <= 0 or height <= 0:
@@ -89,20 +106,20 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
     if not images:
         raise AnnotationError(f"{path}: no images")
 
-    for k, record in enumerate(data.get("annotations", [])):
+    for k, record in enumerate(_section(data, "annotations", path)):
         where = f"{path}: annotations[{k}]"
         image_id = _require(record, "image_id", where, _image_id)
         if image_id not in images:
             raise AnnotationError(f"{where}: unknown image id {image_id!r}")
         box = _require(record, "bbox", where, _bbox_to_box)
-        category = _require(record, "category_id", where, int)
+        category = _require(record, "category_id", where, _integer)
         images[image_id].boxes.append(box)
         images[image_id].class_ids.append(category)
 
     categories = {}
-    for k, record in enumerate(data.get("categories", [])):
+    for k, record in enumerate(_section(data, "categories", path)):
         where = f"{path}: categories[{k}]"
-        categories[_require(record, "id", where, int)] = str(record.get("name", ""))
+        categories[_require(record, "id", where, _integer)] = str(record.get("name", ""))
     return list(images.values()), categories
 
 
@@ -116,7 +133,7 @@ def load_detections(path, known_image_ids) -> list[Detection]:
         score = _require(record, "score", where, float)
         if not 0.0 <= score <= 1.0:
             raise AnnotationError(f"{where}: score must lie in [0, 1], got {score}")
-        category = _require(record, "category_id", where, int)
+        category = _require(record, "category_id", where, _integer)
         dets.append(Detection(box=box, class_id=category, score=score, image_id=image_id))
 
     unknown = sorted({d.image_id for d in dets} - set(known_image_ids), key=repr)

@@ -111,8 +111,30 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for string-keyed dicts;
+    ``indent`` is the line break and spaces before the closing bracket.
+
+    A list whose compact C-encoded text has no quote, brace or bracket past
+    its opening bracket holds only numbers, booleans and null, so ", "
+    separates exactly its items and one replace gives the indented layout.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
+    elif isinstance(value, (list, tuple)) and value:
+        flat = json.dumps(value)
+        if '"' not in flat and "{" not in flat and flat.find("[", 1) < 0:
+            return "[" + inner + flat[1:-1].replace(", ", "," + inner) + indent + "]"
+        items = [_json_text(item, inner) for item in value]
+    else:
+        return json.dumps(value)
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 def _write_json(path: Path, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, _json_text(payload) + "\n")
 
 
 def _load_scenes(args: argparse.Namespace, cfg: RunConfig) -> list[tuple[object, Scene, int]]:

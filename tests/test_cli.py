@@ -4,13 +4,31 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boxmatch import cli, simulator
-from boxmatch.anchors import AnchorGridSpec
+from boxmatch.anchors import AnchorGridSpec, generate_anchors, generate_points
 from boxmatch.annotations import AnnotationError, load_annotations, load_detections
 from boxmatch.assignment import MatchingConfig
-from boxmatch.cli import RunConfig, _diff_payload, build_run_config, main, make_parser
-from boxmatch.simulator import SceneSpec, TrajectoryConfig
+from boxmatch.cli import (
+    RunConfig,
+    _diff_payload,
+    _json_text,
+    _label,
+    _write_json,
+    build_run_config,
+    main,
+    make_parser,
+)
+from boxmatch.evaluation import EvalResult
+from boxmatch.simulator import (
+    SceneSpec,
+    TrajectoryConfig,
+    TrajectoryResult,
+    TrajectoryStep,
+    synth_scene,
+)
 
 # this box produces per-object counts (6, 3) under the default grid and
 # thresholds - the 13-anchor worked example realized in annotation form
@@ -128,6 +146,13 @@ MALFORMED = {
                               "detections[0]"),
     "det-null-score": (ONE_IMAGE, [{**DETECTION, "score": None}], "detections[0]"),
     "det-not-object": (ONE_IMAGE, [7], "detections[0]"),
+    "fractional-width": ({"images": [{**IMAGE, "width": 320.9}]}, None, "images[0]"),
+    "string-number-height": ({"images": [{**IMAGE, "height": "320"}]}, None, "images[0]"),
+    "fractional-category": (one_annotation(category_id=1.7), None, "annotations[0]"),
+    "bool-category": (one_annotation(category_id=True), None, "annotations[0]"),
+    "infinite-category-id": ({**ONE_IMAGE, "categories": [{"id": float("inf")}]}, None,
+                             "categories[0]"),
+    "det-fractional-category": (ONE_IMAGE, [{**DETECTION, "category_id": 1.5}], "detections[0]"),
     # a malformed record is named before the unknown image ids are listed
     "det-malformed-before-unknown": (
         ONE_IMAGE, [{**DETECTION, "image_id": 9}, {**DETECTION, "image_id": [9]}], "detections[1]"
@@ -146,6 +171,33 @@ def test_malformed_records_are_named(annotations, detections, where, tmp_path, c
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"{where}: " in err
+
+
+@pytest.mark.parametrize(
+    "annotations, section",
+    [({"images": 5}, "images"), ({**ONE_IMAGE, "annotations": None}, "annotations"),
+     ({**ONE_IMAGE, "categories": {}}, "categories")],
+)
+@pytest.mark.parametrize("command", ["assign", "evaluate"])
+def test_sections_that_are_not_arrays_are_named(annotations, section, command, tmp_path, capsys):
+    argv = [command, "--annotations", write_json(tmp_path / "gt.json", annotations),
+            "--out", str(tmp_path / "out")]
+    if command == "evaluate":
+        argv += ["--detections", write_json(tmp_path / "d.json", [])]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f'gt.json: "{section}" must be an array' in err
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    path = write_json(tmp_path / "gt.json", {
+        "images": [{**IMAGE, "width": 320.0}],
+        "annotations": [{"image_id": 1, "bbox": [1, 1, 5, 5], "category_id": 2.0}],
+        "categories": [{"id": 2.0, "name": "car"}],
+    })
+    (image,), categories = load_annotations(path)
+    assert (image.width, image.class_ids, categories) == (320, [2], {2: "car"})
+    assert type(image.width) is type(image.class_ids[0]) is type(next(iter(categories))) is int
 
 
 def count_simulations(monkeypatch):
@@ -361,6 +413,59 @@ class TestDiffPayload:
         diff = json.loads((out / "scene-0000.diff.json").read_text())
         assert (diff["baseline"], diff["strategy"]) == (baseline, strategy)
         assert (out / f"scene-0000.{baseline}.json").exists()
+
+
+# strings that look like the layout's own separators, brackets and escapes
+TRICKY_TEXT = st.lists(
+    st.sampled_from([", ", ",", "[", "]", "{", "}", '"', "\\", "\n", "\u00e9", "\u4e2d", "a"])
+).map("".join)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text() | TRICKY_TEXT,
+    lambda children: (
+        st.lists(children)
+        | st.lists(children).map(tuple)
+        | st.dictionaries(st.text() | TRICKY_TEXT, children)
+    ),
+    max_leaves=20,
+)
+
+
+def indented(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+class TestJsonWriter:
+    @given(JSON_VALUES)
+    @example(["a, b", 1])
+    @example({"k": (1, 2), "j": [(), {}, [[]]]})
+    @example([float("inf"), float("-inf"), float("nan"), None, True, 1.5e300])
+    def test_equals_the_indented_encoder(self, value):
+        assert _json_text(value) + "\n" == indented(value)
+
+    def test_real_payloads(self, tmp_path):
+        cfg = build_run_config(make_parser().parse_args(["assign", "--synthetic"]))
+        scene = synth_scene(SceneSpec(seed=3))
+        _, base, dyn = _label(cfg, "mutual", generate_anchors(cfg.grid), scene, 3)
+        _, _, points = _label(cfg, "fcos-mutual", generate_points(cfg.grid), scene, 3)
+        empty = SimpleNamespace(classification_labels=np.full(7, -1))
+        fixed = TrajectoryResult("l2c-fixed", [TrajectoryStep(0.0, 0), TrajectoryStep(1.0, 4)])
+        payloads = {
+            "anchors": dyn.to_json_dict(),
+            "points": points.to_json_dict(),
+            "diff": _diff_payload("scene-0000", "mutual", "static", base, dyn, len(scene.boxes)),
+            "diff-m0": _diff_payload(1, "mutual", "static", empty, empty, 0),
+            "trajectory": {
+                "format_version": 1,
+                "image_id": 1,
+                "dynamic": TrajectoryResult("l2c", [TrajectoryStep(0.0, 9)]).to_json_dict(),
+                "fixed": fixed.to_json_dict(),
+                "verdict": {"dynamic_constant": True, "fixed_growth_factor": float("inf")},
+            },
+            "evaluation": EvalResult(0.5, 1.0, None, (0.5, 0.75), (1.0, 0.0)).to_json_dict(),
+        }
+        for name, payload in payloads.items():
+            _write_json(tmp_path / name, payload)
+            assert (tmp_path / name).read_text() == indented(payload), name
 
 
 class TestRunConfig:
