@@ -9,11 +9,14 @@ Detection files are a flat array of {image_id, category_id, bbox, score}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .evaluation import Detection
+import numpy as np
+
+from .evaluation import Detections, _image_index
 from .geometry import Box
 
 
@@ -39,7 +42,7 @@ def _require(record, key: str, where: str, cast: Callable):
         raise AnnotationError(f"{where}: missing required field {key!r} in {record!r}")
     try:
         return cast(record[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise AnnotationError(f"{where}: bad field {key!r}: {exc}") from exc
 
 
@@ -50,21 +53,30 @@ def _image_id(value):
 
 
 def _integer(value) -> int:
-    """A JSON integer, or a float with an integral value, as an int."""
+    """A JSON integer, or a float with an integral value, that fits in 64
+    bits (the class id arrays are int64), as an int."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"must be an integer, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**63:
+        raise ValueError(f"must be a 64-bit integer, got {value!r}")
     return value
 
 
-def _bbox_to_box(bbox) -> Box:
+def _number(value) -> float:
+    """A finite JSON number, integer or float, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _corners(bbox) -> tuple[float, float, float, float]:
+    """(x, y, x + width, y + height) of a bbox [x, y, width, height]."""
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ValueError(f"must be [x, y, width, height], got {bbox!r}")
-    x, y, w, h = (float(v) for v in bbox)
-    if w <= 0 or h <= 0:
+    x, y, w, h = (_number(v) for v in bbox)
+    if not (x + w > x and y + h > y):
         raise ValueError(f"width and height must be positive, got {bbox!r}")
-    return Box(x, y, x + w, y + h)
+    return x, y, x + w, y + h
 
 
 def _read_json(path, kind: type, expected: str):
@@ -111,7 +123,7 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
         image_id = _require(record, "image_id", where, _image_id)
         if image_id not in images:
             raise AnnotationError(f"{where}: unknown image id {image_id!r}")
-        box = _require(record, "bbox", where, _bbox_to_box)
+        box = Box(*_require(record, "bbox", where, _corners))
         category = _require(record, "category_id", where, _integer)
         images[image_id].boxes.append(box)
         images[image_id].class_ids.append(category)
@@ -123,20 +135,21 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
     return list(images.values()), categories
 
 
-def load_detections(path, known_image_ids) -> list[Detection]:
+def load_detections(path, known_image_ids) -> Detections:
     """Parse a detection results file; every image id must be known."""
-    dets = []
+    image_ids, boxes, scores, classes = [], [], [], []
     for k, record in enumerate(_read_json(path, list, "a JSON array of detections")):
         where = f"{path}: detections[{k}]"
-        image_id = _require(record, "image_id", where, _image_id)
-        box = _require(record, "bbox", where, _bbox_to_box)
-        score = _require(record, "score", where, float)
+        image_ids.append(_require(record, "image_id", where, _image_id))
+        boxes.append(_require(record, "bbox", where, _corners))
+        score = _require(record, "score", where, _number)
         if not 0.0 <= score <= 1.0:
             raise AnnotationError(f"{where}: score must lie in [0, 1], got {score}")
-        category = _require(record, "category_id", where, _integer)
-        dets.append(Detection(box=box, class_id=category, score=score, image_id=image_id))
+        scores.append(score)
+        classes.append(_require(record, "category_id", where, _integer))
 
-    unknown = sorted({d.image_id for d in dets} - set(known_image_ids), key=repr)
+    unknown = sorted(set(image_ids) - set(known_image_ids), key=repr)
     if unknown:
         raise AnnotationError(f"{path}: detections reference unknown image ids: {unknown}")
-    return dets
+    images, index = _image_index(image_ids)
+    return Detections(np.reshape(boxes, (-1, 4)), scores, classes, images, index)

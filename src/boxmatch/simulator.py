@@ -19,7 +19,7 @@ import numpy as np
 
 from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, MatchingConfig, static_assign
-from .evaluation import Detection, GroundTruth
+from .evaluation import Detections, GroundTruth
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
@@ -328,7 +328,7 @@ def detections_from_snapshot(
     snapshot: TrajectorySnapshot,
     classification_labels: Optional[np.ndarray] = None,
     image_id: object = 0,
-) -> list[Detection]:
+) -> Detections:
     """Turn a snapshot into detections, one per anchor scored at least 0.05.
 
     With ``classification_labels`` given, anchors the strategy labeled
@@ -337,12 +337,13 @@ def detections_from_snapshot(
     """
     scores = snapshot.classif_scores
     if classification_labels is not None:
-        scores = scores.copy()
-        scores[classification_labels < 0] *= _SUPPRESSED_SCORE_FACTOR
+        factor = np.where(classification_labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
+        scores = scores * factor[:, None]
     best = np.argmax(scores, axis=1)
     values = scores[np.arange(scores.shape[0]), best]
     keep = np.flatnonzero(values >= _SCORE_THRESHOLD)
-    rows = zip(snapshot.regressed_boxes[keep].tolist(), best[keep].tolist(), values[keep].tolist())
-    return [
-        Detection(Box(*row), scene.class_ids[j], score, image_id) for row, j, score in rows
-    ]
+    classes = np.asarray(scene.class_ids, dtype=np.int64)[best[keep]]
+    return Detections(
+        snapshot.regressed_boxes[keep], values[keep], classes, (image_id,),
+        np.zeros(keep.size, dtype=np.intp),
+    )

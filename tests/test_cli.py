@@ -116,6 +116,24 @@ class TestAnnotations:
         assert det.score == 0.75
         assert det.box.as_tuple() == (10, 20, 40, 60)
 
+    def test_detections_load_as_one_batch(self, tmp_path):
+        path = write_json(
+            tmp_path / "dets.json",
+            [
+                {"image_id": "b", "bbox": [1, 2, 3, 4], "category_id": 0, "score": 1},
+                {"image_id": 1, "bbox": [0.5, 0, 2, 2], "category_id": 3, "score": 0.25},
+                {"image_id": "b", "bbox": [5, 5, 1, 1], "category_id": 3, "score": 0.0},
+            ],
+        )
+        dets = load_detections(path, [1, "b"])
+        assert dets.images == ("b", 1)
+        assert dets.image_index.tolist() == [0, 1, 0]
+        assert dets.boxes.tolist() == [[1, 2, 4, 6], [0.5, 0, 2.5, 2], [5, 5, 6, 6]]
+        assert dets.scores.tolist() == [1.0, 0.25, 0.0]
+        assert dets.class_ids.tolist() == [0, 3, 3]
+        assert [d.image_id for d in dets] == ["b", 1, "b"]
+        assert len(load_detections(write_json(tmp_path / "none.json", []), [1])) == 0
+
 
 IMAGE = {"id": 1, "width": 320, "height": 320}
 ONE_IMAGE = {"images": [IMAGE]}
@@ -153,6 +171,19 @@ MALFORMED = {
     "infinite-category-id": ({**ONE_IMAGE, "categories": [{"id": float("inf")}]}, None,
                              "categories[0]"),
     "det-fractional-category": (ONE_IMAGE, [{**DETECTION, "category_id": 1.5}], "detections[0]"),
+    # coordinates and scores are JSON numbers: no strings, no booleans
+    "string-number-coordinate": (one_annotation(bbox=["1", 1, 5, 5]), None, "annotations[0]"),
+    "bool-coordinate": (one_annotation(bbox=[1, 1, True, 5]), None, "annotations[0]"),
+    "det-string-number-score": (ONE_IMAGE, [{**DETECTION, "score": "0.5"}], "detections[0]"),
+    "det-bool-score": (ONE_IMAGE, [DETECTION, {**DETECTION, "score": True}], "detections[1]"),
+    "det-string-and-bool-coordinates": (
+        ONE_IMAGE, [{**DETECTION, "bbox": ["1", False, "5", 5]}], "detections[0]"
+    ),
+    "det-huge-coordinate": (ONE_IMAGE, [{**DETECTION, "bbox": [10**400, 1, 5, 5]}],
+                            "detections[0]"),
+    # class ids are int64 arrays
+    "huge-category": (one_annotation(category_id=2**63), None, "annotations[0]"),
+    "det-huge-category": (ONE_IMAGE, [{**DETECTION, "category_id": -2**63 - 1}], "detections[0]"),
     # a malformed record is named before the unknown image ids are listed
     "det-malformed-before-unknown": (
         ONE_IMAGE, [{**DETECTION, "image_id": 9}, {**DETECTION, "image_id": [9]}], "detections[1]"

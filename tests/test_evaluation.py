@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +10,7 @@ from boxmatch.evaluation import (
     AREA_BANDS,
     COCO_IOU_THRESHOLDS,
     Detection,
+    Detections,
     GroundTruth,
     average_precision,
     misalignment_rate,
@@ -80,6 +84,15 @@ class TestNms:
         for _ in range(400):
             dets = random_detections(rng, int(rng.integers(1, 21)), images=2)
             assert nms(dets, 0.5) == brute_force_nms(dets, 0.5)
+
+    def test_groups_longer_than_one_block(self):
+        # hundreds of rows in one (class, image) group: suppression must carry
+        # from each decided block of rows to all the later ones
+        rng = np.random.default_rng(43)
+        for n, threshold in ((120, 0.5), (200, 0.3), (90, 0.0), (150, 1.0)):
+            dets = random_detections(rng, n, classes=1)
+            kept = nms(dets, threshold)
+            assert [id(d) for d in kept] == [id(d) for d in brute_force_nms(dets, threshold)]
 
     def test_kept_pairs_below_threshold(self):
         rng = np.random.default_rng(29)
@@ -349,3 +362,164 @@ class TestAgainstOracles:
         rate, flags = brute_force_misalignment(dets, gts, loc_threshold, score_threshold)
         assert result.flags == flags
         assert result.rate == rate
+
+
+@st.composite
+def batches(draw):
+    """A batch built from arrays, with ground truth: rows from the
+    ``eval_cases`` lattice, image ids mixing integers and strings."""
+    dets, gts = draw(eval_cases())
+    images = (0, "b", 2)
+    batch = Detections(
+        np.asarray([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4),
+        [d.score for d in dets],
+        [d.class_id for d in dets],
+        images,
+        [d.image_id for d in dets],
+    )
+    gts = [GroundTruth(g.box, g.class_id, images[g.image_id]) for g in gts]
+    return batch, gts
+
+
+def batch_of(*rows, images=(0,)):
+    """A batch of (x, y, w, h, class_id, score, image position) rows."""
+    return Detections(
+        np.asarray([(x, y, x + w, y + h) for x, y, w, h, *_ in rows], dtype=np.float64),
+        [r[5] for r in rows],
+        [r[4] for r in rows],
+        images,
+        [r[6] for r in rows],
+    )
+
+
+# three rows that NMS at 0.5 cuts to two: the third overlaps the first by 0.81
+OVERLAPPING = ((0, 0, 10, 10, 0, 0.9, 0), (50, 50, 10, 10, 0, 0.8, 0), (1, 1, 9, 9, 0, 0.7, 0))
+
+
+class TestDetectionsBatch:
+    def test_rows_are_built_once(self):
+        batch = batch_of(*OVERLAPPING, images=("img",))
+        first = batch[0]
+        assert first is batch[0] is batch[-3]
+        assert first == Detection(Box(0, 0, 10, 10), 0, 0.9, "img")
+        assert type(first.class_id) is int and type(first.score) is float
+        assert list(batch) == [batch[0], batch[1], batch[2]]
+
+    def test_batch_is_frozen(self):
+        batch = batch_of(*OVERLAPPING)
+        with pytest.raises(ValueError):
+            batch.scores[0] = 0.1
+        with pytest.raises(AttributeError):
+            batch.scores = np.zeros(3)
+        with pytest.raises(AttributeError):
+            del batch.images
+
+    @pytest.mark.parametrize("parent_first", [True, False])
+    def test_nms_rows_are_the_parents_objects(self, parent_first):
+        batch = batch_of(*OVERLAPPING)
+        if parent_first:
+            rows = list(batch)
+            kept = nms(batch, 0.5)
+        else:
+            kept = nms(batch, 0.5)
+            kept_rows = list(kept)
+            rows = list(batch)
+            assert list(kept) == kept_rows
+        assert [id(d) for d in kept] == [id(rows[0]), id(rows[1])]
+        assert [id(d) for d in kept] == [id(d) for d in brute_force_nms(rows, 0.5)]
+
+    def test_nms_of_a_list_keeps_its_objects(self):
+        dets = [det(x, y, w, h, c, s) for x, y, w, h, c, s, _ in OVERLAPPING]
+        kept = nms(dets, 0.5)
+        assert isinstance(kept, Detections)
+        assert [id(d) for d in kept] == [id(dets[0]), id(dets[1])]
+
+    def test_take_and_slices_share_rows(self):
+        batch = batch_of(*OVERLAPPING)
+        part = batch.take([2, 0])
+        assert part[0] is batch[2] and part[1] is batch[0]
+        assert batch[1:][0] is batch[1]
+        assert len(batch[5:]) == 0
+
+    def test_dropped_parent_frees_the_rows_nms_did_not_keep(self):
+        batch = batch_of(*OVERLAPPING)
+        rows = list(batch)
+        kept = nms(batch, 0.5)
+        kept_row, dropped_row = weakref.ref(rows[0]), weakref.ref(rows[2])
+        del batch, rows
+        gc.collect()
+        assert dropped_row() is None
+        assert kept_row() is kept[0]
+
+    def test_empty_batch(self):
+        empty = Detections(np.zeros((0, 4)), [], [], (), [])
+        assert len(empty) == 0 and list(empty) == []
+        assert len(nms(empty, 0.5)) == 0
+        assert average_precision(empty, [gt(0, 0, 10, 10)]).ap == 0.0
+        assert misalignment_rate(empty, [gt(0, 0, 10, 10)]).flags == []
+
+    @pytest.mark.parametrize("boxes, scores, classes, images, index", [
+        ([[0, 0, np.nan, 1]], [0.5], [0], (0,), [0]),  # NaN coordinate
+        ([[0, 0, np.inf, 1]], [0.5], [0], (0,), [0]),  # infinite coordinate
+        ([[0, 0, 0, 1]], [0.5], [0], (0,), [0]),  # zero width
+        ([[0, 0, 1, -1]], [0.5], [0], (0,), [0]),  # negative height
+        ([[0, 0, 1, 1]], [1.5], [0], (0,), [0]),  # score above 1
+        ([[0, 0, 1, 1]], [-0.1], [0], (0,), [0]),  # negative score
+        ([[0, 0, 1, 1]], [np.nan], [0], (0,), [0]),  # NaN score
+        ([[0, 0, 1, 1]], [0.5, 0.5], [0], (0,), [0]),  # more scores than boxes
+        ([[0, 0, 1, 1]] * 2, [0.5, 0.5], [0], (0,), [0, 0]),  # too few class ids
+        ([[0, 0, 1, 1]], [0.5], [0], (0,), [0, 0]),  # too many image positions
+        ([[0, 0, 1, 1]], [0.5], [0.5], (0,), [0]),  # fractional class id
+        ([[0, 0, 1, 1]], [0.5], [0], (0,), [1]),  # image position out of range
+        ([[0, 0, 1, 1]], [0.5], [0], (0, 0), [0]),  # repeated image id
+        ([0, 0, 1, 1], [0.5], [0], (0,), [0]),  # boxes not (N, 4)
+    ])
+    def test_construction_rejects(self, boxes, scores, classes, images, index):
+        with pytest.raises(ValueError):
+            Detections(np.asarray(boxes, dtype=np.float64), scores, classes, images, index)
+
+    @given(batches(), st.sampled_from([0.0, 1 / 3, 0.5, 1.0]))
+    def test_nms_of_a_batch_is_the_oracles(self, case, threshold):
+        batch, _ = case
+        kept = nms(batch, threshold)
+        assert [id(d) for d in kept] == [id(d) for d in brute_force_nms(list(batch), threshold)]
+
+    @given(batches())
+    def test_batch_and_its_rows_score_alike(self, case):
+        batch, gts = case
+        rows = [Detection(d.box, d.class_id, d.score, d.image_id) for d in batch]
+        thresholds = (0.0, 0.5, 0.75, 1.0)
+        a = average_precision(batch, gts, iou_thresholds=thresholds, area_bands=True)
+        b = average_precision(rows, gts, iou_thresholds=thresholds, area_bands=True)
+        assert a.to_json_dict() == b.to_json_dict()
+        for loc, score in ((0.75, 0.5), (1.0, 0.0)):
+            mine = misalignment_rate(batch, gts, loc, score)
+            assert mine == misalignment_rate(rows, gts, loc, score)
+
+
+class TestThresholdsAreChecked:
+    DETS = [
+        det(0, 0, 10, 10, score=0.9), det(50, 50, 10, 10, score=0.8), det(1, 1, 9, 9, score=0.7)
+    ]
+
+    @pytest.mark.parametrize("threshold", [np.nan, -0.1, 1.5, np.inf])
+    def test_nms(self, threshold):
+        with pytest.raises(ValueError, match="IoU threshold"):
+            nms(self.DETS, threshold)
+
+    @pytest.mark.parametrize("thresholds", [(np.nan,), (0.5, 1.2), (-0.5,)])
+    def test_average_precision(self, thresholds):
+        with pytest.raises(ValueError, match="IoU thresholds"):
+            average_precision(self.DETS, [gt(0, 0, 10, 10)], iou_thresholds=thresholds)
+
+    @pytest.mark.parametrize("loc, score", [(np.nan, 0.5), (0.75, np.nan), (1.5, 0.5), (0.75, -1)])
+    def test_misalignment_rate(self, loc, score):
+        with pytest.raises(ValueError, match="loc_threshold and score_threshold"):
+            misalignment_rate(self.DETS, [gt(0, 0, 10, 10)], loc, score)
+
+    def test_unit_interval_ends_are_valid(self):
+        assert len(nms(self.DETS, 0.0)) == 2
+        assert len(nms(self.DETS, 1.0)) == 3
+        result = average_precision(self.DETS, [gt(0, 0, 10, 10)], (0.0, 1.0))
+        assert len(result.per_threshold_ap) == 2
+        assert misalignment_rate(self.DETS, [gt(0, 0, 10, 10)], 1.0, 0.0).rate == 2 / 3

@@ -5,6 +5,7 @@ import pytest
 
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.assignment import mutual_guidance_assign
+from boxmatch.evaluation import Detections
 from boxmatch.geometry import boxes_to_array, iou, pairwise_iou
 from boxmatch.simulator import (
     SceneSpec,
@@ -314,3 +315,22 @@ class TestDetectionsFromSnapshot:
         )
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
         assert (len(dets), digests) == self.PINNED[labels]
+
+    def test_batch_rows_match_its_arrays(self):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, snapshot, image_id="a")
+        assert isinstance(dets, Detections) and dets.images == ("a",)
+        for i in (0, len(dets) // 2, len(dets) - 1):
+            row = dets[i]
+            assert row is dets[i]
+            assert row.box.as_tuple() == tuple(dets.boxes[i].tolist())
+            assert (row.class_id, row.score, row.image_id) == (
+                dets.class_ids[i], dets.scores[i], "a"
+            )
+        assert set(dets.class_ids.tolist()) <= set(MISALIGNED_SCENE.class_ids)
+
+    def test_every_row_suppressed_gives_an_empty_batch(self):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.0, seed=11)
+        labels = np.full(len(ANCHORS.array), -1)
+        dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, snapshot, labels)
+        assert len(dets) == 0 and dets.boxes.shape == (0, 4)
