@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
@@ -18,19 +17,11 @@ import numpy as np
 
 from .evaluation import Detections, _image_index
 from .geometry import Box
+from .simulator import Scene
 
 
 class AnnotationError(Exception):
     """Raised when an annotation or detection file fails to parse."""
-
-
-@dataclass
-class ImageAnnotations:
-    image_id: object
-    width: int
-    height: int
-    boxes: list[Box] = field(default_factory=list)
-    class_ids: list[int] = field(default_factory=list)
 
 
 def _require(record, key: str, where: str, cast: Callable):
@@ -97,14 +88,14 @@ def _section(data: dict, key: str, path) -> list:
     return records
 
 
-def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
+def load_annotations(path) -> tuple[list[tuple[object, Scene]], dict[int, str]]:
     """Parse an annotation file into per-image ground truth.
 
-    Returns the images in file order (including images without annotations)
-    and the category id -> name mapping.
+    Returns (image id, scene) pairs in file order (including images without
+    annotations) and the category id -> name mapping.
     """
     data = _read_json(path, dict, "a JSON object at the top level")
-    images: dict[object, ImageAnnotations] = {}
+    images: dict[object, tuple[int, int, list[Box], list[int]]] = {}
     for k, record in enumerate(_section(data, "images", path)):
         where = f"{path}: images[{k}]"
         image_id = _require(record, "id", where, _image_id)
@@ -114,7 +105,7 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
             raise AnnotationError(f"{where}: duplicate image id {image_id!r}")
         if width <= 0 or height <= 0:
             raise AnnotationError(f"{where}: image dimensions must be positive")
-        images[image_id] = ImageAnnotations(image_id=image_id, width=width, height=height)
+        images[image_id] = (width, height, [], [])
     if not images:
         raise AnnotationError(f"{path}: no images")
 
@@ -123,16 +114,16 @@ def load_annotations(path) -> tuple[list[ImageAnnotations], dict[int, str]]:
         image_id = _require(record, "image_id", where, _image_id)
         if image_id not in images:
             raise AnnotationError(f"{where}: unknown image id {image_id!r}")
-        box = Box(*_require(record, "bbox", where, _corners))
-        category = _require(record, "category_id", where, _integer)
-        images[image_id].boxes.append(box)
-        images[image_id].class_ids.append(category)
+        _, _, boxes, class_ids = images[image_id]
+        boxes.append(Box(*_require(record, "bbox", where, _corners)))
+        class_ids.append(_require(record, "category_id", where, _integer))
 
     categories = {}
     for k, record in enumerate(_section(data, "categories", path)):
         where = f"{path}: categories[{k}]"
         categories[_require(record, "id", where, _integer)] = str(record.get("name", ""))
-    return list(images.values()), categories
+    scenes = [(i, Scene(w, h, tuple(b), tuple(c))) for i, (w, h, b, c) in images.items()]
+    return scenes, categories
 
 
 def load_detections(path, known_image_ids) -> Detections:

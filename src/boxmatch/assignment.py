@@ -291,6 +291,24 @@ def _claim_one(labels: np.ndarray, j: int, ranked: np.ndarray, n_objects: int) -
     return False
 
 
+def _rescue(labels: np.ndarray, j: int, ranked: np.ndarray, m: int, warnings, noun: str) -> None:
+    """Give object j one sample of ``ranked`` by ``_claim_one``, and name it in
+    ``warnings`` when none can be had; ``noun`` is "anchor" or "point"."""
+    if not _claim_one(labels, j, ranked, m):
+        warnings.append(f"object {j}: no {noun} available for the positive fallback")
+
+
+def _rescued(result: DynamicLabels, base, noun: str) -> DynamicLabels:
+    """``result`` once each object it leaves without a positive has taken one of
+    its ``base`` positives by ``_rescue``. As a candidate pool before the merge,
+    they would displace other objects' claims and empty more objects."""
+    m = len(base.per_object_counts)
+    for j in np.flatnonzero(_positives(result.labels, m) == 0):
+        original = np.flatnonzero(base.classification_labels == j)
+        _rescue(result.labels, j, original, m, result.warnings, noun)
+    return result
+
+
 def _guided(base, cls: Optional[DynamicLabels] = None, loc: Optional[DynamicLabels] = None):
     """``base`` (an Assignment or PointAssignment) with the labels of either
     task replaced by a guided result; the warnings are the guided results'
@@ -308,12 +326,13 @@ def _guided(base, cls: Optional[DynamicLabels] = None, loc: Optional[DynamicLabe
 def _l2c(regressed: np.ndarray, base: Assignment) -> DynamicLabels:
     n_pos = [p for p, _ in base.per_object_counts]
     n_ign = [i for _, i in base.per_object_counts]
-    return ranked_selection(regressed, n_pos, n_ign)
+    return _rescued(ranked_selection(regressed, n_pos, n_ign), base, "anchor")
 
 
 def _c2l(anchor: np.ndarray, scores: np.ndarray, base: Assignment, sigma: float) -> DynamicLabels:
     n_pos = [p for p, _ in base.per_object_counts]
-    return ranked_selection(_amplify(anchor, scores, sigma), n_pos, [0] * len(n_pos))
+    amplified = _amplify(anchor, scores, sigma)
+    return _rescued(ranked_selection(amplified, n_pos, [0] * len(n_pos)), base, "anchor")
 
 
 def localize_to_classify(

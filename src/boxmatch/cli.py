@@ -18,9 +18,17 @@ from typing import Optional
 import numpy as np
 
 from .anchors import AnchorGridSpec, LevelSpec, PointSet, generate_anchors, generate_points
-from .annotations import AnnotationError, load_annotations, load_detections
+from .annotations import (
+    AnnotationError,
+    _integer,
+    _number,
+    _read_json,
+    _require,
+    load_annotations,
+    load_detections,
+)
 from .assignment import ANCHOR_STRATEGIES, MatchingConfig, static_assign
-from .evaluation import GroundTruth, average_precision
+from .evaluation import average_precision
 from .fcos import POINT_STRATEGIES, fcos_assign_original
 from .geometry import boxes_to_array, pairwise_iou
 from .render import STRATEGY_COLORS, render_assignment_svg
@@ -29,6 +37,7 @@ from .simulator import (
     SceneSpec,
     TrajectoryConfig,
     _trajectories,
+    ground_truth_from_scene,
     synth_point_predictions,
     synth_predictions,
     synth_scene,
@@ -53,49 +62,56 @@ class RunConfig:
 
 
 def _read_config(path: Optional[str]) -> dict:
-    if path is None:
-        return {}
-    try:
-        loaded = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise CliError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(loaded, dict):
-        raise CliError(f"config {path} must be a JSON object")
-    return loaded
+    return {} if path is None else _read_json(path, dict, "a JSON object at the top level")
 
 
-def _coerced(section: dict, **casts) -> dict:
-    """``section`` with the value of each key named in ``casts`` passed through its cast."""
-    return {key: casts[key](value) if key in casts else value for key, value in section.items()}
+def _each(cast):
+    return lambda values: tuple(map(cast, values))
+
+
+# Each config section's number fields ("config" is the top level) and their
+# annotation rule; SceneSpec checks ``max_pairwise_iou``, which may be null.
+_NUMBERS = {
+    "image": dict(width=_integer, height=_integer),
+    "levels": dict(stride=_integer, scales=_each(_number), aspect_ratios=_each(_number)),
+    "matching": dict(t_pos=_number, t_neg=_number, sigma=_number),
+    "scene": dict(count_range=_each(_integer), size_range=_each(_number), num_classes=_integer),
+    "trajectory": dict(steps=_integer, noise=_number, misalignment_fraction=_number),
+    "config": dict(num_scenes=_integer, assign_progress=_number),
+}
+
+
+def _coerced(section: dict, name: str) -> dict:
+    """``section`` with its number fields read by ``_require``, naming ``name``."""
+    casts = _NUMBERS[name]
+    return {key: _require(section, key, name, casts.get(key, lambda v: v)) for key in section}
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Apply each ``--config`` section on top of its library type's defaults.
 
-    A key the type does not have is rejected, and so is an unknown top-level key.
+    A key the type does not have is rejected, and so is an unknown top-level
+    key. A number field takes no string, boolean or non-finite value, and an
+    integer field no fraction.
     """
     raw = _read_config(args.config)
     try:
-        image = {f"image_{key}": int(value) for key, value in raw.pop("image", {}).items()}
+        image = {f"image_{k}": v for k, v in _coerced(raw.pop("image", {}), "image").items()}
         if "levels" in raw:
-            image["levels"] = [LevelSpec(**_coerced(lv, stride=int)) for lv in raw.pop("levels")]
+            image["levels"] = [LevelSpec(**_coerced(lv, "levels")) for lv in raw.pop("levels")]
         grid = AnchorGridSpec(**image)
-        matching = raw.pop("matching", {})
+        matching = _coerced(raw.pop("matching", {}), "matching")
         if args.sigma is not None:
             matching["sigma"] = args.sigma
-        scene = _coerced(
-            raw.pop("scene", {}), count_range=tuple, size_range=tuple, num_classes=int
-        )
+        scene = _coerced(raw.pop("scene", {}), "scene")
         cfg = RunConfig(
             grid=grid,
             matching=MatchingConfig(**matching),
             scene_spec=SceneSpec(grid.image_width, grid.image_height, seed=args.seed, **scene),
-            trajectory=TrajectoryConfig(**raw.pop("trajectory", {})),
-            **_coerced(raw, num_scenes=int, assign_progress=float),
+            trajectory=TrajectoryConfig(**_coerced(raw.pop("trajectory", {}), "trajectory")),
+            **_coerced(raw, "config"),
         )
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AnnotationError, AttributeError, TypeError, ValueError) as exc:
         raise CliError(f"invalid configuration: {exc}") from exc
 
     if args.annotations and args.synthetic:
@@ -139,18 +155,14 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _load_scenes(args: argparse.Namespace, cfg: RunConfig) -> list[tuple[object, Scene, int]]:
     """Return (image_id, scene, per-scene seed) triples from the chosen source."""
-    scenes: list[tuple[object, Scene, int]] = []
     if args.annotations:
         images, _ = load_annotations(args.annotations)
-        for k, image in enumerate(images):
-            scene = Scene(image.width, image.height, tuple(image.boxes), tuple(image.class_ids))
-            scenes.append((image.image_id, scene, args.seed + k))
+    elif args.synthetic:
+        specs = (replace(cfg.scene_spec, seed=args.seed + k) for k in range(cfg.num_scenes))
+        images = [(f"scene-{k:04d}", synth_scene(spec)) for k, spec in enumerate(specs)]
     else:
-        if not args.synthetic:
-            raise CliError("choose an input source: --annotations <path> or --synthetic")
-        for k in range(cfg.num_scenes):
-            spec = replace(cfg.scene_spec, seed=args.seed + k)
-            scenes.append((f"scene-{k:04d}", synth_scene(spec), args.seed + k))
+        raise CliError("choose an input source: --annotations <path> or --synthetic")
+    scenes = [(image_id, scene, args.seed + k) for k, (image_id, scene) in enumerate(images)]
     if not scenes:
         raise CliError("no usable scenes in the input source")
     return scenes
@@ -255,16 +267,12 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     dynamic_constant = len(set(dynamic.counts)) == 1
     growth = fixed.counts[-1] / fixed.counts[0] if fixed.counts[0] else float("inf")
-    verdict = {
-        "dynamic_constant": dynamic_constant,
-        "fixed_growth_factor": growth,
-    }
     payload = {
         "format_version": 1,
         "image_id": image_id,
         "dynamic": dynamic.to_json_dict(),
         "fixed": fixed.to_json_dict(),
-        "verdict": verdict,
+        "verdict": {"dynamic_constant": dynamic_constant, "fixed_growth_factor": growth},
     }
     _write_json(out / "trajectory.json", payload)
     print(
@@ -280,12 +288,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if not args.detections:
         raise CliError("evaluate requires --detections")
     images, _ = load_annotations(args.annotations)
-    dets = load_detections(args.detections, [img.image_id for img in images])
-    ground_truth = [
-        GroundTruth(box=b, class_id=c, image_id=img.image_id)
-        for img in images
-        for b, c in zip(img.boxes, img.class_ids)
-    ]
+    dets = load_detections(args.detections, [image_id for image_id, _ in images])
+    ground_truth = [gt for i, scene in images for gt in ground_truth_from_scene(scene, i)]
     if not ground_truth:
         raise CliError("annotation file contains no boxes to evaluate against")
     result = average_precision(dets, ground_truth, area_bands=args.area_bands)

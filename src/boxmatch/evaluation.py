@@ -7,7 +7,7 @@ Detections travel as one columnar ``Detections`` batch; a plain list of
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -159,17 +159,7 @@ class EvalResult:
     ap_large: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "iou_thresholds": list(self.iou_thresholds),
-            "per_threshold_ap": list(self.per_threshold_ap),
-            "ap_small": self.ap_small,
-            "ap_medium": self.ap_medium,
-            "ap_large": self.ap_large,
-        }
+        return {"format_version": 1, **asdict(self)}
 
 
 @dataclass

@@ -38,9 +38,10 @@ from .assignment import (
     MatrixLike,
     _amplify,
     _check_sigma,
-    _claim_one,
     _guided,
     _positives,
+    _rescue,
+    _rescued,
     matrix_values,
     ranked_selection,
 )
@@ -127,13 +128,6 @@ def _central(points: PointSet, gt: np.ndarray, radius: float) -> np.ndarray:
     )
 
 
-def _rescue(labels: np.ndarray, j: int, ranked: np.ndarray, m: int, warnings: list[str]) -> None:
-    """Give object j one point of ``ranked`` by the anchor path's ``_claim_one``
-    rule, and record the object in ``warnings`` when none can be had."""
-    if not _claim_one(labels, j, ranked, m):
-        warnings.append(f"object {j}: no point available for the positive fallback")
-
-
 def fcos_assign_original(
     points: PointSet,
     objects: Sequence[Box],
@@ -172,7 +166,7 @@ def _original(
     for j in np.flatnonzero(_positives(labels, m) == 0):
         dist = ((points.xy - 0.5 * (gt[j, :2] + gt[j, 2:])) ** 2).sum(axis=1)
         tier = 2 - in_box[:, j] - pool[:, j]  # 0 pool, 1 in-box only, 2 outside
-        _rescue(labels, j, np.lexsort((dist, tier)), m, warnings)
+        _rescue(labels, j, np.lexsort((dist, tier)), m, warnings, "point")
 
     base = PointAssignment(labels, labels.copy(), _positives(labels, m).tolist(), warnings)
     return gt, base, pool
@@ -187,16 +181,10 @@ def _point_matrix(matrix: MatrixLike, name: str, points: PointSet, gt: np.ndarra
 
 def _ranked(values: np.ndarray, base: PointAssignment, pool: np.ndarray) -> DynamicLabels:
     """Each object's n_pos best points of its pool by ``values``; an object
-    the merge leaves without a positive then takes one of its original points.
-    This rescue stays after the merge: made the pool of an empty-pool object,
-    those points would displace other objects' claims, moving labels and
-    leaving more objects without a positive."""
+    the merge leaves without a positive then takes one of its original points."""
     m = len(base.per_object_counts)
     result = ranked_selection(values, base.per_object_counts, [0] * m, candidate_mask=pool)
-    for j in np.flatnonzero(_positives(result.labels, m) == 0):
-        original = np.flatnonzero(base.classification_labels == j)
-        _rescue(result.labels, j, original, m, result.warnings)
-    return result
+    return _rescued(result, base, "point")
 
 
 def fcos_localize_to_classify(

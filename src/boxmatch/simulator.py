@@ -12,7 +12,8 @@ given the seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from numbers import Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -66,6 +67,10 @@ class SceneSpec:
             )
         if self.num_classes < 1:
             raise ValueError("need at least one class")
+        cap = self.max_pairwise_iou
+        number = isinstance(cap, Real) and not isinstance(cap, bool)
+        if cap is not None and not (number and 0 <= cap <= 1):
+            raise ValueError(f"max_pairwise_iou must be None or a number in [0, 1], got {cap!r}")
 
 
 @dataclass
@@ -109,7 +114,6 @@ class TrajectorySnapshot:
     regressed_boxes: np.ndarray
     classif_scores: np.ndarray
     iou_regressed: np.ndarray
-    progress: float
 
 
 @dataclass
@@ -128,13 +132,7 @@ class TrajectoryResult:
         return [s.positive_count for s in self.steps]
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "strategy": self.strategy,
-            "steps": [
-                {"t": s.t, "positive_count": s.positive_count} for s in self.steps
-            ],
-        }
+        return {"format_version": 1, **asdict(self)}
 
 
 def synth_scene(spec: SceneSpec) -> Scene:
@@ -236,12 +234,7 @@ def synth_predictions(
     scores = score_gain * iou_regressed
     scores[drifted, best[drifted]] = score_gain * 0.95
     scores[dampened, best[dampened]] = score_gain * 0.05
-    return TrajectorySnapshot(
-        regressed_boxes=regressed,
-        classif_scores=np.clip(scores, 0.0, 1.0),
-        iou_regressed=iou_regressed,
-        progress=t,
-    )
+    return TrajectorySnapshot(regressed, np.clip(scores, 0.0, 1.0), iou_regressed)
 
 
 def synth_point_predictions(

@@ -315,6 +315,28 @@ class TestMutualGuidance:
         assert int(np.sum(mutual.localization_labels >= 0)) == 6
 
 
+class TestObjectLeftWithoutPositive:
+    """Two anchors, three objects: static gives object 1 no positive, since
+    both anchors are positive elsewhere, and no guided result can give it one."""
+
+    IOU = [[0.6, 0.55, 0.0], [0.0, 0.1, 0.7]]
+    WARNING = "object 1: no anchor available for the positive fallback"
+
+    def test_static_warns(self):
+        assert static_assign(self.IOU).warnings == [self.WARNING]
+
+    def test_each_guided_result_names_the_object(self):
+        scores = np.full((2, 3), 0.3)
+        for result in (localize_to_classify(self.IOU, self.IOU),
+                       classify_to_localize(self.IOU, scores)):
+            assert (result.labels.tolist(), result.warnings) == ([0, 2], [self.WARNING])
+        for result in (mutual_guidance_assign(self.IOU, self.IOU, scores),
+                       ANCHOR_STRATEGIES["mutual"](self.IOU, self.IOU, scores)[1]):
+            assert result.classification_labels.tolist() == [0, 2]
+            assert result.localization_labels.tolist() == [0, 2]
+            assert result.warnings == [self.WARNING, self.WARNING]
+
+
 GRID = generate_anchors(
     AnchorGridSpec(320, 320, (
         LevelSpec(16, (48.0,), (1.0, 2.0, 0.5)),

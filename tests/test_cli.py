@@ -22,7 +22,9 @@ from boxmatch.cli import (
     make_parser,
 )
 from boxmatch.evaluation import EvalResult
+from boxmatch.geometry import Box
 from boxmatch.simulator import (
+    Scene,
     SceneSpec,
     TrajectoryConfig,
     TrajectoryResult,
@@ -61,12 +63,19 @@ def annotation_file(tmp_path):
 class TestAnnotations:
     def test_load_and_convert(self, annotation_file):
         images, categories = load_annotations(annotation_file)
-        assert [img.image_id for img in images] == [1, 2]
-        box = images[0].boxes[0]
+        assert [image_id for image_id, _ in images] == [1, 2]
+        box = images[0][1].boxes[0]
         assert (box.x_min, box.y_min, box.x_max, box.y_max) == (61, 90, 101, 162)
-        assert images[0].class_ids == [1, 2]
-        assert images[1].boxes == []
+        assert images[0][1].class_ids == (1, 2)
+        assert images[1][1].boxes == ()
         assert categories == {1: "boat", 2: "car"}
+
+    def test_images_load_as_scenes(self, annotation_file):
+        images, _ = load_annotations(annotation_file)
+        assert images == [
+            (1, Scene(320, 320, (Box(61, 90, 101, 162), Box(200, 40, 280, 100)), (1, 2))),
+            (2, Scene(320, 320, (), ())),
+        ]
 
     def test_bad_bbox_names_record(self, tmp_path):
         path = write_json(
@@ -226,9 +235,10 @@ def test_integral_floats_load_as_integers(tmp_path):
         "annotations": [{"image_id": 1, "bbox": [1, 1, 5, 5], "category_id": 2.0}],
         "categories": [{"id": 2.0, "name": "car"}],
     })
-    (image,), categories = load_annotations(path)
-    assert (image.width, image.class_ids, categories) == (320, [2], {2: "car"})
-    assert type(image.width) is type(image.class_ids[0]) is type(next(iter(categories))) is int
+    ((_, image),), categories = load_annotations(path)
+    assert (image.image_width, image.class_ids, categories) == (320, (2,), {2: "car"})
+    width, class_id, category = image.image_width, image.class_ids[0], next(iter(categories))
+    assert type(width) is type(class_id) is type(category) is int
 
 
 def count_simulations(monkeypatch):
@@ -519,7 +529,7 @@ class TestRunConfig:
                 "matching": {"t_pos": 0.6},
                 "scene": {"count_range": [2, 3], "num_classes": 5.0},
                 "trajectory": {"noise": 0.0},
-                "num_scenes": "3",
+                "num_scenes": 3,
             },
         )
         argv = ["simulate", "--synthetic", "--config", config, "--sigma", "3"]
@@ -530,10 +540,65 @@ class TestRunConfig:
         assert cfg.trajectory == TrajectoryConfig(noise=0.0)
         assert (cfg.num_scenes, cfg.assign_progress) == (3, 0.5)
 
+    def test_integral_floats_are_integers(self, tmp_path):
+        config = write_json(tmp_path / "c.json", {"image": {"width": 320.0}, "num_scenes": 3.0})
+        cfg = build_run_config(make_parser().parse_args(["assign", "--config", config]))
+        assert (cfg.grid.image_width, cfg.num_scenes) == (320, 3)
+        assert type(cfg.grid.image_width) is type(cfg.num_scenes) is int
+
+    def test_errors_name_the_section_and_field(self, tmp_path, capsys):
+        config = write_json(tmp_path / "c.json", {"scene": {"num_classes": 2.5}})
+        assert main(["assign", "--synthetic", "--config", config]) == 1
+        assert capsys.readouterr().err == (
+            "error: invalid configuration: scene: bad field 'num_classes': "
+            "must be a 64-bit integer, got 2.5\n"
+        )
+
+    @pytest.mark.parametrize("text, error", [
+        ("{", "not valid JSON ("), ("[]", "expected a JSON object at the top level"),
+    ])
+    def test_read_errors_read_like_annotation_ones(self, text, error, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        assert main(["assign", "--synthetic", "--config", str(config)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {config}: {error}")
+
     def test_sigma_flag_is_checked_with_the_matching_section(self, tmp_path, capsys):
         argv = ["assign", "--synthetic", "--sigma", "1", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert "invalid configuration: sigma must be > 1, got 1.0" in capsys.readouterr().err
+
+
+# name -> a config whose one value breaks the number rule or its field's range
+INVALID_CONFIGS = {
+    "fractional-width": {"image": {"width": 320.9}},
+    "bool-width": {"image": {"width": True}},
+    "string-width": {"image": {"width": "320"}},
+    "fractional-stride": {"levels": [{"stride": 8.7, "scales": [32]}]},
+    "string-scale": {"levels": [{"stride": 8, "scales": ["32"]}]},
+    "fractional-num-scenes": {"num_scenes": 1.9},
+    "string-num-scenes": {"num_scenes": "3"},
+    "fractional-num-classes": {"scene": {"num_classes": 2.5}},
+    "fractional-count": {"scene": {"count_range": [1.5, 3]}},
+    "bool-size": {"scene": {"size_range": [True, 64]}},
+    "fractional-steps": {"trajectory": {"steps": 2.5}},
+    "bool-steps": {"trajectory": {"steps": True}},
+    "bool-noise": {"trajectory": {"noise": True}},
+    "bool-t-pos": {"matching": {"t_pos": True}},
+    "string-progress": {"assign_progress": "0.5"},
+    "nan-progress": {"assign_progress": float("nan")},
+    "string-overlap-cap": {"scene": {"max_pairwise_iou": "0.2", "count_range": [3, 3]}},
+    "overlap-cap-above-one": {"scene": {"max_pairwise_iou": 1.5}},
+}
+
+
+@pytest.mark.parametrize("config", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS)
+@pytest.mark.parametrize("command", ["assign", "simulate"])
+def test_invalid_configs_are_rejected(config, command, tmp_path, capsys):
+    argv = [command, "--synthetic", "--config", write_json(tmp_path / "c.json", config),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: invalid configuration: ")
 
 
 class TestSimulateCommand:

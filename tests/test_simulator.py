@@ -72,6 +72,15 @@ class TestSynthScene:
         with pytest.raises(ValueError):
             SceneSpec(size_range=(32.0, 400.0))
 
+    @pytest.mark.parametrize("cap", ["0.2", 1.5, -0.1, float("nan"), True, [0.2]])
+    def test_overlap_cap_must_be_none_or_in_the_unit_interval(self, cap):
+        with pytest.raises(ValueError, match="max_pairwise_iou"):
+            SceneSpec(max_pairwise_iou=cap)
+
+    @pytest.mark.parametrize("cap", [None, 0, 1, 0.2, np.float32(0.5)])
+    def test_overlap_cap_accepts_none_and_unit_numbers(self, cap):
+        assert SceneSpec(max_pairwise_iou=cap).max_pairwise_iou is cap
+
 
 class TestSynthPredictions:
     def test_start_matches_anchors_exactly(self):
