@@ -1,30 +1,26 @@
-"""Anchor label assignment: static overlap thresholds and the two
-prediction-guided strategies that replace them during training.
+"""Label assignment: static overlap thresholds, and the one guidance engine
+that re-ranks a baseline's labels by the predictions, on anchors and points.
 
-Labels are int arrays, one entry per anchor: a value >= 0 marks the anchor
-positive for that object index, NEGATIVE (-1) marks background, IGNORED (-2)
-marks anchors excluded from the classification loss.
+Labels are int arrays, one entry per sample (anchor or point): a value >= 0
+marks the sample positive for that object index, NEGATIVE (-1) marks
+background, IGNORED (-2) marks samples excluded from the classification loss.
 
-The static strategy thresholds anchor/object overlap directly. The dynamic
-strategies keep the static per-object budgets (n_pos, n_ignored) but re-rank
-anchors by a prediction-derived score: regressed-box overlap when choosing
-classification labels, amplified overlap (raw overlap raised to
-(sigma - score) / sigma) when choosing localization labels. Ranking is
-per object with deterministic tie-breaks (lower anchor index first); anchors
-claimed by several objects go to the object with the higher score, ties to
-the lower object index.
-
-Each public function checks its inputs once with ``matrix_values`` and runs
-the static strategy once for the budgets; the private cores behind it take
-checked arrays and never re-validate. ``ANCHOR_STRATEGIES`` maps each strategy
-name the CLI and the simulator accept to one checked call of those cores.
+The static strategy thresholds anchor/object overlap directly. Guidance keeps
+a baseline's per-object budgets (n_pos, n_ignored) but re-ranks each object's
+candidates by the other task's prediction: regressed-box overlap for the
+classification labels (l2c), the baseline's quality raised to
+(sigma - score) / sigma for the localization labels (c2l). The grids differ
+only in that quality, in the candidate pool and in the baseline itself: anchor
+overlap, every anchor and ``_static`` here; centerness, the in-box
+level-matched points and ``fcos._original`` on points. Each public function
+checks its inputs once, builds one ``_Baseline`` and calls ``_guide``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -57,26 +53,31 @@ class MatchingConfig:
 
 @dataclass
 class Assignment:
-    """Per-anchor labels for both tasks plus per-object bookkeeping.
+    """Per-sample labels for both tasks plus per-object bookkeeping.
 
-    ``per_object_counts[j]`` is (n_pos, n_ignored) for object j under the
-    static strategy; localization labels never contain IGNORED.
+    ``mode`` is "anchors" or "points". ``per_object_counts[j]`` is object j's
+    baseline budget: (n_pos, n_ignored) under the static strategy on anchors,
+    n_pos under the original strategy on points, which have no ignored band.
+    Localization labels never contain IGNORED.
     """
 
     classification_labels: np.ndarray
     localization_labels: np.ndarray
-    per_object_counts: list[tuple[int, int]]
+    per_object_counts: list
     warnings: list[str] = field(default_factory=list)
+    mode: str = "anchors"
 
     def to_json_dict(self) -> dict:
+        if self.mode == "points":
+            counts = [{"positive": int(p)} for p in self.per_object_counts]
+        else:
+            counts = [{"positive": int(p), "ignored": int(i)} for p, i in self.per_object_counts]
         return {
             "format_version": 1,
-            "mode": "anchors",
+            "mode": self.mode,
             "classification": self.classification_labels.tolist(),
             "localization": self.localization_labels.tolist(),
-            "per_object_counts": [
-                {"positive": int(p), "ignored": int(i)} for p, i in self.per_object_counts
-            ],
+            "per_object_counts": counts,
             "warnings": list(self.warnings),
         }
 
@@ -85,8 +86,8 @@ class Assignment:
 class DynamicLabels:
     """Result of a prediction-guided labeling pass.
 
-    ``premerge_positive_counts[j]`` is the number of anchors selected for
-    object j before cross-object conflict resolution; it equals the static
+    ``premerge_positive_counts[j]`` is the number of samples selected for
+    object j before cross-object conflict resolution; it equals the baseline's
     n_pos budget unless the candidate pool was too small (recorded in
     ``warnings``).
     """
@@ -111,12 +112,13 @@ def matrix_values(matrix: MatrixLike) -> np.ndarray:
     return _unit_interval(arr, "matrix values")
 
 
-def _checked(*matrices: MatrixLike) -> list[np.ndarray]:
-    """matrix_values of each input; all inputs must share one shape."""
+def _checked(*matrices: MatrixLike, shape: Optional[tuple] = None) -> list[np.ndarray]:
+    """matrix_values of each input; all inputs must share one shape, ``shape`` if given."""
     values = [matrix_values(m) for m in matrices]
-    for other in values[1:]:
-        if other.shape != values[0].shape:
-            raise ValueError(f"matrix shapes differ: {values[0].shape} vs {other.shape}")
+    shape = shape or values[0].shape
+    for other in values:
+        if other.shape != shape:
+            raise ValueError(f"matrix shapes differ: {shape} vs {other.shape}")
     return values
 
 
@@ -154,6 +156,18 @@ def amplified_iou(iou_value, score, sigma):
     return out
 
 
+class _Baseline(NamedTuple):
+    """An unguided result and its grid's inputs to ``_guide``: budgets, the
+    candidate pool (None: every sample), the c2l quality on demand, the noun."""
+
+    result: Assignment
+    n_pos: list[int]
+    n_ignored: list[int]
+    pool: Optional[np.ndarray]
+    quality: Callable[[], np.ndarray]
+    noun: str
+
+
 def static_assign(iou_anchor: MatrixLike, cfg: Optional[MatchingConfig] = None) -> Assignment:
     """Assign labels by thresholding anchor/object overlap.
 
@@ -164,15 +178,17 @@ def static_assign(iou_anchor: MatrixLike, cfg: Optional[MatchingConfig] = None) 
     takes its highest-overlap anchor among those not positive elsewhere. An
     image without objects (an (n, 0) matrix) gets all-NEGATIVE labels.
     """
-    return _static(matrix_values(iou_anchor), cfg or MatchingConfig())
+    return _static(matrix_values(iou_anchor), cfg or MatchingConfig()).result
 
 
-def _static(values: np.ndarray, cfg: MatchingConfig) -> Assignment:
+def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
+    """The static strategy on checked overlaps, as the anchor baseline."""
     n, m = values.shape
     if n == 0:
         raise ValueError("empty IoU matrix: no anchors")
     if m == 0:  # an image without objects is all background
-        return Assignment(np.full(n, NEGATIVE), np.full(n, NEGATIVE), [])
+        empty = Assignment(np.full(n, NEGATIVE), np.full(n, NEGATIVE), [])
+        return _Baseline(empty, [], [], None, lambda: values, "anchor")
     best_obj = np.argmax(values, axis=1)
     best_iou = values[np.arange(n), best_obj]
 
@@ -188,16 +204,11 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> Assignment:
         else:
             warnings.append(f"object {j}: no anchor available for the positive fallback")
 
-    n_ign = np.bincount(best_obj[labels == IGNORED], minlength=m)
-    counts = list(zip(_positives(labels, m).tolist(), n_ign.tolist()))
-
+    n_pos = _positives(labels, m).tolist()
+    n_ign = np.bincount(best_obj[labels == IGNORED], minlength=m).tolist()
     localization = np.where(labels == IGNORED, NEGATIVE, labels)
-    return Assignment(
-        classification_labels=labels,
-        localization_labels=localization,
-        per_object_counts=counts,
-        warnings=warnings,
-    )
+    result = Assignment(labels, localization, list(zip(n_pos, n_ign)), warnings)
+    return _Baseline(result, n_pos, n_ign, None, lambda: values, "anchor")
 
 
 def ranked_selection(
@@ -298,41 +309,31 @@ def _rescue(labels: np.ndarray, j: int, ranked: np.ndarray, m: int, warnings, no
         warnings.append(f"object {j}: no {noun} available for the positive fallback")
 
 
-def _rescued(result: DynamicLabels, base, noun: str) -> DynamicLabels:
-    """``result`` once each object it leaves without a positive has taken one of
-    its ``base`` positives by ``_rescue``. As a candidate pool before the merge,
-    they would displace other objects' claims and empty more objects."""
-    m = len(base.per_object_counts)
-    for j in np.flatnonzero(_positives(result.labels, m) == 0):
-        original = np.flatnonzero(base.classification_labels == j)
-        _rescue(result.labels, j, original, m, result.warnings, noun)
-    return result
+def _guide(base: _Baseline, regressed, scores, sigma, l2c: bool, c2l: bool):
+    """Rank, merge and rescue the tasks that ``l2c`` and ``c2l`` name.
 
-
-def _guided(base, cls: Optional[DynamicLabels] = None, loc: Optional[DynamicLabels] = None):
-    """``base`` (an Assignment or PointAssignment) with the labels of either
-    task replaced by a guided result; the warnings are the guided results'
-    own, classification's first. Without a guided result, ``base`` itself."""
-    if cls is None and loc is None:
-        return base
-    return replace(
-        base,
-        classification_labels=base.classification_labels if cls is None else cls.labels,
-        localization_labels=base.localization_labels if loc is None else loc.labels,
-        warnings=[w for r in (cls, loc) if r is not None for w in r.warnings],
-    )
-
-
-def _l2c(regressed: np.ndarray, base: Assignment) -> DynamicLabels:
-    n_pos = [p for p, _ in base.per_object_counts]
-    n_ign = [i for _, i in base.per_object_counts]
-    return _rescued(ranked_selection(regressed, n_pos, n_ign), base, "anchor")
-
-
-def _c2l(anchor: np.ndarray, scores: np.ndarray, base: Assignment, sigma: float) -> DynamicLabels:
-    n_pos = [p for p, _ in base.per_object_counts]
-    amplified = _amplify(anchor, scores, sigma)
-    return _rescued(ranked_selection(amplified, n_pos, [0] * len(n_pos)), base, "anchor")
+    Each object the merge leaves without a positive takes one of its
+    baseline positives; as a pool before the merge, they would displace other
+    objects' claims. Returns (the baseline result with the guided labels and
+    their warnings, classification's first; then each guided DynamicLabels).
+    """
+    result, m = base.result, len(base.n_pos)
+    guided = []
+    if l2c:
+        guided.append(ranked_selection(regressed, base.n_pos, base.n_ignored, base.pool))
+    if c2l:
+        amplified = _amplify(base.quality(), scores, sigma)
+        guided.append(ranked_selection(amplified, base.n_pos, [0] * m, base.pool))
+    for selection in guided:
+        for j in np.flatnonzero(_positives(selection.labels, m) == 0):
+            original = np.flatnonzero(result.classification_labels == j)
+            _rescue(selection.labels, j, original, m, selection.warnings, base.noun)
+    if guided:  # a task not guided keeps the baseline labels
+        cls = guided[0].labels if l2c else result.classification_labels
+        loc = guided[-1].labels if c2l else result.localization_labels
+        warnings = [w for selection in guided for w in selection.warnings]
+        result = Assignment(cls, loc, result.per_object_counts, warnings, result.mode)
+    return (result, *guided)
 
 
 def localize_to_classify(
@@ -347,7 +348,7 @@ def localize_to_classify(
     ``iou_regressed`` anchors as positive and the next n_ignored as ignored.
     """
     anchor, regressed = _checked(iou_anchor, iou_regressed)
-    return _l2c(regressed, _static(anchor, cfg or MatchingConfig()))
+    return _guide(_static(anchor, cfg or MatchingConfig()), regressed, None, None, True, False)[1]
 
 
 def classify_to_localize(
@@ -364,7 +365,7 @@ def classify_to_localize(
     """
     cfg = cfg or MatchingConfig()
     anchor, scores = _checked(iou_anchor, classif_scores)
-    return _c2l(anchor, scores, _static(anchor, cfg), cfg.sigma)
+    return _guide(_static(anchor, cfg), None, scores, cfg.sigma, False, True)[1]
 
 
 def mutual_guidance_assign(
@@ -382,21 +383,22 @@ def mutual_guidance_assign(
     return ANCHOR_STRATEGIES["mutual"](iou_anchor, iou_regressed, classif_scores, cfg)[1]
 
 
-def _run_anchors(iou_anchor, iou_regressed, classif_scores, cfg=None, *, l2c, c2l, _base=None):
+# Strategy name -> (l2c, c2l), the tasks it guides; the "fcos" names label points.
+GUIDED_TASKS = {
+    "static": (False, False), "l2c": (True, False), "c2l": (False, True), "mutual": (True, True),
+    "fcos": (False, False), "fcos-mutual": (True, True),
+}
+
+
+def _anchor_row(l2c, c2l, iou_anchor, iou_regressed, classif_scores, cfg=None):
     cfg = cfg or MatchingConfig()
     anchor, regressed, scores = _checked(iou_anchor, iou_regressed, classif_scores)
-    base = _static(anchor, cfg) if _base is None else _base
-    cls = _l2c(regressed, base) if l2c else None
-    loc = _c2l(anchor, scores, base, cfg.sigma) if c2l else None
-    return base, _guided(base, cls, loc)
+    base = _static(anchor, cfg)
+    return base.result, _guide(base, regressed, scores, cfg.sigma, l2c, c2l)[0]
 
 
-# Strategy name -> f(iou_anchor, iou_regressed, classif_scores, cfg=None),
-# returning (static baseline, the strategy's Assignment). A task that its
-# strategy does not guide keeps the static labels; ``_base`` reuses a static run.
+# Anchor strategy name -> f(iou_anchor, iou_regressed, classif_scores, cfg=None),
+# returning (static result, the strategy's Assignment).
 ANCHOR_STRATEGIES = {
-    "static": partial(_run_anchors, l2c=False, c2l=False),
-    "l2c": partial(_run_anchors, l2c=True, c2l=False),
-    "c2l": partial(_run_anchors, l2c=False, c2l=True),
-    "mutual": partial(_run_anchors, l2c=True, c2l=True),
+    name: partial(_anchor_row, *GUIDED_TASKS[name]) for name in ("static", "l2c", "c2l", "mutual")
 }

@@ -27,9 +27,9 @@ from .annotations import (
     load_annotations,
     load_detections,
 )
-from .assignment import ANCHOR_STRATEGIES, MatchingConfig, static_assign
+from .assignment import GUIDED_TASKS, MatchingConfig, _guide, _static
 from .evaluation import average_precision
-from .fcos import POINT_STRATEGIES, fcos_assign_original
+from .fcos import POINT_STRATEGIES, _original
 from .geometry import boxes_to_array, pairwise_iou
 from .render import STRATEGY_COLORS, render_assignment_svg
 from .simulator import (
@@ -196,23 +196,22 @@ def _label(cfg: RunConfig, strategy: str, grid, scene: Scene, seed: int):
     labelling it is compared against ("static" on anchors, "fcos" on points);
     return (baseline name, baseline result, strategy result). Predictions are
     simulated only for a guided strategy on an image with objects."""
-    points = isinstance(grid, PointSet)
-    name = "fcos" if points else "static"
-    iou_anchor = None if points else pairwise_iou(grid.array, boxes_to_array(scene.boxes))
-    if strategy == name or not scene.boxes:
-        if points:
-            base = fcos_assign_original(grid, scene.boxes)
-        else:
-            base = static_assign(iou_anchor, cfg.matching)
-        return name, base, base
-    if points:
-        predicted = synth_point_predictions(scene, grid, cfg.trajectory, cfg.assign_progress, seed)
-        return name, *POINT_STRATEGIES[strategy](grid, scene.boxes, *predicted, cfg.matching)
-    snapshot = synth_predictions(
-        scene, grid, cfg.trajectory, cfg.assign_progress, seed=seed, _iou_anchor=iou_anchor
-    )
-    predicted = snapshot.iou_regressed, snapshot.classif_scores
-    return name, *ANCHOR_STRATEGIES[strategy](iou_anchor, *predicted, cfg.matching)
+    if isinstance(grid, PointSet):
+        name, base = "fcos", _original(grid, scene.boxes, None)
+        simulate = synth_point_predictions
+    else:
+        iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+        name, base = "static", _static(iou_anchor, cfg.matching)
+
+        def simulate(*at):
+            snapshot = synth_predictions(*at, _iou_anchor=iou_anchor)
+            return snapshot.iou_regressed, snapshot.classif_scores
+
+    guided = GUIDED_TASKS[strategy]
+    if not any(guided) or not scene.boxes:
+        return name, base.result, base.result
+    predicted = simulate(scene, grid, cfg.trajectory, cfg.assign_progress, seed)
+    return name, base.result, _guide(base, *predicted, cfg.matching.sigma, *guided)[0]
 
 
 def _write_scene(
@@ -328,7 +327,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_assign)
     p_assign.add_argument(
         "--strategy",
-        choices=[*ANCHOR_STRATEGIES, *POINT_STRATEGIES],
+        choices=list(GUIDED_TASKS),
         default="mutual",
         help="dynamic strategy to compare against its static baseline",
     )

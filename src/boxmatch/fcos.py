@@ -4,27 +4,19 @@ A point belongs to a box under the half-open convention
 (x_min <= x < x_max, y_min <= y < y_max), and to the detection level whose
 object-size range contains max(box width, box height). The original strategy
 marks every in-box, level-matched point positive (optionally restricted to a
-central region). The dynamic variants keep the original per-object positive
-counts but re-rank the same candidate pools: by regressed-box overlap for
-classification labels, by amplified centerness for localization labels.
-Points inside several matching boxes go to the smallest-area box.
+central region); points inside several matching boxes go to the smallest-area
+box. It is the point baseline of the guidance engine in ``assignment``: its
+positive counts are the budgets, the in-box, level-matched points the pool,
+and centerness the quality that classify-to-localize amplifies.
 
-Every point fallback is the anchor path's ``_claim_one`` over a ranking:
-pool, then in-box, then any point, nearest the box center first, for the
-original strategy; an object's original points after a dynamic merge. An
-object no fallback can serve gets the warning "object j: no point available
-for the positive fallback". An image without objects is all NEGATIVE.
-
-As in the anchor module, each public function checks its inputs once and
-computes the original strategy (and the point membership masks) once; the
-private cores take those results. ``POINT_STRATEGIES`` maps each point
-strategy name of the CLI to one checked call of those cores.
+Every point fallback is ``assignment._claim_one``; an object no fallback can
+serve gets the warning "object j: no point available for the positive
+fallback". An image without objects is all NEGATIVE.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Optional, Sequence
 
@@ -32,40 +24,20 @@ import numpy as np
 
 from .anchors import PointSet
 from .assignment import (
+    GUIDED_TASKS,
     NEGATIVE,
+    Assignment,
     DynamicLabels,
     MatchingConfig,
     MatrixLike,
-    _amplify,
+    _Baseline,
     _check_sigma,
-    _guided,
+    _checked,
+    _guide,
     _positives,
     _rescue,
-    _rescued,
-    matrix_values,
-    ranked_selection,
 )
 from .geometry import Box, boxes_to_array
-
-
-@dataclass
-class PointAssignment:
-    """Per-point labels plus the per-object positive counts (no ignored band)."""
-
-    classification_labels: np.ndarray
-    localization_labels: np.ndarray
-    per_object_counts: list[int]
-    warnings: list[str] = field(default_factory=list)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "mode": "points",
-            "classification": self.classification_labels.tolist(),
-            "localization": self.localization_labels.tolist(),
-            "per_object_counts": [{"positive": int(p)} for p in self.per_object_counts],
-            "warnings": list(self.warnings),
-        }
 
 
 def centerness(point: tuple[float, float], gt: Box) -> float:
@@ -132,7 +104,7 @@ def fcos_assign_original(
     points: PointSet,
     objects: Sequence[Box],
     center_sampling_radius: Optional[float] = None,
-) -> PointAssignment:
+) -> Assignment:
     """Original per-pixel assignment: in-box, level-matched points are positive.
 
     With ``center_sampling_radius`` set, positives are further restricted to
@@ -143,13 +115,14 @@ def fcos_assign_original(
     ties to the lower index; if none, a "no point available" warning names
     it. An image without objects gets all-NEGATIVE labels and no counts.
     """
-    return _original(points, objects, center_sampling_radius)[1]
+    return _original(points, objects, center_sampling_radius).result
 
 
 def _original(
     points: PointSet, objects: Sequence[Box], center_sampling_radius: Optional[float]
-) -> tuple[np.ndarray, PointAssignment, np.ndarray]:
-    """Return (gt array, original assignment, ranking pool)."""
+) -> _Baseline:
+    """The original strategy as the point baseline; its pool ignores the
+    center sampling, which only restricts the original positives."""
     gt = boxes_to_array(objects)
     in_box, pool = _membership(points, gt)
     candidate = pool
@@ -168,23 +141,10 @@ def _original(
         tier = 2 - in_box[:, j] - pool[:, j]  # 0 pool, 1 in-box only, 2 outside
         _rescue(labels, j, np.lexsort((dist, tier)), m, warnings, "point")
 
-    base = PointAssignment(labels, labels.copy(), _positives(labels, m).tolist(), warnings)
-    return gt, base, pool
-
-
-def _point_matrix(matrix: MatrixLike, name: str, points: PointSet, gt: np.ndarray) -> np.ndarray:
-    values, shape = matrix_values(matrix), (len(points), gt.shape[0])
-    if values.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {values.shape}")
-    return values
-
-
-def _ranked(values: np.ndarray, base: PointAssignment, pool: np.ndarray) -> DynamicLabels:
-    """Each object's n_pos best points of its pool by ``values``; an object
-    the merge leaves without a positive then takes one of its original points."""
-    m = len(base.per_object_counts)
-    result = ranked_selection(values, base.per_object_counts, [0] * m, candidate_mask=pool)
-    return _rescued(result, base, "point")
+    counts = _positives(labels, m).tolist()
+    result = Assignment(labels, labels.copy(), counts, warnings, mode="points")
+    quality = partial(_centerness_matrix, points.xy, gt)
+    return _Baseline(result, counts, [0] * m, pool, quality, "point")
 
 
 def fcos_localize_to_classify(
@@ -199,8 +159,9 @@ def fcos_localize_to_classify(
     over each object's in-box, level-matched points. There is no ignored band
     for points.
     """
-    gt, base, pool = _original(points, objects, center_sampling_radius)
-    return _ranked(_point_matrix(iou_regressed, "iou_regressed", points, gt), base, pool)
+    base = _original(points, objects, center_sampling_radius)
+    (regressed,) = _checked(iou_regressed, shape=(len(points), len(objects)))
+    return _guide(base, regressed, None, None, True, False)[1]
 
 
 def fcos_classify_to_localize(
@@ -214,27 +175,20 @@ def fcos_classify_to_localize(
     points, where centerness is raised to (sigma - score) / sigma and is 0 for
     points outside the box."""
     _check_sigma(sigma)
-    gt, base, pool = _original(points, objects, center_sampling_radius)
-    scores = _point_matrix(classif_scores, "classif_scores", points, gt)
-    return _ranked(_amplify(_centerness_matrix(points.xy, gt), scores, sigma), base, pool)
+    base = _original(points, objects, center_sampling_radius)
+    (scores,) = _checked(classif_scores, shape=(len(points), len(objects)))
+    return _guide(base, None, scores, sigma, False, True)[1]
 
 
-def _run_points(points, objects, iou_regressed, classif_scores, cfg=None, *, mutual):
+def _point_row(l2c, c2l, points, objects, iou_regressed, classif_scores, cfg=None):
+    base = _original(points, objects, None)
+    regressed, scores = _checked(iou_regressed, classif_scores, shape=(len(points), len(objects)))
     sigma = (cfg or MatchingConfig()).sigma
-    gt, base, pool = _original(points, objects, None)
-    regressed = _point_matrix(iou_regressed, "iou_regressed", points, gt)
-    scores = _point_matrix(classif_scores, "classif_scores", points, gt)
-    if not mutual:
-        return base, base
-    # the point twin of mutual_guidance_assign
-    cls = _ranked(regressed, base, pool)
-    loc = _ranked(_amplify(_centerness_matrix(points.xy, gt), scores, sigma), base, pool)
-    return base, _guided(base, cls, loc)
+    return base.result, _guide(base, regressed, scores, sigma, l2c, c2l)[0]
 
 
-# Strategy name -> f(points, objects, iou_regressed, classif_scores, cfg=None),
-# returning (original baseline, the strategy's PointAssignment).
+# Point strategy name -> f(points, objects, iou_regressed, classif_scores, cfg=None),
+# returning (original result, the strategy's Assignment).
 POINT_STRATEGIES = {
-    "fcos": partial(_run_points, mutual=False),
-    "fcos-mutual": partial(_run_points, mutual=True),
+    name: partial(_point_row, *GUIDED_TASKS[name]) for name in ("fcos", "fcos-mutual")
 }

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Real
+from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from . import assignment
 from .anchors import AnchorSet, PointSet
-from .assignment import ANCHOR_STRATEGIES, MatchingConfig, static_assign
+from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
 
@@ -81,6 +82,12 @@ class Scene:
     image_height: int
     boxes: tuple[Box, ...]
     class_ids: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.class_ids) != len(self.boxes):
+            raise ValueError(f"class_ids has length {len(self.class_ids)}, boxes {len(self.boxes)}")
+        if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in self.class_ids):
+            raise ValueError(f"class_ids must be integers, got {self.class_ids!r}")
 
 
 @dataclass(frozen=True)
@@ -294,7 +301,7 @@ def _trajectories(
     iou_anchor = pairwise_iou(anchor_set.array, boxes_to_array(scene.boxes))
     ts = np.linspace(0.0, 1.0, cfg.steps) if cfg.steps > 1 else np.asarray([0.0])
     # iou_anchor does not depend on t: one IoU and one static pass serve every step
-    base = None if set(strategies) <= {"l2c-fixed"} else static_assign(iou_anchor, matching)
+    base = None if set(strategies) <= {"l2c-fixed"} else assignment._static(iou_anchor, matching)
 
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
     for t in ts:
@@ -305,10 +312,9 @@ def _trajectories(
             if result.strategy == "l2c-fixed":
                 labels = static_assign(snapshot.iou_regressed, matching).classification_labels
             else:
-                _, labeled = ANCHOR_STRATEGIES[result.strategy](
-                    iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, matching,
-                    _base=base,
-                )
+                predicted = snapshot.iou_regressed, snapshot.classif_scores
+                guided = GUIDED_TASKS[result.strategy]
+                labeled = assignment._guide(base, *predicted, matching.sigma, *guided)[0]
                 c2l = result.strategy == "c2l"
                 labels = labeled.localization_labels if c2l else labeled.classification_labels
             result.steps.append(TrajectoryStep(t=float(t), positive_count=int(np.sum(labels >= 0))))

@@ -357,14 +357,14 @@ def tie_free_point_inputs(draw):
 def run_point_row(strategy, *inputs):
     """The point row's (baseline, result) and the pre-merge counts of every
     ranked selection it made."""
-    premerge, real = [], fcos.ranked_selection
+    premerge, real = [], assignment.ranked_selection
 
     def spy(*args, **kwargs):
         selection = real(*args, **kwargs)
         premerge.append(selection.premerge_positive_counts)
         return selection
 
-    with mock.patch.object(fcos, "ranked_selection", spy):
+    with mock.patch.object(assignment, "ranked_selection", spy):
         return (*POINT_STRATEGIES[strategy](*inputs), premerge)
 
 
@@ -434,3 +434,29 @@ class TestPointStrategyProperties:
                 mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)
                 assert mapped.tolist() == getattr(result, task).tolist()
             assert permuted_result.per_object_counts == [result.per_object_counts[j] for j in perm]
+
+
+def point_row(name):
+    return lambda points, boxes, matrix: POINT_STRATEGIES[name](points, boxes, matrix, matrix)
+
+
+# each point function with the inputs (points, boxes, matrix), and how many
+# times it may compute centerness: only the classify-to-localize paths need it
+POINT_CALLS = {
+    "original": (lambda points, boxes, matrix: fcos_assign_original(points, boxes), 0),
+    "l2c": (lambda points, boxes, matrix: fcos_localize_to_classify(points, boxes, matrix), 0),
+    "c2l": (lambda points, boxes, matrix: fcos_classify_to_localize(points, boxes, matrix), 1),
+    "fcos": (point_row("fcos"), 0),
+    "fcos-mutual": (point_row("fcos-mutual"), 1),
+}
+
+
+@pytest.mark.parametrize("name", POINT_CALLS)
+def test_point_functions_do_no_dead_work(name):
+    call, centerness_runs = POINT_CALLS[name]
+    points, boxes = generate_points(SINGLE_32), [SIX_POINT_BOX, Box(150, 150, 260, 250)]
+    matrix = np.full((len(points), len(boxes)), 0.5)
+    with mock.patch.object(fcos, "_membership", wraps=fcos._membership) as membership, \
+            mock.patch.object(fcos, "_centerness_matrix", wraps=fcos._centerness_matrix) as quality:
+        call(points, boxes, matrix)
+    assert (membership.call_count, quality.call_count) == (1, centerness_runs)

@@ -6,8 +6,9 @@ import pytest
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.assignment import mutual_guidance_assign
 from boxmatch.evaluation import Detections
-from boxmatch.geometry import boxes_to_array, iou, pairwise_iou
+from boxmatch.geometry import Box, boxes_to_array, iou, pairwise_iou
 from boxmatch.simulator import (
+    Scene,
     SceneSpec,
     TrajectoryConfig,
     detections_from_snapshot,
@@ -80,6 +81,26 @@ class TestSynthScene:
     @pytest.mark.parametrize("cap", [None, 0, 1, 0.2, np.float32(0.5)])
     def test_overlap_cap_accepts_none_and_unit_numbers(self, cap):
         assert SceneSpec(max_pairwise_iou=cap).max_pairwise_iou is cap
+
+
+class TestScene:
+    BOXES = (Box(0, 0, 10, 10), Box(20, 20, 40, 40))
+
+    def test_class_ids_must_match_the_boxes(self):
+        # one id for two boxes: the second box would have no class downstream
+        with pytest.raises(ValueError, match="class_ids"):
+            Scene(320, 320, self.BOXES, (1,))
+        with pytest.raises(ValueError, match="class_ids"):
+            Scene(320, 320, self.BOXES[:1], (1, 2))
+
+    @pytest.mark.parametrize("bad", [1.0, "1", True, np.bool_(True), None])
+    def test_class_ids_must_be_integers(self, bad):
+        with pytest.raises(ValueError, match="class_ids"):
+            Scene(320, 320, self.BOXES, (0, bad))
+
+    def test_numpy_integers_and_empty_scenes_are_accepted(self):
+        assert Scene(320, 320, self.BOXES, (np.int64(2), np.int32(0))).class_ids == (2, 0)
+        assert Scene(320, 320, (), ()).boxes == ()
 
 
 class TestSynthPredictions:
