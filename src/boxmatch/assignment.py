@@ -10,10 +10,10 @@ a baseline's per-object budgets (n_pos, n_ignored) but re-ranks each object's
 candidates by the other task's prediction: regressed-box overlap for the
 classification labels (l2c), the baseline's quality raised to
 (sigma - score) / sigma for the localization labels (c2l). The grids differ
-only in that quality, in the candidate pool and in the baseline itself: anchor
-overlap, every anchor and ``_static`` here; centerness, the in-box
-level-matched points and ``fcos._original`` on points. Each public function
-checks its inputs once, builds one ``_Baseline`` and calls ``_guide``.
+only in that quality, the candidate pool and the baseline: anchor overlap,
+every anchor and ``_static`` here; centerness, the in-box level-matched points
+and ``fcos._original`` on points. Each public function checks its inputs once
+and builds one ``_Baseline``, which a guided one hands to ``_guide``.
 """
 
 from __future__ import annotations
