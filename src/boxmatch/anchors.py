@@ -111,24 +111,15 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
     The total count is sum over levels of
     (W/stride) * (H/stride) * len(scales) * len(aspect_ratios).
     """
-    arrays = []
-    offsets = []
-    start = 0
+    arrays, offsets, start = [], [], 0
     for level in spec.levels:
         cx, cy = _level_centers(spec, level)
-        widths = []
-        heights = []
-        for s in level.scales:
-            for r in level.aspect_ratios:
-                root = math.sqrt(r)
-                widths.append(s * root)
-                heights.append(s / root)
-        w = np.asarray(widths)
-        h = np.asarray(heights)
+        shapes = [(s, math.sqrt(r)) for s in level.scales for r in level.aspect_ratios]
+        w = np.asarray([s * root for s, root in shapes])
+        h = np.asarray([s / root for s, root in shapes])
         # broadcast to (rows, cols, shapes); C-order reshape keeps the
         # row -> column -> (scale, ratio) ordering
-        gx = cx[None, :, None]
-        gy = cy[:, None, None]
+        gx, gy = cx[None, :, None], cy[:, None, None]
         level_boxes = np.stack(
             np.broadcast_arrays(gx - w / 2, gy - h / 2, gx + w / 2, gy + h / 2),
             axis=-1,
@@ -154,9 +145,7 @@ def level_scale_ranges(spec: AnchorGridSpec) -> tuple[tuple[float, float], ...]:
 
 def generate_points(spec: AnchorGridSpec) -> PointSet:
     """Generate one point per grid cell per level, at cell centers."""
-    xy = []
-    offsets = []
-    start = 0
+    xy, offsets, start = [], [], 0
     for level in spec.levels:
         cx, cy = _level_centers(spec, level)
         gx, gy = np.meshgrid(cx, cy)  # (rows, cols): row-major is rows, then columns

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import IoUMatrix, _unit_interval
+from .geometry import IoUMatrix, _row_best, _unit_interval
 
 NEGATIVE = -1
 IGNORED = -2
@@ -130,13 +130,14 @@ def _check_sigma(sigma) -> None:
 
 
 def _amplify(values, scores, sigma):
-    # 0 ** e is 0 for every exponent sigma > 1 allows: raise the overlaps only
+    # 0 ** e is 0 for every sigma > 1: raise the overlaps only, with no broadcast copy
     arrays = np.broadcast_arrays(values, scores, sigma)
-    values, scores, sigma = (a.ravel() for a in arrays)
-    hit = np.flatnonzero(values > 0)
-    out = np.zeros(values.size)
-    out[hit] = np.power(values[hit], (sigma[hit] - scores[hit]) / sigma[hit])
-    return out.reshape(arrays[0].shape)
+    hit = np.flatnonzero(arrays[0] > 0)
+    flat = (a.reshape(-1) if a.flags.c_contiguous else a.flat for a in arrays)
+    values, scores, sigma = (a[hit] for a in flat)
+    out = np.zeros(arrays[0].shape)
+    out.reshape(-1)[hit] = np.power(values, (sigma - scores) / sigma)
+    return out
 
 
 def amplified_iou(iou_value, score, sigma):
@@ -189,8 +190,7 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
     if m == 0:  # an image without objects is all background
         empty = Assignment(np.full(n, NEGATIVE), np.full(n, NEGATIVE), [])
         return _Baseline(empty, [], [], None, lambda: values, "anchor")
-    best_obj = np.argmax(values, axis=1)
-    best_iou = values[np.arange(n), best_obj]
+    best_obj, best_iou = _row_best(values)
 
     below = np.where(best_iou >= cfg.t_neg, IGNORED, NEGATIVE)
     labels = np.where(best_iou >= cfg.t_pos, best_obj, below)
@@ -322,7 +322,8 @@ def _guide(base: _Baseline, regressed, scores, sigma, l2c: bool, c2l: bool):
     if l2c:
         guided.append(ranked_selection(regressed, base.n_pos, base.n_ignored, base.pool))
     if c2l:
-        amplified = _amplify(base.quality(), scores, sigma)
+        # object-major, so that ranked_selection needs no transposed copy
+        amplified = _amplify(base.quality().T, scores.T, sigma).T
         guided.append(ranked_selection(amplified, base.n_pos, [0] * m, base.pool))
     for selection in guided:
         for j in np.flatnonzero(_positives(selection.labels, m) == 0):

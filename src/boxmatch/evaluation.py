@@ -105,10 +105,9 @@ class Detections(Sequence):
         if isinstance(i, slice):
             return self.take(np.arange(len(self))[i])
         cell = self._cell(i)
-        if cell[0] is None:
-            box = Box(*self.boxes[i].tolist())
-            image_id = self.images[self.image_index[i]]
-            cell[0] = Detection(box, int(self.class_ids[i]), float(self.scores[i]), image_id)
+        if cell[0] is None:  # the batch checked every value at construction
+            row = (int(self.class_ids[i]), float(self.scores[i]), self.images[self.image_index[i]])
+            cell[0] = _unchecked(Detection, _unchecked(Box, *self.boxes[i].tolist()), *row)
         return cell[0]
 
     def __eq__(self, other):
@@ -125,6 +124,13 @@ class Detections(Sequence):
                           self.images, self.image_index[rows])
         object.__setattr__(part, "_cells", [self._cell(i) for i in rows.tolist()])
         return part
+
+
+def _unchecked(cls, *values):
+    """The frozen dataclass ``cls`` with ``values`` as its fields, unchecked."""
+    row = object.__new__(cls)
+    row.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return row
 
 
 def _batch(dets: Sequence[Detection]) -> Detections:

@@ -7,7 +7,7 @@ marks every in-box, level-matched point positive (optionally restricted to a
 central region); points inside several matching boxes go to the smallest-area
 box. It is the point baseline of the guidance engine in ``assignment``: its
 positive counts are the budgets, the in-box, level-matched points the pool,
-and centerness the quality that classify-to-localize amplifies.
+and centerness on the pool the quality that classify-to-localize amplifies.
 
 Every point fallback is ``assignment._claim_one``; an object no fallback can
 serve gets the warning "object j: no point available for the positive
@@ -59,17 +59,17 @@ def centerness(point: tuple[float, float], gt: Box) -> float:
     )
 
 
-def _centerness_matrix(xy: np.ndarray, gt: np.ndarray) -> np.ndarray:
-    """(P, M) centerness values; 0 for points not strictly inside a box."""
-    left = xy[:, 0:1] - gt[None, :, 0]
-    right = gt[None, :, 2] - xy[:, 0:1]
-    top = xy[:, 1:2] - gt[None, :, 1]
-    bottom = gt[None, :, 3] - xy[:, 1:2]
-    inside = (left > 0) & (right > 0) & (top > 0) & (bottom > 0)
+def _centerness_matrix(xy: np.ndarray, gt: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """(P, M) centerness on the ``pool`` entries and 0 elsewhere; half-open
+    membership puts a pool point on a box's left or top edge at exactly 0."""
+    p, j = np.nonzero(pool)
+    left, right = xy[p, 0] - gt[j, 0], gt[j, 2] - xy[p, 0]
+    top, bottom = xy[p, 1] - gt[j, 1], gt[j, 3] - xy[p, 1]
     lr = np.minimum(left, right) / np.maximum(left, right)
     tb = np.minimum(top, bottom) / np.maximum(top, bottom)
-    values = np.sqrt(np.clip(lr * tb, 0.0, None))
-    return np.where(inside, values, 0.0)
+    values = np.zeros(pool.shape)
+    values[p, j] = np.sqrt(lr * tb)
+    return values
 
 
 def _membership(points: PointSet, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +143,7 @@ def _original(
 
     counts = _positives(labels, m).tolist()
     result = Assignment(labels, labels.copy(), counts, warnings, mode="points")
-    quality = partial(_centerness_matrix, points.xy, gt)
+    quality = partial(_centerness_matrix, points.xy, gt, pool)
     return _Baseline(result, counts, [0] * m, pool, quality, "point")
 
 
@@ -172,8 +172,8 @@ def fcos_classify_to_localize(
     center_sampling_radius: Optional[float] = None,
 ) -> DynamicLabels:
     """Localization labels: per object, its n_pos highest amplified-centerness
-    points, where centerness is raised to (sigma - score) / sigma and is 0 for
-    points outside the box."""
+    points, where centerness is raised to (sigma - score) / sigma; it is
+    computed only over the in-box, level-matched points the ranking reads."""
     _check_sigma(sigma)
     base = _original(points, objects, center_sampling_radius)
     (scores,) = _checked(classif_scores, shape=(len(points), len(objects)))

@@ -13,6 +13,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+# rows per pairwise IoU block: its temporaries, not the matrix's, fit in L2 at 50 objects
+_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Box:
@@ -104,10 +107,31 @@ def broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
     """IoU between every box in `a` and every box in `b`; shape (len(a), len(b))."""
-    a = _as_box_array(a)
-    b = _as_box_array(b)
-    # a's axis innermost (the long one for anchors against objects), then C order
-    return broadcast_iou(b[:, None], a).T.copy()
+    a, b = _as_box_array(a), _as_box_array(b)
+    return _by_row_blocks(a, b, lambda block: (block,), np.empty((len(a), len(b))))[0]
+
+
+def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``_row_best`` of ``pairwise_iou(a, b)`` without the matrix; ``b`` must hold a box."""
+    return _by_row_blocks(a, b, _row_best, np.empty(len(a), dtype=np.intp), np.empty(len(a)))
+
+
+def _row_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (argmax, max) of a 2-D array with a column, ties to the lower column."""
+    best = np.argmax(values, axis=1)
+    return best, values[np.arange(values.shape[0]), best]
+
+
+def _by_row_blocks(a: np.ndarray, b: np.ndarray, reduce, *outs: np.ndarray) -> tuple:
+    """``outs``, each filled row block by row block with its part of ``reduce``
+    of the block's IoU matrix against ``b``; one block is alive at a time."""
+    for start in range(0, len(a), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        # a's rows innermost: long contiguous loops (the block is a transposed view)
+        for out, part in zip(outs, reduce(broadcast_iou(b[:, None], a[rows]).T)):
+            out[rows] = part
+        del part  # the block goes before the next one is built
+    return outs
 
 
 def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:

@@ -23,6 +23,7 @@ from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
+from .geometry import _best_overlap, _row_best
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -197,7 +198,8 @@ def synth_predictions(
     misaligned anchors, regressed overlap with the target object never drops
     below the anchor's overlap; the injected fraction is small, so at least
     90% of anchors keep that property. ``_iou_anchor`` reuses a caller's
-    ``pairwise_iou(anchors, objects)``, which does not depend on t.
+    ``pairwise_iou(anchors, objects)``, which does not depend on t. Without
+    objects, the snapshot is a copy of the anchors and (anchors, 0) matrices.
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"progress t must lie in [0, 1], got {t}")
@@ -205,10 +207,10 @@ def synth_predictions(
     anchors = anchor_set.array
     gt = boxes_to_array(scene.boxes)
     n = anchors.shape[0]
+    if not scene.boxes:  # nothing to regress toward or to score
+        return TrajectorySnapshot(anchors.copy(), np.zeros((n, 0)), np.zeros((n, 0)))
 
-    iou_anchor = pairwise_iou(anchors, gt) if _iou_anchor is None else _iou_anchor
-    best = np.argmax(iou_anchor, axis=1)
-    best_iou = iou_anchor[np.arange(n), best]
+    best, best_iou = _best_overlap(anchors, gt) if _iou_anchor is None else _row_best(_iou_anchor)
 
     w_base = GAIN_CURVES[cfg.localization_gain](t)
     jitter = cfg.noise * rng.uniform(-1.0, 1.0, size=n) * 4.0 * w_base * (1.0 - w_base)
@@ -241,7 +243,8 @@ def synth_predictions(
     scores = score_gain * iou_regressed
     scores[drifted, best[drifted]] = score_gain * 0.95
     scores[dampened, best[dampened]] = score_gain * 0.05
-    return TrajectorySnapshot(regressed, np.clip(scores, 0.0, 1.0), iou_regressed)
+    # gains map [0, 1] into [0, 1] and IoU <= 1: the scores need no clip
+    return TrajectorySnapshot(regressed, scores, iou_regressed)
 
 
 def synth_point_predictions(
@@ -332,14 +335,16 @@ def detections_from_snapshot(
 
     With ``classification_labels`` given, anchors the strategy labeled
     negative or ignored have their scores multiplied by 0.05, modeling a
-    network trained to score them as background.
+    network trained to score them as background. A scene without objects
+    gives an empty batch.
     """
+    if not scene.boxes:  # no object, no class: nothing to detect
+        return Detections(np.zeros((0, 4)), (), (), (image_id,), ())
     scores = snapshot.classif_scores
     if classification_labels is not None:
         factor = np.where(classification_labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
         scores = scores * factor[:, None]
-    best = np.argmax(scores, axis=1)
-    values = scores[np.arange(scores.shape[0]), best]
+    best, values = _row_best(scores)
     keep = np.flatnonzero(values >= _SCORE_THRESHOLD)
     classes = np.asarray(scene.class_ids, dtype=np.int64)[best[keep]]
     return Detections(

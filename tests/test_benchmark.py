@@ -1,6 +1,7 @@
 """The benchmark's seed-commit digests, on a copy of the checkout so that the
 runs leave no record in it. Between them, the two training workloads call
-every public anchor and point assignment function."""
+every public anchor and point assignment function; eval_paper adds the
+simulated predictions, detections, NMS and AP of the paper's experiment."""
 
 import json
 import shutil
@@ -13,8 +14,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["train_sparse", "train_crowded"])
-def test_training_workload_matches_the_seed_digest(workload, tmp_path):
+@pytest.mark.parametrize("workload", ["train_sparse", "train_crowded", "eval_paper"])
+def test_workload_matches_the_seed_digest(workload, tmp_path):
     skip = shutil.ignore_patterns("__pycache__", "*.egg-info", ".bench_out")
     for part in ("src", "benchmarks"):
         shutil.copytree(ROOT / part, tmp_path / part, ignore=skip)

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -404,6 +405,20 @@ class TestDetectionsBatch:
         assert first == Detection(Box(0, 0, 10, 10), 0, 0.9, "img")
         assert type(first.class_id) is int and type(first.score) is float
         assert list(batch) == [batch[0], batch[1], batch[2]]
+
+    def test_rows_skip_the_checks_and_equal_checked_rows(self):
+        batch = batch_of(*OVERLAPPING, images=("img",))
+        with mock.patch.object(Box, "__post_init__", side_effect=AssertionError), \
+                mock.patch.object(Detection, "__post_init__", side_effect=AssertionError):
+            rows = list(batch)
+        for i, row in enumerate(rows):
+            checked = Detection(Box(*batch.boxes[i].tolist()), int(batch.class_ids[i]),
+                                float(batch.scores[i]), "img")
+            assert row == checked and hash(row) == hash(checked) and repr(row) == repr(checked)
+            assert row is batch[i] and row.box.width == checked.box.width
+        assert batch.take([2, 0])[1] is rows[0]
+        with pytest.raises(AttributeError):
+            rows[0].score = 0.5
 
     def test_batch_is_frozen(self):
         batch = batch_of(*OVERLAPPING)

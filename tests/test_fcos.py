@@ -415,8 +415,8 @@ class TestPointStrategyProperties:
         points, boxes, regressed, scores, perm = case
         gt = boxes_to_array(boxes)
         # no two objects tie on a shared pool point's amplified centerness
-        amplified = amplified_iou(fcos._centerness_matrix(points.xy, gt), scores, 2.0)
         pool = fcos._membership(points, gt)[1]
+        amplified = amplified_iou(fcos._centerness_matrix(points.xy, gt, pool), scores, 2.0)
         pooled = np.sort(np.where(pool, amplified, -1.0 - np.arange(len(boxes))), axis=1)
         assume(np.all(np.diff(pooled, axis=1) != 0))
         permuted = ([boxes[j] for j in perm], regressed[:, perm], scores[:, perm])
@@ -434,6 +434,47 @@ class TestPointStrategyProperties:
                 mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)
                 assert mapped.tolist() == getattr(result, task).tolist()
             assert permuted_result.per_object_counts == [result.per_object_counts[j] for j in perm]
+
+
+def dense_centerness(xy, gt, pool):
+    """Centerness of every point against every box, pool or not; 0 for points
+    not strictly inside."""
+    left, right = xy[:, 0:1] - gt[:, 0], gt[:, 2] - xy[:, 0:1]
+    top, bottom = xy[:, 1:2] - gt[:, 1], gt[:, 3] - xy[:, 1:2]
+    inside = (left > 0) & (right > 0) & (top > 0) & (bottom > 0)
+    lr = np.minimum(left, right) / np.maximum(left, right)
+    tb = np.minimum(top, bottom) / np.maximum(top, bottom)
+    return np.where(inside, np.sqrt(np.clip(lr * tb, 0.0, None)), 0.0)
+
+
+class TestPoolCenterness:
+    """Centerness is computed on the pool only: ranking, merge and rescue
+    never read it elsewhere, so the labels equal those of dense centerness."""
+
+    @given(point_inputs())
+    def test_pool_entries_equal_dense_and_the_rest_is_zero(self, inputs):
+        points, boxes = inputs[:2]
+        gt = boxes_to_array(boxes)
+        pool = fcos._membership(points, gt)[1]
+        pooled = fcos._centerness_matrix(points.xy, gt, pool)
+        dense = dense_centerness(points.xy, gt, pool)
+        assert pooled[pool].tobytes() == dense[pool].tobytes()
+        assert not np.any(pooled[~pool])
+
+    @settings(max_examples=50)
+    @given(point_inputs())
+    def test_guided_labels_equal_those_of_dense_centerness(self, inputs):
+        points, boxes, _, scores = inputs
+
+        def results():
+            c2l = fcos_classify_to_localize(points, boxes, scores)
+            mutual = POINT_STRATEGIES["fcos-mutual"](*inputs)[1]
+            return (c2l.labels.tolist(), c2l.premerge_positive_counts, c2l.warnings,
+                    mutual.to_json_dict())
+
+        pooled = results()
+        with mock.patch.object(fcos, "_centerness_matrix", dense_centerness):
+            assert results() == pooled
 
 
 def point_row(name):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from boxmatch import assignment, simulator
+from boxmatch import assignment, geometry, simulator
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors
 from boxmatch.assignment import (
     NEGATIVE,
@@ -16,8 +16,8 @@ from boxmatch.assignment import (
     ranked_selection,
     static_assign,
 )
-from boxmatch.geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
-from boxmatch.simulator import Scene, TrajectoryConfig, run_trajectory
+from boxmatch.geometry import Box, _best_overlap, boxes_to_array, broadcast_iou, iou, pairwise_iou
+from boxmatch.simulator import Scene, TrajectoryConfig, run_trajectory, synth_predictions
 from oracles import brute_force_ranked_selection, brute_force_static_assign
 
 # integer corners make touching, nested and identical boxes common
@@ -133,6 +133,51 @@ class TestRankedSelection:
         assert _amplify(values, scores, sigma).tobytes() == full.tobytes()
 
 
+BLOCK = geometry._BLOCK_ROWS
+
+
+def random_boxes(rng, count):
+    """``count`` boxes of 1-80 px in a 300 px square: overlaps are common."""
+    corner = rng.uniform(0, 300, (count, 2))
+    return np.hstack([corner, corner + rng.uniform(1, 80, (count, 2))])
+
+
+class TestBlockedIoU:
+    """``pairwise_iou`` and ``_best_overlap`` run ``BLOCK`` rows at a time;
+    the block edges must not show in any value."""
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+    @pytest.mark.parametrize("m", [0, 1, 50])
+    def test_pairwise_equals_one_broadcast(self, n, m):
+        rng = np.random.default_rng([n, m])
+        a, b = random_boxes(rng, n), random_boxes(rng, m)
+        matrix = pairwise_iou(a, b)
+        assert matrix.shape == (n, m) and matrix.flags.c_contiguous
+        assert matrix.tobytes() == broadcast_iou(a[:, None], b).tobytes()
+
+    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
+    def test_best_overlap_equals_argmax_and_max(self, n):
+        rng = np.random.default_rng(n)
+        a, b = random_boxes(rng, n), random_boxes(rng, 20)
+        b[10] = b[3]  # object 10 ties object 3 on every row: the lower index wins
+        a[0] = (1000, 1000, 1001, 1001)  # overlaps nothing: an all-zero row
+        a[-1] = b[3]
+        best, best_iou = _best_overlap(a, b)
+        matrix = broadcast_iou(a[:, None], b)
+        assert best.tolist() == np.argmax(matrix, axis=1).tolist()
+        assert best_iou.tobytes() == matrix.max(axis=1).tobytes()
+        assert (best[0], best_iou[0]) == (0, 0.0)
+        assert (best[-1], best_iou[-1]) == (3, 1.0)
+        assert not np.any(best == 10)
+
+    @given(boxes(), boxes())
+    def test_best_overlap_on_the_lattice(self, a, b):
+        matrix = pairwise_iou(boxes_to_array(a), boxes_to_array(b))
+        best, best_iou = _best_overlap(boxes_to_array(a), boxes_to_array(b))
+        assert best.tolist() == np.argmax(matrix, axis=1).tolist()
+        assert best_iou.tolist() == matrix.max(axis=1).tolist()
+
+
 # each anchor overlaps one object at most, and each object has an anchor at
 # or above t_pos: the static positives are exactly each column's top n_pos
 @st.composite
@@ -232,3 +277,15 @@ def test_trajectory_computes_anchor_iou_once(monkeypatch):
     assert len(result.steps) == 5
     assert calls.count(True) == 1  # the anchor overlap; the rest are regressed boxes
     assert calls.count(False) == 5
+
+
+def test_predictions_build_no_anchor_overlap(monkeypatch):
+    grid = generate_anchors(AnchorGridSpec(64, 64, (LevelSpec(8, (16.0,), (1.0,)),)))
+    calls = []
+    real = simulator.pairwise_iou
+    monkeypatch.setattr(
+        simulator, "pairwise_iou", lambda a, b: calls.append(a is grid.array) or real(a, b)
+    )
+    scene = Scene(64, 64, (Box(10, 10, 30, 34), Box(36, 8, 60, 28)), (0, 1))
+    synth_predictions(scene, grid, TrajectoryConfig(misalignment_fraction=0.3), 0.6)
+    assert calls == [False]  # the regressed boxes only

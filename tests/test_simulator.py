@@ -2,12 +2,15 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.assignment import mutual_guidance_assign
 from boxmatch.evaluation import Detections
 from boxmatch.geometry import Box, boxes_to_array, iou, pairwise_iou
 from boxmatch.simulator import (
+    GAIN_CURVES,
     Scene,
     SceneSpec,
     TrajectoryConfig,
@@ -188,6 +191,17 @@ class TestSynthPredictions:
         digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in arrays)
         assert digests == self.PINNED[t]
 
+    # the gains map [0, 1] into [0, 1], IoU <= 1 and the injected scores are
+    # gain * 0.95 and gain * 0.05: no clip is needed
+    @settings(max_examples=40)
+    @given(st.sampled_from(sorted(GAIN_CURVES)), st.sampled_from(sorted(GAIN_CURVES)),
+           st.floats(0, 1), st.sampled_from([0.0, 0.3, 1.0]), st.integers(0, 3))
+    def test_scores_lie_in_the_unit_interval(self, loc_gain, score_gain, t, fraction, seed):
+        cfg = TrajectoryConfig(localization_gain=loc_gain, score_gain=score_gain,
+                               noise=0.1, misalignment_fraction=fraction)
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, cfg, t, seed=seed)
+        assert 0.0 <= snapshot.classif_scores.min() <= snapshot.classif_scores.max() <= 1.0
+
     def test_progress_validated(self):
         scene = synth_scene(SceneSpec(seed=0))
         with pytest.raises(ValueError):
@@ -364,3 +378,36 @@ class TestDetectionsFromSnapshot:
         labels = np.full(len(ANCHORS.array), -1)
         dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, snapshot, labels)
         assert len(dets) == 0 and dets.boxes.shape == (0, 4)
+
+
+class TestSceneWithoutObjects:
+    """An image without objects is answered, not raised: the predictions have
+    no object columns, nothing is labelled positive and nothing detected."""
+
+    EMPTY = Scene(320, 320, (), ())
+
+    def test_snapshot_is_the_anchors_with_empty_matrices(self):
+        snapshot = synth_predictions(self.EMPTY, ANCHORS, MISALIGNED, 0.5, seed=1)
+        assert np.array_equal(snapshot.regressed_boxes, ANCHORS.array)
+        assert snapshot.regressed_boxes is not ANCHORS.array
+        assert snapshot.classif_scores.shape == snapshot.iou_regressed.shape == (len(ANCHORS), 0)
+
+    def test_point_predictions_have_no_columns(self):
+        points = generate_points(GRID)
+        iou_regressed, scores = synth_point_predictions(
+            self.EMPTY, points, TrajectoryConfig(), 0.5, seed=1
+        )
+        assert iou_regressed.shape == scores.shape == (len(points), 0)
+
+    @pytest.mark.parametrize("strategy", ["static", "l2c", "c2l", "mutual", "l2c-fixed"])
+    def test_trajectory_counts_no_positive(self, strategy):
+        result = run_trajectory(self.EMPTY, ANCHORS, TrajectoryConfig(steps=3), strategy)
+        assert result.counts == [0, 0, 0]
+
+    @pytest.mark.parametrize("suppressed", [False, True])
+    def test_detections_are_an_empty_batch(self, suppressed):
+        snapshot = synth_predictions(self.EMPTY, ANCHORS, TrajectoryConfig(), 1.0, seed=1)
+        labels = np.full(len(ANCHORS), -1) if suppressed else None
+        dets = detections_from_snapshot(self.EMPTY, ANCHORS, snapshot, labels, image_id=7)
+        assert isinstance(dets, Detections) and len(dets) == 0
+        assert dets.boxes.shape == (0, 4) and dets.images == (7,)
