@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import _bounded, _fields
+
 
 @dataclass(frozen=True)
 class LevelSpec:
@@ -19,6 +21,7 @@ class LevelSpec:
 
     An anchor with scale ``s`` and aspect ratio ``r`` has width ``s * sqrt(r)``
     and height ``s / sqrt(r)``, so its area is ``s**2`` for every ratio.
+    Checks its number fields.
     """
 
     stride: int
@@ -26,18 +29,10 @@ class LevelSpec:
     aspect_ratios: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
-        object.__setattr__(
-            self, "aspect_ratios", tuple(float(r) for r in self.aspect_ratios)
-        )
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
-        if not self.scales or any(s <= 0 for s in self.scales):
-            raise ValueError(f"scales must be non-empty and positive, got {self.scales}")
-        if not self.aspect_ratios or any(r <= 0 for r in self.aspect_ratios):
-            raise ValueError(
-                f"aspect ratios must be non-empty and positive, got {self.aspect_ratios}"
-            )
+        _fields(self, stride=_bounded(int, 1), scales=(float,), aspect_ratios=(float,))
+        for name, values in (("scales", self.scales), ("aspect ratios", self.aspect_ratios)):
+            if not values or min(values) <= 0:
+                raise ValueError(f"{name} must be non-empty and positive, got {values}")
 
 
 # Compact stand-in for an SSD/RFBNet-style layout on a 320x320 input; any
@@ -51,18 +46,16 @@ DEFAULT_LEVELS = (
 
 @dataclass(frozen=True)
 class AnchorGridSpec:
-    """Image resolution plus the ordered list of detection levels."""
+    """Image resolution plus the ordered list of detection levels; checks its number fields."""
 
     image_width: int = 320
     image_height: int = 320
     levels: tuple[LevelSpec, ...] = DEFAULT_LEVELS
 
     def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
+        _fields(self, image_width=_bounded(int, 1), image_height=_bounded(int, 1), levels=tuple)
         if not self.levels:
             raise ValueError("at least one level is required")
-        if self.image_width < 1 or self.image_height < 1:
-            raise ValueError("image dimensions must be positive")
         for level in self.levels:
             if self.image_width % level.stride or self.image_height % level.stride:
                 raise ValueError(
@@ -114,7 +107,8 @@ def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
     arrays, offsets, start = [], [], 0
     for level in spec.levels:
         cx, cy = _level_centers(spec, level)
-        shapes = [(s, math.sqrt(r)) for s in level.scales for r in level.aspect_ratios]
+        # float64 shapes from any scale a level keeps (a numpy float32 one too)
+        shapes = [(float(s), math.sqrt(r)) for s in level.scales for r in level.aspect_ratios]
         w = np.asarray([s * root for s, root in shapes])
         h = np.asarray([s / root for s, root in shapes])
         # broadcast to (rows, cols, shapes); C-order reshape keeps the

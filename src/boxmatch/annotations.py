@@ -9,14 +9,13 @@ Detection files are a flat array of {image_id, category_id, bbox, score}.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from .evaluation import Detections, _image_index
-from .geometry import Box
+from .geometry import Box, _integer, _number
 from .simulator import Scene
 
 
@@ -43,28 +42,11 @@ def _image_id(value):
     return value
 
 
-def _integer(value) -> int:
-    """A JSON integer, or a float with an integral value, that fits in 64
-    bits (the class id arrays are int64), as an int."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or not -2**63 <= value < 2**63:
-        raise ValueError(f"must be a 64-bit integer, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    """A finite JSON number, integer or float, as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
-
-
 def _corners(bbox) -> tuple[float, float, float, float]:
     """(x, y, x + width, y + height) of a bbox [x, y, width, height]."""
     if not isinstance(bbox, (list, tuple)) or len(bbox) != 4:
         raise ValueError(f"must be [x, y, width, height], got {bbox!r}")
-    x, y, w, h = (_number(v) for v in bbox)
+    x, y, w, h = (float(_number(v)) for v in bbox)
     if not (x + w > x and y + h > y):
         raise ValueError(f"width and height must be positive, got {bbox!r}")
     return x, y, x + w, y + h
@@ -133,7 +115,7 @@ def load_detections(path, known_image_ids) -> Detections:
         where = f"{path}: detections[{k}]"
         image_ids.append(_require(record, "image_id", where, _image_id))
         boxes.append(_require(record, "bbox", where, _corners))
-        score = _require(record, "score", where, _number)
+        score = float(_require(record, "score", where, _number))
         if not 0.0 <= score <= 1.0:
             raise AnnotationError(f"{where}: score must lie in [0, 1], got {score}")
         scores.append(score)

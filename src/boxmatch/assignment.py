@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import IoUMatrix, _row_best, _unit_interval
+from .geometry import IoUMatrix, _fields, _row_best, _unit_interval
 
 NEGATIVE = -1
 IGNORED = -2
@@ -37,6 +37,7 @@ class MatchingConfig:
     """Thresholds for the static strategy and the amplification exponent.
 
     ``t_pos == t_neg`` is allowed and collapses the ignored band to nothing.
+    Checks its number fields.
     """
 
     t_pos: float = 0.5
@@ -44,11 +45,12 @@ class MatchingConfig:
     sigma: float = 2.0
 
     def __post_init__(self):
+        _check_sigma(self.sigma)
+        _fields(self, t_pos=float, t_neg=float, sigma=float)
         if not (0.0 <= self.t_neg <= self.t_pos <= 1.0):
             raise ValueError(
                 f"need 0 <= t_neg <= t_pos <= 1, got t_pos={self.t_pos}, t_neg={self.t_neg}"
             )
-        _check_sigma(self.sigma)
 
 
 @dataclass
@@ -123,9 +125,11 @@ def _checked(*matrices: MatrixLike, shape: Optional[tuple] = None) -> list[np.nd
 
 
 def _check_sigma(sigma) -> None:
-    """Reject an exponent ``sigma`` (a scalar or an array) that is not > 1 everywhere."""
-    above = np.greater(sigma, 1.0)  # NaN is not above 1
-    if np.size(above) == 0 or not np.all(above):
+    """Reject an exponent ``sigma`` (a scalar or an array) that is not a finite
+    number > 1 everywhere: an infinite one would make every amplified overlap NaN."""
+    values = np.asarray(sigma)
+    number = values.dtype.kind in "iuf" and values.size  # a string or boolean is no number
+    if not (number and ((1.0 < values) & (values < np.inf)).all()):  # NaN fails both
         raise ValueError(f"sigma must be > 1, got {sigma}")
 
 

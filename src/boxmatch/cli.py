@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -18,19 +19,11 @@ from typing import Optional
 import numpy as np
 
 from .anchors import AnchorGridSpec, LevelSpec, PointSet, generate_anchors, generate_points
-from .annotations import (
-    AnnotationError,
-    _integer,
-    _number,
-    _read_json,
-    _require,
-    load_annotations,
-    load_detections,
-)
+from .annotations import AnnotationError, _read_json, load_annotations, load_detections
 from .assignment import GUIDED_TASKS, MatchingConfig, _guide, _static
 from .evaluation import average_precision
 from .fcos import POINT_STRATEGIES, _original
-from .geometry import boxes_to_array, pairwise_iou
+from .geometry import _bounded, _fields, boxes_to_array, pairwise_iou
 from .render import STRATEGY_COLORS, render_assignment_svg
 from .simulator import (
     Scene,
@@ -51,7 +44,7 @@ class CliError(Exception):
 @dataclass
 class RunConfig:
     """The library configs a run is built from, plus the two settings that
-    only the CLI has."""
+    only the CLI has; checks its number fields."""
 
     grid: AnchorGridSpec
     matching: MatchingConfig
@@ -60,59 +53,45 @@ class RunConfig:
     num_scenes: int = 1
     assign_progress: float = 0.5
 
-
-def _read_config(path: Optional[str]) -> dict:
-    return {} if path is None else _read_json(path, dict, "a JSON object at the top level")
-
-
-def _each(cast):
-    return lambda values: tuple(map(cast, values))
+    def __post_init__(self):
+        _fields(self, num_scenes=_bounded(int, 1), assign_progress=_bounded(float, 0, 1))
 
 
-# Each config section's number fields ("config" is the top level) and their
-# annotation rule; SceneSpec checks ``max_pairwise_iou``, which may be null.
-_NUMBERS = {
-    "image": dict(width=_integer, height=_integer),
-    "levels": dict(stride=_integer, scales=_each(_number), aspect_ratios=_each(_number)),
-    "matching": dict(t_pos=_number, t_neg=_number, sigma=_number),
-    "scene": dict(count_range=_each(_integer), size_range=_each(_number), num_classes=_integer),
-    "trajectory": dict(steps=_integer, noise=_number, misalignment_fraction=_number),
-    "config": dict(num_scenes=_integer, assign_progress=_number),
-}
-
-
-def _coerced(section: dict, name: str) -> dict:
-    """``section`` with its number fields read by ``_require``, naming ``name``."""
-    casts = _NUMBERS[name]
-    return {key: _require(section, key, name, casts.get(key, lambda v: v)) for key in section}
+@contextmanager
+def _section(name: str):
+    """Report an error in the block as an invalid config section ``name``."""
+    try:
+        yield
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CliError(f"invalid configuration: {name}: {exc}") from exc
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
     """Apply each ``--config`` section on top of its library type's defaults.
 
-    A key the type does not have is rejected, and so is an unknown top-level
-    key. A number field takes no string, boolean or non-finite value, and an
-    integer field no fraction.
+    The types check the values; an error names its section. A key the type
+    does not have is rejected, and so is an unknown top-level key.
     """
-    raw = _read_config(args.config)
-    try:
-        image = {f"image_{k}": v for k, v in _coerced(raw.pop("image", {}), "image").items()}
+    raw = {}
+    if args.config is not None:
+        raw = _read_json(args.config, dict, "a JSON object at the top level")
+    levels = {}
+    with _section("levels"):
         if "levels" in raw:
-            image["levels"] = [LevelSpec(**_coerced(lv, "levels")) for lv in raw.pop("levels")]
-        grid = AnchorGridSpec(**image)
-        matching = _coerced(raw.pop("matching", {}), "matching")
-        if args.sigma is not None:
-            matching["sigma"] = args.sigma
-        scene = _coerced(raw.pop("scene", {}), "scene")
-        cfg = RunConfig(
-            grid=grid,
-            matching=MatchingConfig(**matching),
-            scene_spec=SceneSpec(grid.image_width, grid.image_height, seed=args.seed, **scene),
-            trajectory=TrajectoryConfig(**_coerced(raw.pop("trajectory", {}), "trajectory")),
-            **_coerced(raw, "config"),
-        )
-    except (AnnotationError, AttributeError, TypeError, ValueError) as exc:
-        raise CliError(f"invalid configuration: {exc}") from exc
+            levels["levels"] = [LevelSpec(**level) for level in raw.pop("levels")]
+    with _section("image"):
+        image = {f"image_{key}": value for key, value in raw.pop("image", {}).items()}
+        grid = AnchorGridSpec(**image, **levels)
+    with _section("matching"):
+        sigma = {} if args.sigma is None else {"sigma": args.sigma}
+        matching = MatchingConfig(**{**raw.pop("matching", {}), **sigma})
+    with _section("scene"):
+        size = grid.image_width, grid.image_height
+        scene = SceneSpec(*size, seed=args.seed, **raw.pop("scene", {}))
+    with _section("trajectory"):
+        trajectory = TrajectoryConfig(**raw.pop("trajectory", {}))
+    with _section("config"):
+        cfg = RunConfig(grid, matching, scene, trajectory, **raw)
 
     if args.annotations and args.synthetic:
         raise CliError("choose exactly one input source: --annotations or --synthetic")
@@ -162,10 +141,7 @@ def _load_scenes(args: argparse.Namespace, cfg: RunConfig) -> list[tuple[object,
         images = [(f"scene-{k:04d}", synth_scene(spec)) for k, spec in enumerate(specs)]
     else:
         raise CliError("choose an input source: --annotations <path> or --synthetic")
-    scenes = [(image_id, scene, args.seed + k) for k, (image_id, scene) in enumerate(images)]
-    if not scenes:
-        raise CliError("no usable scenes in the input source")
-    return scenes
+    return [(image_id, scene, args.seed + k) for k, (image_id, scene) in enumerate(images)]
 
 
 def _diff_payload(image_id: object, strategy: str, name: str, baseline, dynamic, m: int) -> dict:

@@ -1,4 +1,5 @@
-"""Axis-aligned box arithmetic: areas, IoU, and batched IoU matrices.
+"""Axis-aligned box arithmetic: areas, IoU, and batched IoU matrices; and
+the number rule that every config type checks its fields with.
 
 Boxes are (x_min, y_min, x_max, y_max) in continuous pixel coordinates with
 area (x_max - x_min) * (y_max - y_min). Degenerate boxes are rejected at
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -140,6 +142,52 @@ def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError(f"{what} must be finite and lie in [0, 1]")
     return arr
+
+
+def _integral(value) -> int:
+    """A 64-bit integer as an int; numpy integers count, booleans do not."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or not -2**63 <= value < 2**63:
+        raise ValueError(f"must be a 64-bit integer, got {value!r}")
+    return int(value)
+
+
+def _integer(value) -> int:
+    """``_integral``, which also takes an integral float such as ``320.0``."""
+    return _integral(int(value) if isinstance(value, float) and value.is_integer() else value)
+
+
+def _number(value):
+    """``value`` once it is a finite real number; numpy scalars count, booleans do not."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return value
+
+
+_RULES = {int: _integer, float: _number}
+
+
+def _bounded(kind, low, high=math.inf):
+    """The rule of ``kind`` (``int`` or ``float``) for a value in [low, high]."""
+    def rule(value):
+        value = _RULES[kind](value)
+        if not low <= value <= high:
+            raise ValueError(f"must lie in [{low}, {high}], got {value!r}")
+        return value
+    return rule
+
+
+def _fields(obj, **kinds) -> None:
+    """Store each named field of the dataclass ``obj`` checked by its kind: ``int``,
+    ``float`` or another rule, whose result is stored, or ``(kind,)`` for a tuple
+    of such items. A refused value is a ValueError naming the field."""
+    for name, kind in kinds.items():
+        each = isinstance(kind, tuple)
+        rule = _RULES.get(kind[0], kind[0]) if each else _RULES.get(kind, kind)
+        try:
+            value = getattr(obj, name)
+            object.__setattr__(obj, name, tuple(map(rule, value)) if each else rule(value))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"bad field {name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)

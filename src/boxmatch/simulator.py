@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from numbers import Integral, Real
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -23,7 +22,7 @@ from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
-from .geometry import _best_overlap, _row_best
+from .geometry import _best_overlap, _bounded, _fields, _integral, _row_best
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -45,7 +44,8 @@ _SCORE_THRESHOLD = 0.05
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parameters for random scene synthesis; fully determined by the seed."""
+    """Parameters for random scene synthesis, fully determined by the seed;
+    checks its number fields."""
 
     image_width: int = 320
     image_height: int = 320
@@ -56,6 +56,8 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
+        _fields(self, image_width=int, image_height=int, num_classes=_bounded(int, 1))
+        _fields(self, count_range=(int,), size_range=(float,))
         lo, hi = self.count_range
         if not (1 <= lo <= hi):
             raise ValueError(f"bad count range {self.count_range}")
@@ -67,12 +69,8 @@ class SceneSpec:
                 f"object size {smax} does not fit a "
                 f"{self.image_width}x{self.image_height} image"
             )
-        if self.num_classes < 1:
-            raise ValueError("need at least one class")
-        cap = self.max_pairwise_iou
-        number = isinstance(cap, Real) and not isinstance(cap, bool)
-        if cap is not None and not (number and 0 <= cap <= 1):
-            raise ValueError(f"max_pairwise_iou must be None or a number in [0, 1], got {cap!r}")
+        if self.max_pairwise_iou is not None:
+            _fields(self, max_pairwise_iou=_bounded(float, 0, 1))
 
 
 @dataclass
@@ -87,13 +85,14 @@ class Scene:
     def __post_init__(self):
         if len(self.class_ids) != len(self.boxes):
             raise ValueError(f"class_ids has length {len(self.class_ids)}, boxes {len(self.boxes)}")
-        if not all(isinstance(c, Integral) and not isinstance(c, bool) for c in self.class_ids):
-            raise ValueError(f"class_ids must be integers, got {self.class_ids!r}")
+        # an id is a label, not a size: unlike a config count, 1.0 is no class id
+        _fields(self, class_ids=(_integral,))
 
 
 @dataclass(frozen=True)
 class TrajectoryConfig:
-    """How localization quality, scores and noise evolve with progress t."""
+    """How localization quality, scores and noise evolve with progress t;
+    checks its number fields."""
 
     steps: int = 10
     localization_gain: str = "linear"
@@ -102,17 +101,13 @@ class TrajectoryConfig:
     misalignment_fraction: float = 0.0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        _fields(self, steps=_bounded(int, 1), noise=_bounded(float, 0))
+        _fields(self, misalignment_fraction=_bounded(float, 0, 1))
         for name in (self.localization_gain, self.score_gain):
             if name not in GAIN_CURVES:
                 raise ValueError(
                     f"unknown gain curve {name!r}; choose from {sorted(GAIN_CURVES)}"
                 )
-        if self.noise < 0:
-            raise ValueError("noise amplitude must be >= 0")
-        if not 0.0 <= self.misalignment_fraction <= 1.0:
-            raise ValueError("misalignment fraction must lie in [0, 1]")
 
 
 @dataclass

@@ -66,6 +66,13 @@ class TestGenerateAnchors:
         assert np.array_equal(a.array, b.array)
         assert a.level_offsets == b.level_offsets
 
+    def test_numpy_scalar_shapes_give_the_float_anchors(self):
+        # a level keeps its numbers as given; the anchors are float64 all the same
+        level = LevelSpec(np.int64(8), (np.float32(16.0), 24), (np.float32(2.0), 1))
+        expected = LevelSpec(8, (16.0, 24.0), (2.0, 1.0))
+        anchors = generate_anchors(AnchorGridSpec(32, 32, (level,))).array
+        assert np.array_equal(anchors, generate_anchors(AnchorGridSpec(32, 32, (expected,))).array)
+
     def test_level_offsets_partition(self):
         aset = generate_anchors(AnchorGridSpec())
         assert aset.level_offsets[0][0] == 0

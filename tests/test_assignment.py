@@ -124,7 +124,7 @@ def test_invalid_matrix_values_rejected(call):
 POINTS = generate_points(AnchorGridSpec(32, 32, (LevelSpec(8, (16.0,)),)))
 
 
-@pytest.mark.parametrize("sigma", [1.0, 0.5, NAN, [2.0, 1.0]])
+@pytest.mark.parametrize("sigma", [1.0, 0.5, NAN, [2.0, 1.0], float("inf")])
 @pytest.mark.parametrize(
     "call",
     [

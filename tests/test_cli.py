@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxmatch import cli, simulator
-from boxmatch.anchors import AnchorGridSpec, generate_anchors, generate_points
+from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.annotations import AnnotationError, load_annotations, load_detections
 from boxmatch.assignment import MatchingConfig
 from boxmatch.cli import (
@@ -566,10 +566,11 @@ class TestRunConfig:
     def test_sigma_flag_is_checked_with_the_matching_section(self, tmp_path, capsys):
         argv = ["assign", "--synthetic", "--sigma", "1", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert "invalid configuration: sigma must be > 1, got 1.0" in capsys.readouterr().err
+        assert "invalid configuration: matching: sigma must be > 1, got 1.0" in capsys.readouterr().err
 
 
-# name -> a config whose one value breaks the number rule or its field's range
+# name -> a config whose one section breaks the number rule, a field's range or the
+# section's own shape (a top-level key is checked by RunConfig, section "config")
 INVALID_CONFIGS = {
     "fractional-width": {"image": {"width": 320.9}},
     "bool-width": {"image": {"width": True}},
@@ -589,7 +590,16 @@ INVALID_CONFIGS = {
     "nan-progress": {"assign_progress": float("nan")},
     "string-overlap-cap": {"scene": {"max_pairwise_iou": "0.2", "count_range": [3, 3]}},
     "overlap-cap-above-one": {"scene": {"max_pairwise_iou": 1.5}},
+    "string-aspect-ratio": {"levels": [{"stride": 8, "scales": [32], "aspect_ratios": ["1"]}]},
+    "nan-noise": {"trajectory": {"noise": float("nan")}},
+    "inf-sigma": {"matching": {"sigma": float("inf")}},
+    "progress-above-one": {"assign_progress": 7},
+    "zero-num-scenes": {"num_scenes": 0},
+    "scene-not-an-object": {"scene": 5},
+    "levels-not-a-list": {"levels": 5},
+    "level-not-an-object": {"levels": [5]},
 }
+SECTIONS = {"image", "levels", "matching", "scene", "trajectory"}
 
 
 @pytest.mark.parametrize("config", INVALID_CONFIGS.values(), ids=INVALID_CONFIGS)
@@ -598,7 +608,54 @@ def test_invalid_configs_are_rejected(config, command, tmp_path, capsys):
     argv = [command, "--synthetic", "--config", write_json(tmp_path / "c.json", config),
             "--out", str(tmp_path / "out")]
     assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: invalid configuration: ")
+    (key,) = config
+    section = key if key in SECTIONS else "config"  # a top-level key
+    assert capsys.readouterr().err.startswith(f"error: invalid configuration: {section}: ")
+    assert not (tmp_path / "out").exists()
+
+
+def build_from_config(config):
+    """The library type of the one section of ``config``, built straight from it."""
+    (key, section), = config.items()
+    if key == "image":
+        return AnchorGridSpec(**{f"image_{name}": value for name, value in section.items()})
+    if key == "levels":
+        return [LevelSpec(**level) for level in section]
+    types = {"matching": MatchingConfig, "scene": SceneSpec, "trajectory": TrajectoryConfig}
+    if key in types:
+        return types[key](**section)
+    return RunConfig(AnchorGridSpec(), MatchingConfig(), SceneSpec(), TrajectoryConfig(), **config)
+
+
+def field_names(config):
+    """The field names a config's one section sets; None for a section that
+    is not an object (or a list of objects, for levels)."""
+    (key, section), = config.items()
+    if key not in SECTIONS:
+        return list(config)
+    if key == "levels" and isinstance(section, list) and all(isinstance(s, dict) for s in section):
+        return [name for level in section for name in level]
+    return list(section) if isinstance(section, dict) else None
+
+
+FIELD_CONFIGS = {name: c for name, c in INVALID_CONFIGS.items() if field_names(c)}
+
+
+@pytest.mark.parametrize("config", FIELD_CONFIGS.values(), ids=FIELD_CONFIGS)
+def test_library_types_reject_the_invalid_configs(config):
+    # the library rejects a value with the same rule as the CLI, and names the field
+    with pytest.raises((ValueError, TypeError)) as error:
+        build_from_config(config)
+    assert any(name in str(error.value) for name in field_names(config))
+
+
+def test_library_number_fields_take_numpy_scalars_and_integral_floats():
+    grid = AnchorGridSpec(image_width=320.0, image_height=np.int64(160))
+    assert (grid.image_width, grid.image_height) == (320, 160)
+    assert type(grid.image_width) is type(grid.image_height) is int
+    threshold = np.float32(0.6)
+    assert MatchingConfig(t_pos=threshold).t_pos is threshold
+    assert TrajectoryConfig(steps=np.int32(3)).steps == 3
 
 
 class TestSimulateCommand:
