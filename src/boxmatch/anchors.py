@@ -35,6 +35,14 @@ class LevelSpec:
                 raise ValueError(f"{name} must be non-empty and positive, got {values}")
 
 
+def _levels(value) -> tuple:
+    """``value`` as a tuple once it holds at least one LevelSpec and nothing else."""
+    levels = tuple(value)
+    if not levels or not all(isinstance(level, LevelSpec) for level in levels):
+        raise ValueError(f"must be a non-empty sequence of LevelSpec, got {value!r}")
+    return levels
+
+
 # Compact stand-in for an SSD/RFBNet-style layout on a 320x320 input; any
 # other layout can be supplied through AnchorGridSpec.
 DEFAULT_LEVELS = (
@@ -53,9 +61,7 @@ class AnchorGridSpec:
     levels: tuple[LevelSpec, ...] = DEFAULT_LEVELS
 
     def __post_init__(self):
-        _fields(self, image_width=_bounded(int, 1), image_height=_bounded(int, 1), levels=tuple)
-        if not self.levels:
-            raise ValueError("at least one level is required")
+        _fields(self, image_width=_bounded(int, 1), image_height=_bounded(int, 1), levels=_levels)
         for level in self.levels:
             if self.image_width % level.stride or self.image_height % level.stride:
                 raise ValueError(

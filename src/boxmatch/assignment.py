@@ -24,12 +24,12 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import IoUMatrix, _fields, _row_best, _unit_interval
+from .geometry import _fields, _row_best, _unit_interval
 
 NEGATIVE = -1
 IGNORED = -2
 
-MatrixLike = Union[IoUMatrix, np.ndarray, Sequence[Sequence[float]]]
+MatrixLike = Union[np.ndarray, Sequence[Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -100,15 +100,10 @@ class DynamicLabels:
 
 
 def matrix_values(matrix: MatrixLike) -> np.ndarray:
-    """The one checked entry for overlap and score matrices.
-
-    Unwraps an IoUMatrix or coerces an array-like to a 2-D float64 array, and
-    rejects non-finite values and values outside [0, 1] with ValueError.
-    """
-    if isinstance(matrix, IoUMatrix):
-        arr = matrix.values
-    else:
-        arr = np.asarray(matrix, dtype=np.float64)
+    """The one checked entry for overlap and score matrices: a 2-D array-like,
+    such as a ``pairwise_iou`` result, as a float64 array once every value is
+    finite and in [0, 1]; ValueError otherwise."""
+    arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got shape {arr.shape}")
     return _unit_interval(arr, "matrix values")

@@ -1,5 +1,5 @@
-"""Axis-aligned box arithmetic: areas, IoU, and batched IoU matrices; and
-the number rule that every config type checks its fields with.
+"""Axis-aligned box arithmetic: areas, IoU and the pairwise IoU matrix, a plain
+(n, m) array; and the number rule that every config type checks its fields with.
 
 Boxes are (x_min, y_min, x_max, y_max) in continuous pixel coordinates with
 area (x_max - x_min) * (y_max - y_min). Degenerate boxes are rejected at
@@ -176,6 +176,16 @@ def _bounded(kind, low, high=math.inf):
     return rule
 
 
+def _span(kind):
+    """The rule of ``kind`` for a (low, high) pair with 0 < low <= high."""
+    def rule(value):
+        low, high = map(_RULES[kind], value)
+        if not 0 < low <= high:
+            raise ValueError(f"must be a pair with 0 < low <= high, got {value!r}")
+        return low, high
+    return rule
+
+
 def _fields(obj, **kinds) -> None:
     """Store each named field of the dataclass ``obj`` checked by its kind: ``int``,
     ``float`` or another rule, whose result is stored, or ``(kind,)`` for a tuple
@@ -188,40 +198,3 @@ def _fields(obj, **kinds) -> None:
             object.__setattr__(obj, name, tuple(map(rule, value)) if each else rule(value))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad field {name!r}: {exc}") from exc
-
-
-@dataclass(frozen=True)
-class IoUMatrix:
-    """Unit-interval overlap values, rows = anchors/points, cols = objects."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.values, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"IoU matrix must be 2-dimensional, got shape {arr.shape}")
-        object.__setattr__(self, "values", _unit_interval(arr, "IoU matrix values"))
-
-    @property
-    def row_count(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def col_count(self) -> int:
-        return self.values.shape[1]
-
-
-def iou_matrix(anchors: BoxesLike, objects: BoxesLike) -> IoUMatrix:
-    """Pairwise IoU between anchors and ground-truth objects.
-
-    Entry (i, j) equals ``iou(anchors[i], objects[j])``; ordering follows the
-    input order. Raises ValueError on an empty anchor or object list.
-    """
-    a = _as_box_array(anchors)
-    b = _as_box_array(objects)
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValueError(
-            f"degenerate scene: need at least one anchor and one object, "
-            f"got {a.shape[0]} anchors and {b.shape[0]} objects"
-        )
-    return IoUMatrix(pairwise_iou(a, b))

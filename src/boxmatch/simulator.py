@@ -22,7 +22,7 @@ from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
-from .geometry import _best_overlap, _bounded, _fields, _integral, _row_best
+from .geometry import _best_overlap, _bounded, _fields, _integral, _row_best, _span
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -57,16 +57,10 @@ class SceneSpec:
 
     def __post_init__(self):
         _fields(self, image_width=int, image_height=int, num_classes=_bounded(int, 1))
-        _fields(self, count_range=(int,), size_range=(float,))
-        lo, hi = self.count_range
-        if not (1 <= lo <= hi):
-            raise ValueError(f"bad count range {self.count_range}")
-        smin, smax = self.size_range
-        if not (0 < smin <= smax):
-            raise ValueError(f"bad size range {self.size_range}")
-        if smax > min(self.image_width, self.image_height):
+        _fields(self, count_range=_span(int), size_range=_span(float), seed=_bounded(int, 0))
+        if self.size_range[1] > min(self.image_width, self.image_height):
             raise ValueError(
-                f"object size {smax} does not fit a "
+                f"object size {self.size_range[1]} does not fit a "
                 f"{self.image_width}x{self.image_height} image"
             )
         if self.max_pairwise_iou is not None:

@@ -1,4 +1,5 @@
 import re
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,8 +21,8 @@ from boxmatch.assignment import (
     mutual_guidance_assign,
     static_assign,
 )
-from boxmatch.fcos import fcos_classify_to_localize
-from boxmatch.geometry import Box, IoUMatrix, boxes_to_array, pairwise_iou
+from boxmatch.fcos import fcos_classify_to_localize, fcos_localize_to_classify
+from boxmatch.geometry import Box, boxes_to_array, pairwise_iou
 from boxmatch.simulator import SceneSpec, synth_scene
 
 # 13 anchors A-M around one object: 6 above the positive threshold, 3 in the
@@ -109,12 +110,10 @@ NAN = float("nan")
         lambda: localize_to_classify(column([0.6, 0.3]), column([7.0, 0.2])),
         lambda: static_assign(column([0.6, -0.5])),
         lambda: static_assign(column([0.6, NAN])),
-        # IoUMatrix's own range check lets NaN through
-        lambda: static_assign(IoUMatrix(column([0.6, NAN]))),
         lambda: mutual_guidance_assign(column([0.6]), column([float("inf")]), column([0.0])),
     ],
     ids=["c2l-nan-score", "l2c-regressed-7", "static-negative", "static-nan",
-         "static-nan-ioumatrix", "mutual-inf-regressed"],
+         "mutual-inf-regressed"],
 )
 def test_invalid_matrix_values_rejected(call):
     with pytest.raises(ValueError, match="finite"):
@@ -139,6 +138,50 @@ POINTS = generate_points(AnchorGridSpec(32, 32, (LevelSpec(8, (16.0,)),)))
 def test_sigma_rejected_alike_everywhere(call, sigma):
     with pytest.raises(ValueError, match=re.escape(f"sigma must be > 1, got {sigma}")):
         call(sigma)
+
+
+POINT_OBJECTS = [Box(4, 4, 20, 20)]
+# each public function that takes matrices: (f(*matrices), matrix count, their shape)
+MATRIX_FUNCTIONS = {
+    "static_assign": (static_assign, 1, (3, 2)),
+    "localize_to_classify": (localize_to_classify, 2, (3, 2)),
+    "classify_to_localize": (classify_to_localize, 2, (3, 2)),
+    "mutual_guidance_assign": (mutual_guidance_assign, 3, (3, 2)),
+    "fcos_localize_to_classify": (
+        partial(fcos_localize_to_classify, POINTS, POINT_OBJECTS), 1, (len(POINTS), 1)
+    ),
+    "fcos_classify_to_localize": (
+        partial(fcos_classify_to_localize, POINTS, POINT_OBJECTS), 1, (len(POINTS), 1)
+    ),
+}
+# a malformed matrix, built from the well-formed shape, and the error it gets
+MALFORMED = {
+    "1d": (lambda shape: np.full(shape[0], 0.5), "expected a 2-D matrix"),
+    "3d": (lambda shape: np.full((*shape, 1), 0.5), "expected a 2-D matrix"),
+    "ragged": (lambda shape: [[0.5] * shape[1]] * (shape[0] - 1) + [[0.5] * (shape[1] + 1)],
+               "inhomogeneous"),
+    "extra-row": (lambda shape: np.full((shape[0] + 1, shape[1]), 0.5), "matrix shapes differ"),
+    "extra-column": (lambda shape: np.full((shape[0], shape[1] + 1), 0.5), "matrix shapes differ"),
+}
+MALFORMED_CASES = [
+    pytest.param(name, kind, at, id=f"{name}-{kind}-{at}")
+    for name, (_, count, _) in MATRIX_FUNCTIONS.items()
+    for kind in MALFORMED
+    for at in range(count)
+    # a shape mismatch needs a second matrix, or the (points, objects) shape
+    if name != "static_assign" or MALFORMED[kind][1] != "matrix shapes differ"
+]
+
+
+@pytest.mark.parametrize("name, kind, at", MALFORMED_CASES)
+def test_malformed_matrices_rejected(name, kind, at):
+    # every matrix reaches the one checked entry, which takes a 2-D array-like of one shape
+    call, count, shape = MATRIX_FUNCTIONS[name]
+    make, message = MALFORMED[kind]
+    matrices = [np.full(shape, 0.5)] * count
+    matrices[at] = make(shape)
+    with pytest.raises(ValueError, match=message):
+        call(*matrices)
 
 
 EMPTY = np.zeros((6, 0))  # an image without objects

@@ -598,6 +598,7 @@ INVALID_CONFIGS = {
     "scene-not-an-object": {"scene": 5},
     "levels-not-a-list": {"levels": 5},
     "level-not-an-object": {"levels": [5]},
+    "three-value-count": {"scene": {"count_range": [1, 2, 3]}},
 }
 SECTIONS = {"image", "levels", "matching", "scene", "trajectory"}
 
@@ -656,6 +657,43 @@ def test_library_number_fields_take_numpy_scalars_and_integral_floats():
     threshold = np.float32(0.6)
     assert MatchingConfig(t_pos=threshold).t_pos is threshold
     assert TrajectoryConfig(steps=np.int32(3)).steps == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["assign", "--synthetic", "--strategy", "static"],
+        ["assign", "--annotations", "gt.json", "--strategy", "static"],
+        ["simulate", "--synthetic"],
+        ["evaluate", "--annotations", "gt.json", "--detections", "dets.json"],
+    ],
+    ids=["assign-synthetic", "assign-annotations", "simulate", "evaluate"],
+)
+def test_negative_seed_is_rejected_before_any_output(argv, tmp_path, capsys, monkeypatch):
+    # every command builds its scene config from --seed, even one that draws no numbers
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "gt.json", {"images": [{"id": 1, "width": 320, "height": 320}]})
+    write_json(tmp_path / "dets.json", [])
+    assert main(argv + ["--seed", "-1", "--out", "out"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid configuration: scene: bad field 'seed': ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: SceneSpec(seed=-1), "seed"),
+        (lambda: SceneSpec(size_range=(32.0, 64.0, 96.0)), "size_range"),
+        (lambda: SceneSpec(count_range=(1,)), "count_range"),
+        (lambda: AnchorGridSpec(levels=(5,)), "levels"),
+        (lambda: AnchorGridSpec(levels=()), "levels"),
+    ],
+    ids=["negative-seed", "three-value-size", "one-value-count", "int-level", "no-level"],
+)
+def test_library_config_shapes_name_their_field(build, field):
+    with pytest.raises(ValueError, match=f"^bad field '{field}': "):
+        build()
 
 
 class TestSimulateCommand:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from boxmatch.geometry import Box, IoUMatrix, area, boxes_to_array, iou, iou_matrix
+from boxmatch.assignment import matrix_values
+from boxmatch.geometry import Box, area, boxes_to_array, iou, pairwise_iou
 from oracles import rasterized_iou
 
 
@@ -78,16 +79,19 @@ class TestIou:
 
 
 class TestIouMatrix:
+    """The IoU matrix is the plain array ``pairwise_iou`` returns; the
+    assignment layer checks it once, in ``matrix_values``."""
+
     def test_identical_single(self):
         box = Box(0, 0, 4, 4)
-        m = iou_matrix([box], [box])
-        assert m.values.tolist() == [[1.0]]
-        assert (m.row_count, m.col_count) == (1, 1)
+        m = pairwise_iou([box], [box])
+        assert m.tolist() == [[1.0]]
+        assert m.shape == (1, 1)
 
     def test_disjoint_column(self):
         anchors = [Box(0, 0, 2, 2), Box(30, 30, 32, 32)]
-        m = iou_matrix(anchors, [Box(10, 10, 14, 14)])
-        assert m.values.tolist() == [[0.0], [0.0]]
+        m = pairwise_iou(anchors, [Box(10, 10, 14, 14)])
+        assert m.tolist() == [[0.0], [0.0]]
 
     def test_entrywise_oracle(self):
         rng = np.random.default_rng(5)
@@ -100,29 +104,23 @@ class TestIouMatrix:
             for _ in range(2):
                 x, y = rng.integers(0, 30, 2)
                 objects.append(Box(x, y, x + rng.integers(1, 20), y + rng.integers(1, 20)))
-            m = iou_matrix(anchors, objects)
+            m = pairwise_iou(anchors, objects)
             for i, a in enumerate(anchors):
                 for j, b in enumerate(objects):
-                    assert m.values[i, j] == pytest.approx(iou(a, b), abs=1e-12)
+                    assert m[i, j] == pytest.approx(iou(a, b), abs=1e-12)
 
     def test_accepts_arrays(self):
         arr = boxes_to_array([Box(0, 0, 10, 10)])
-        m = iou_matrix(arr, arr)
-        assert m.values[0, 0] == 1.0
-
-    def test_empty_inputs_rejected(self):
-        with pytest.raises(ValueError, match="degenerate"):
-            iou_matrix([], [Box(0, 0, 1, 1)])
-        with pytest.raises(ValueError, match="degenerate"):
-            iou_matrix([Box(0, 0, 1, 1)], [])
+        m = pairwise_iou(arr, arr)
+        assert m[0, 0] == 1.0
 
     def test_values_validated(self):
-        with pytest.raises(ValueError):
-            IoUMatrix(np.array([[1.5]]))
-        with pytest.raises(ValueError):
-            IoUMatrix(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="lie in"):
+            matrix_values(np.array([[1.5]]))
+        with pytest.raises(ValueError, match="2-D"):
+            matrix_values(np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
-            IoUMatrix([[0.5, value]])
+            matrix_values([[0.5, value]])
