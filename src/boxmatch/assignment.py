@@ -195,13 +195,10 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
     labels = np.where(best_iou >= cfg.t_pos, best_obj, below)
 
     warnings: list[str] = []
-    # a fallback only takes a non-positive anchor, so no other object's count moves
+    # the fallback is offered free anchors only, so no other object's count moves
     for j in np.flatnonzero(_positives(labels, m) == 0):
-        free = labels < 0  # never steal another object's positive
-        if free.any():  # highest overlap, ties and all-zero columns to the lower index
-            labels[np.argmax(np.where(free, values[:, j], -1.0))] = j
-        else:
-            warnings.append(f"object {j}: no anchor available for the positive fallback")
+        best_free = _ranking(values[:, j], np.flatnonzero(labels < 0), 1)
+        _rescue(labels, j, best_free, m, warnings, "anchor")
 
     n_pos = _positives(labels, m).tolist()
     n_ign = np.bincount(best_obj[labels == IGNORED], minlength=m).tolist()
@@ -221,17 +218,16 @@ def ranked_selection(
     For each object, anchors are ranked by its score column (descending, ties
     to the lower anchor index, so zeros rank last in index order) over the
     candidate pool; the first ``n_pos`` become positive claims and the next
-    ``n_ignored`` ignored claims. Positive beats ignored beats negative. An anchor claimed positive
-    by several objects goes to the highest-scoring claim (ties to the lower
-    object index); displaced claims are not refilled, except that an object
-    left with no positive at all takes its best-ranked anchor among those not
-    positive elsewhere.
+    ``n_ignored`` ignored claims. Positive beats ignored beats negative. An
+    anchor claimed positive by several objects goes to the highest-scoring
+    claim (ties to the lower object index). Displaced claims are not refilled,
+    except that an object left with no positive takes its best-ranked free
+    anchor, or else its best-ranked anchor whose owner keeps another positive.
     """
-    values = score_matrix
-    n, m = values.shape
-    columns = np.ascontiguousarray(values.T)  # one object's scores per row
+    n, m = score_matrix.shape
+    columns = np.ascontiguousarray(score_matrix.T)  # one object's scores per row
     pools = [None] * m if candidate_mask is None else list(map(np.flatnonzero, candidate_mask.T))
-    pos_claims = np.zeros((m, n), dtype=bool)
+    picks = [np.zeros(0, dtype=np.intp)]  # positive claims; an empty image has none
     ignored_any = np.zeros(n, dtype=bool)
     premerge: list[int] = []
     warnings: list[str] = []
@@ -246,15 +242,16 @@ def ranked_selection(
                 f"{n_pos[j]} positive + {n_ignored[j]} ignored; clamped"
             )
         top = _ranking(columns[j], pools[j], k_pos + k_ign)
-        pos_claims[j, top[:k_pos]] = True
+        picks.append(top[:k_pos])
         ignored_any[top[k_pos:]] = True
         premerge.append(k_pos)
 
-    claimed = np.flatnonzero(pos_claims.any(axis=0))
+    # the merge: claims sorted by sample, score (descending), object; the first wins
+    rows, owners = np.concatenate(picks), np.repeat(np.arange(m), premerge)
+    order = np.lexsort((owners, -columns[owners, rows], rows))
+    first = order[np.diff(rows[order], prepend=-1) != 0]
     labels = np.where(ignored_any, IGNORED, NEGATIVE)
-    if claimed.size:  # argmax rejects the (0, 0) claims of an image without objects
-        claims = np.where(pos_claims[:, claimed].T, values[claimed], -np.inf)
-        labels[claimed] = np.argmax(claims, axis=1)
+    labels[rows[first]] = owners[first]
 
     # an object displaced from every one of its picks keeps one positive; a
     # claim never empties another object, so one count serves the whole loop
@@ -282,7 +279,7 @@ def _ranking(column: np.ndarray, pool: Optional[np.ndarray] = None, k: Optional[
     if k is not None and k <= order.size:
         return order[:k]
     rest = np.flatnonzero(column <= 0) if pool is None else pool[column[pool] <= 0]
-    return np.concatenate([order, rest[np.argsort(-column[rest], kind="stable")]])[:k]
+    return np.concatenate([order, rest])[:k]  # checked scores: every rest score is 0
 
 
 def _claim_one(labels: np.ndarray, j: int, ranked: np.ndarray, n_objects: int) -> bool:
