@@ -9,9 +9,9 @@ box. It is the point baseline of the guidance engine in ``assignment``: its
 positive counts are the budgets, the in-box, level-matched points the pool,
 and centerness on the pool the quality that classify-to-localize amplifies.
 
-Every point fallback is ``assignment._claim_one``; an object no fallback can
-serve gets the warning "object j: no point available for the positive
-fallback". An image without objects is all NEGATIVE.
+Every point fallback goes through ``assignment._rescue``; an object no
+fallback can serve gets the warning "object j: no point available for the
+positive fallback". An image without objects is all NEGATIVE.
 """
 
 from __future__ import annotations

@@ -209,7 +209,7 @@ def synth_predictions(
     dampened = np.zeros(n, dtype=bool)
     if cfg.misalignment_fraction > 0.0:
         pool = np.flatnonzero(best_iou >= _INJECTION_IOU_FLOOR)
-        k = min(math.ceil(cfg.misalignment_fraction * pool.size), pool.size)
+        k = math.ceil(cfg.misalignment_fraction * pool.size)  # the fraction is at most 1
         if k:
             chosen = rng.choice(pool, size=k, replace=False)
             half = (k + 1) // 2
@@ -291,12 +291,11 @@ def _trajectories(
             raise ValueError(f"unknown strategy {strategy!r}; choose from {choices}")
     matching = matching or MatchingConfig()
     iou_anchor = pairwise_iou(anchor_set.array, boxes_to_array(scene.boxes))
-    ts = np.linspace(0.0, 1.0, cfg.steps) if cfg.steps > 1 else np.asarray([0.0])
     # iou_anchor does not depend on t: one IoU and one static pass serve every step
-    base = None if set(strategies) <= {"l2c-fixed"} else assignment._static(iou_anchor, matching)
+    base = assignment._static(iou_anchor, matching)
 
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
-    for t in ts:
+    for t in np.linspace(0.0, 1.0, cfg.steps):
         snapshot = synth_predictions(
             scene, anchor_set, cfg, float(t), seed=seed, _iou_anchor=iou_anchor
         )

@@ -159,7 +159,7 @@ MALFORMED = {
     "1d": (lambda shape: np.full(shape[0], 0.5), "expected a 2-D matrix"),
     "3d": (lambda shape: np.full((*shape, 1), 0.5), "expected a 2-D matrix"),
     "ragged": (lambda shape: [[0.5] * shape[1]] * (shape[0] - 1) + [[0.5] * (shape[1] + 1)],
-               "inhomogeneous"),
+               "expected a 2-D matrix"),
     "extra-row": (lambda shape: np.full((shape[0] + 1, shape[1]), 0.5), "matrix shapes differ"),
     "extra-column": (lambda shape: np.full((shape[0], shape[1] + 1), 0.5), "matrix shapes differ"),
 }
@@ -182,6 +182,11 @@ def test_malformed_matrices_rejected(name, kind, at):
     matrices[at] = make(shape)
     with pytest.raises(ValueError, match=message):
         call(*matrices)
+
+
+def test_static_assign_rejects_a_matrix_without_anchors():
+    with pytest.raises(ValueError, match="empty IoU matrix: no anchors"):
+        static_assign(np.zeros((0, 2)))
 
 
 EMPTY = np.zeros((6, 0))  # an image without objects

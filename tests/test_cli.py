@@ -174,6 +174,11 @@ MALFORMED = {
     "det-null-score": (ONE_IMAGE, [{**DETECTION, "score": None}], "detections[0]"),
     "det-not-object": (ONE_IMAGE, [7], "detections[0]"),
     "fractional-width": ({"images": [{**IMAGE, "width": 320.9}]}, None, "images[0]"),
+    "zero-width": ({"images": [{**IMAGE, "width": 0}]}, None, "images[0]"),
+    "negative-height": ({"images": [{**IMAGE, "height": -5}]}, None, "images[0]"),
+    "duplicate-image-id": ({"images": [IMAGE, IMAGE]}, None, "images[1]"),
+    "three-value-bbox": (one_annotation(bbox=[1, 1, 5]), None, "annotations[0]"),
+    "det-score-above-one": (ONE_IMAGE, [{**DETECTION, "score": 1.5}], "detections[0]"),
     "string-number-height": ({"images": [{**IMAGE, "height": "320"}]}, None, "images[0]"),
     "fractional-category": (one_annotation(category_id=1.7), None, "annotations[0]"),
     "bool-category": (one_annotation(category_id=True), None, "annotations[0]"),
@@ -227,6 +232,33 @@ def test_sections_that_are_not_arrays_are_named(annotations, section, command, t
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f'gt.json: "{section}" must be an array' in err
+
+
+@pytest.mark.parametrize("annotations", [{"images": []}, {}], ids=["empty", "absent"])
+def test_annotations_without_images_are_rejected(annotations, tmp_path, capsys):
+    path = write_json(tmp_path / "gt.json", annotations)
+    assert main(["assign", "--annotations", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {path}: no images\n"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["assign", "--annotations", "missing.json"], "annotation file does not exist: "),
+        (["evaluate", "--detections", "dets.json"], "evaluate requires --annotations"),
+        (["evaluate", "--annotations", "gt.json", "--detections", "dets.json"],
+         "annotation file contains no boxes to evaluate against"),
+    ],
+    ids=["missing-annotations", "evaluate-without-annotations", "evaluate-without-boxes"],
+)
+def test_unusable_inputs_are_refused_before_any_output(argv, error, tmp_path, capsys,
+                                                       monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "gt.json", ONE_IMAGE)  # an image, but no box
+    write_json(tmp_path / "dets.json", [])
+    assert main(argv + ["--out", "out"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {error}")
+    assert not (tmp_path / "out").exists()
 
 
 def test_integral_floats_load_as_integers(tmp_path):
@@ -599,6 +631,7 @@ INVALID_CONFIGS = {
     "levels-not-a-list": {"levels": 5},
     "level-not-an-object": {"levels": [5]},
     "three-value-count": {"scene": {"count_range": [1, 2, 3]}},
+    "reversed-count": {"scene": {"count_range": [3, 1]}},
 }
 SECTIONS = {"image", "levels", "matching", "scene", "trajectory"}
 
