@@ -274,3 +274,54 @@ def brute_force_fcos_original(points, boxes, radius=None):
         else:
             warnings.append(f"object {j}: no point available for the positive fallback")
     return labels, warnings
+
+
+def brute_force_guided(values, regressed, scores, sigma, l2c, c2l, t_pos=0.5, t_neg=0.4):
+    """Reference anchor strategy row by plain loops over nested lists: the
+    static baseline, then the guided tasks that ``l2c`` and ``c2l`` name, each
+    ranked by ``brute_force_ranked_selection`` and followed by the rescue of
+    every object the merge left without a positive from its static positives.
+
+    l2c ranks ``regressed`` with the static budgets (n_pos, n_ignored); c2l
+    ranks ``values ** ((sigma - score) / sigma)`` with (n_pos, 0). Returns the
+    dict (classification, localization, counts, warnings); a guided row keeps
+    only its tasks' warnings, l2c's first, like the library.
+    """
+    n, m = len(values), len(values[0])
+    if m == 0:  # an image without objects is all background
+        return {"classification": [-1] * n, "localization": [-1] * n, "counts": [],
+                "warnings": []}
+    static, warnings = brute_force_static_assign(values, t_pos, t_neg)
+    best = [max(range(m), key=lambda j: (row[j], -j)) for row in values]
+    n_pos = [static.count(j) for j in range(m)]
+    n_ign = [sum(static[i] == -2 and best[i] == j for i in range(n)) for j in range(m)]
+    tasks = []
+    if l2c:
+        tasks.append(brute_force_ranked_selection(regressed, n_pos, n_ign)[0])
+    if c2l:
+        # numpy's vectorised power may differ from Python's ** in the last
+        # bit, so the entries are raised by the routine the library uses
+        flat = [(v, (sigma - s) / sigma) for row, srow in zip(values, scores)
+                for v, s in zip(row, srow)]
+        raised = np.power([v for v, _ in flat], [e for _, e in flat]).tolist()
+        amplified = [raised[i * m:(i + 1) * m] for i in range(n)]
+        tasks.append(brute_force_ranked_selection(amplified, n_pos, [0] * m)[0])
+    if tasks:
+        warnings = []
+    for labels in tasks:
+        for j in [j for j in range(m) if j not in labels]:
+            original = [i for i in range(n) if static[i] == j]
+            free = [i for i in original if labels[i] < 0]
+            counts = [labels.count(k) for k in range(m)]
+            shared = [i for i in original if labels[i] >= 0 and counts[labels[i]] >= 2]
+            if free or shared:
+                labels[(free or shared)[0]] = j
+            else:
+                warnings.append(f"object {j}: no anchor available for the positive fallback")
+    localization = [-1 if label == -2 else label for label in static]
+    return {
+        "classification": tasks[0] if l2c else static,
+        "localization": tasks[-1] if c2l else localization,
+        "counts": list(zip(n_pos, n_ign)),
+        "warnings": warnings,
+    }

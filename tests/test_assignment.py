@@ -24,6 +24,7 @@ from boxmatch.assignment import (
 from boxmatch.fcos import fcos_classify_to_localize, fcos_localize_to_classify
 from boxmatch.geometry import Box, boxes_to_array, pairwise_iou
 from boxmatch.simulator import SceneSpec, synth_scene
+from oracles import brute_force_guided
 
 # 13 anchors A-M around one object: 6 above the positive threshold, 3 in the
 # ignored band, 4 below - the worked single-object example.
@@ -539,3 +540,73 @@ class TestStrategyTableProperties:
                 mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)
                 assert mapped.tolist() == getattr(result, task).tolist()
             assert permuted.per_object_counts == [result.per_object_counts[j] for j in perm]
+
+
+def guided_oracle(strategy, anchor, regressed, scores):
+    l2c, c2l = assignment.GUIDED_TASKS[strategy]
+    matrices = (m.tolist() for m in (anchor, regressed, scores))
+    return brute_force_guided(*matrices, MatchingConfig().sigma, l2c, c2l)
+
+
+def row_outputs(result):
+    return {
+        "classification": result.classification_labels.tolist(),
+        "localization": result.localization_labels.tolist(),
+        "counts": result.per_object_counts,
+        "warnings": result.warnings,
+    }
+
+
+@st.composite
+def start_of_training(draw):
+    """(iou_anchor, iou_regressed, classif_scores) at the start of training:
+    regressed overlap equals anchor overlap and every score is 0. Each anchor
+    overlaps at most one object at or above t_neg, and each object has an
+    anchor at or above t_pos, so no fallback runs."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(m, 10))
+    low = st.sampled_from([0.0, 0.0, 0.2, 0.39]) | st.floats(0, 0.39)
+    anchor = np.asarray(draw(st.lists(low, min_size=n * m, max_size=n * m))).reshape(n, m)
+    for i in range(n):
+        j = i if i < m else draw(st.integers(0, m - 1))
+        anchor[i, j] = draw(st.sampled_from([0.5, 0.7, 1.0]) if i < m else LATTICE)
+    anchor = anchor[draw(st.permutations(range(n)))]
+    return anchor, anchor.copy(), np.zeros((n, m))
+
+
+class TestGuidedOracle:
+    """Every anchor strategy row against ``brute_force_guided``: static
+    baseline, per-object ranking, merge and rescues, by plain loops."""
+
+    @given(strategy_inputs())
+    def test_every_row_matches_the_oracle(self, inputs):
+        for strategy, row in ANCHOR_STRATEGIES.items():
+            assert row_outputs(row(*inputs)[1]) == guided_oracle(strategy, *inputs)
+
+    @pytest.mark.parametrize("strategy", ["c2l", "mutual"])
+    def test_object_without_overlap_takes_a_zero_score_anchor(self, strategy):
+        # object 1 overlaps no anchor: the static fallback gives it anchor 1,
+        # the first free one, so its budget is 1 with no positive entry; its
+        # ranking is then the zero-score anchors in index order, and the merge
+        # leaves it the first of them that object 0 does not hold
+        anchor = np.asarray([[0.6, 0.0], [0.3, 0.0], [0.0, 0.0]])
+        scores = np.asarray([[0.9, 0.8], [0.1, 0.7], [0.0, 0.6]])
+        base, result = ANCHOR_STRATEGIES[strategy](anchor, anchor, scores)
+        assert base.per_object_counts == [(1, 0), (1, 0)]
+        assert result.localization_labels.tolist() == [0, 1, NEGATIVE]
+        assert row_outputs(result) == guided_oracle(strategy, anchor, anchor, scores)
+
+    def test_budget_beyond_the_positive_entries_takes_zeros_in_index_order(self):
+        quality = column([0.0, 0.3, 0.0, 0.0])
+        scores = column([0.9, 0.5, 0.0, 0.9])
+        result = assignment.ranked_selection(quality, [3], [0])
+        assert result.labels.tolist() == [0, 0, 0, NEGATIVE]
+        amplified = assignment.ranked_selection(amplified_iou(quality, scores, 2.0), [3], [0])
+        assert amplified.labels.tolist() == result.labels.tolist()
+
+    @given(start_of_training())
+    def test_mutual_is_static_at_the_start_of_training(self, inputs):
+        base, mutual = ANCHOR_STRATEGIES["mutual"](*inputs)
+        assert mutual.classification_labels.tolist() == base.classification_labels.tolist()
+        assert mutual.localization_labels.tolist() == base.localization_labels.tolist()
+        assert mutual.per_object_counts == base.per_object_counts

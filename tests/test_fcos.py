@@ -209,6 +209,20 @@ class TestPointClassifyToLocalize:
         picked = np.flatnonzero(result.labels == 0)
         assert picked.tolist() == [flip_idx]
 
+    def test_budget_beyond_the_positive_centerness_takes_the_edge_points(self):
+        # (16, 16, 80, 80) holds four points; the three on its left or top
+        # edge have centerness 0, so the budget of 4 reaches past the one
+        # positive entry, (48, 48), and a second object's pool shares none
+        points = generate_points(SINGLE_32)
+        boxes = [Box(16, 16, 80, 80), Box(150, 150, 260, 250)]
+        scores = np.full((len(points), 2), 0.5)
+        original = fcos_assign_original(points, boxes)
+        result = fcos_classify_to_localize(points, boxes, scores)
+        corners = [[16.0, 16.0], [48.0, 16.0], [16.0, 48.0], [48.0, 48.0]]
+        assert points.xy[result.labels == 0].tolist() == corners
+        assert result.premerge_positive_counts == original.per_object_counts
+        assert result.labels.tolist() == original.localization_labels.tolist()
+
     def test_amplified_never_below_raw(self):
         rng = np.random.default_rng(8)
         raw = rng.uniform(0.01, 1, 1000)

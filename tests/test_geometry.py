@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from boxmatch.assignment import matrix_values
-from boxmatch.geometry import Box, area, boxes_to_array, iou, pairwise_iou
+from boxmatch.geometry import Box, _unit_interval, area, boxes_to_array, iou, pairwise_iou
 from oracles import rasterized_iou
 
 
@@ -124,3 +124,38 @@ class TestIouMatrix:
     def test_non_finite_values_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
             matrix_values([[0.5, value]])
+
+
+ABOVE_ONE = np.nextafter(1.0, 2.0)
+TINY = np.nextafter(0.0, 1.0)  # the smallest subnormal
+
+
+@pytest.mark.parametrize(
+    "values, accepted",
+    [
+        ([0.0, 0.5, 1.0], True),
+        ([-0.0, 1.0], True),  # -0.0 equals 0.0; it fails the bit test and takes the min/max test
+        ([TINY, 1.0], True),
+        ([[0.25, 0.75], [1.0, 0.0]], True),
+        ([], True),
+        ([0.5, ABOVE_ONE], False),
+        ([-TINY, 0.5], False),
+        ([0.5, float("nan")], False),
+        ([0.5, -float("nan")], False),
+        ([0.5, float("inf")], False),
+        ([-float("inf"), 0.5], False),
+        ([1.5], False),
+        ([-0.5], False),
+        (np.asarray([0, 1]), True),  # an int array takes the min/max test only
+        (np.asarray([[1, 2]]), False),
+        (np.asarray([-1]), False),
+        (np.asarray([0.5, 1.5], dtype=np.float32), False),
+    ],
+)
+def test_unit_interval_edges(values, accepted):
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=np.float64)
+    if accepted:
+        assert _unit_interval(arr, "values") is arr
+    else:
+        with pytest.raises(ValueError, match="values must be finite and lie in \\[0, 1\\]"):
+            _unit_interval(arr, "values")
