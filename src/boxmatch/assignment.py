@@ -131,17 +131,6 @@ def _check_sigma(sigma) -> None:
         raise ValueError(f"sigma must be > 1, got {sigma}")
 
 
-def _amplify(values, scores, sigma):
-    # 0 ** e is 0 for every sigma > 1: raise the overlaps only, with no broadcast copy
-    arrays = np.broadcast_arrays(values, scores, sigma)
-    hit = np.flatnonzero(arrays[0] > 0)
-    flat = (a.reshape(-1) if a.flags.c_contiguous else a.flat for a in arrays)
-    values, scores, sigma = (a[hit] for a in flat)
-    out = np.zeros(arrays[0].shape)
-    out.reshape(-1)[hit] = np.power(values, (sigma - scores) / sigma)
-    return out
-
-
 def amplified_iou(iou_value, score, sigma):
     """Raise overlap to the exponent (sigma - score) / sigma.
 
@@ -150,10 +139,9 @@ def amplified_iou(iou_value, score, sigma):
     exponent stays positive for every score in [0, 1].
     """
     _check_sigma(sigma)
-    sigma_arr = np.asarray(sigma, dtype=np.float64)
     iou_arr = _unit_interval(np.asarray(iou_value, dtype=np.float64), "iou values")
     score_arr = _unit_interval(np.asarray(score, dtype=np.float64), "classification scores")
-    out = _amplify(iou_arr, score_arr, sigma_arr)
+    out = np.power(iou_arr, (sigma - score_arr) / sigma) + 0.0  # (-0.0) ** 1.0 is -0.0
     if np.ndim(iou_value) == 0 and np.ndim(score) == 0 and np.ndim(sigma) == 0:
         return float(out)
     return out
@@ -200,7 +188,8 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
     warnings: list[str] = []
     # the fallback is offered free anchors only, so no other object's count moves
     for j in np.flatnonzero(_positives(labels, m) == 0):
-        best_free = _ranking(values[:, j], np.flatnonzero(labels < 0), 1)
+        free = np.flatnonzero(labels < 0)
+        best_free = _ranking(free, values[free, j], 1)[0]
         _rescue(labels, j, best_free, m, warnings, "anchor")
 
     n_pos = _positives(labels, m).tolist()
@@ -215,6 +204,8 @@ def ranked_selection(
     n_pos: Sequence[int],
     n_ignored: Sequence[int],
     candidate_mask: Optional[np.ndarray] = None,
+    scores: Optional[np.ndarray] = None,
+    sigma: float = 2.0,
 ) -> DynamicLabels:
     """Per-object top-k labeling with deterministic merge across objects.
 
@@ -226,17 +217,28 @@ def ranked_selection(
     claim (ties to the lower object index). Displaced claims are not refilled,
     except that an object left with no positive takes its best-ranked free
     anchor, or else its best-ranked anchor whose owner keeps another positive.
+    With ``scores``, an entry v ranks as ``amplified_iou(v, score, sigma)``.
     """
     n, m = score_matrix.shape
-    columns = np.ascontiguousarray(score_matrix.T)  # one object's scores per row
-    pools = [None] * m if candidate_mask is None else list(map(np.flatnonzero, candidate_mask.T))
-    picks = [np.zeros(0, dtype=np.intp)]  # positive claims; an empty image has none
+    sizes = [n] * m if candidate_mask is None else np.diff(_runs(candidate_mask)[2]).tolist()
+    samples, at, bounds = _runs(score_matrix, candidate_mask)
+    values = score_matrix.take(at)
+    if scores is not None:  # amplify the run entries only: zeros stay zeros
+        values = np.power(values, (sigma - scores.take(at)) / sigma)
+
+    pool = np.broadcast_to(True, (n, m)) if candidate_mask is None else candidate_mask
+
+    def rank(j: int, k: Optional[int] = None):
+        run = slice(bounds[j], bounds[j + 1])
+        return _ranking(samples[run], values[run], k, score_matrix[:, j], pool[:, j])
+
+    picks = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # positive claims and their scores
     ignored_any = np.zeros(n, dtype=bool)
     premerge: list[int] = []
     warnings: list[str] = []
 
     for j in range(m):
-        size = n if pools[j] is None else pools[j].size
+        size = sizes[j]
         k_pos = min(int(n_pos[j]), size)
         k_ign = min(int(n_ignored[j]), size - k_pos)
         if k_pos < n_pos[j] or k_ign < n_ignored[j]:
@@ -244,14 +246,15 @@ def ranked_selection(
                 f"object {j}: only {size} candidates for "
                 f"{n_pos[j]} positive + {n_ignored[j]} ignored; clamped"
             )
-        top = _ranking(columns[j], pools[j], k_pos + k_ign)
-        picks.append(top[:k_pos])
+        top, top_scores = rank(j, k_pos + k_ign)
+        picks.append((top[:k_pos], top_scores[:k_pos]))
         ignored_any[top[k_pos:]] = True
         premerge.append(k_pos)
 
     # the merge: claims sorted by sample, score (descending), object; the first wins
-    rows, owners = np.concatenate(picks), np.repeat(np.arange(m), premerge)
-    order = np.lexsort((owners, -columns[owners, rows], rows))
+    rows, claim_scores = (np.concatenate(part) for part in zip(*picks))
+    owners = np.repeat(np.arange(m), premerge)
+    order = np.lexsort((owners, -claim_scores, rows))
     first = order[np.diff(rows[order], prepend=-1) != 0]
     labels = np.where(ignored_any, IGNORED, NEGATIVE)
     labels[rows[first]] = owners[first]
@@ -259,30 +262,44 @@ def ranked_selection(
     # an object displaced from every one of its picks keeps one positive; a
     # claim never empties another object, so one count serves the whole loop
     for j in np.flatnonzero((_positives(labels, m) == 0) & (np.asarray(premerge) > 0)):
-        _claim_one(labels, j, _ranking(columns[j], pools[j]), m)
+        _claim_one(labels, j, rank(j)[0], m)
 
     return DynamicLabels(labels=labels, premerge_positive_counts=premerge, warnings=warnings)
+
+
+def _runs(matrix: np.ndarray, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+    """Each column's positive entries of ``matrix`` (within ``mask``) as one run in index
+    order: their rows, their flat positions in the row-major matrix, the m + 1 run bounds."""
+    n, m = matrix.shape
+    hit = matrix > 0
+    if mask is not None:
+        hit &= mask
+    rows = np.flatnonzero(hit.T)  # column by column: j * n + row
+    bounds = np.searchsorted(rows, np.arange(m + 1) * n)
+    columns = np.repeat(np.arange(m), bounds[1:] - bounds[:-1])
+    rows -= columns * n
+    return rows, rows * m + columns, bounds
 
 
 def _positives(labels: np.ndarray, n_objects: int) -> np.ndarray:
     return np.bincount(labels[labels >= 0], minlength=n_objects)
 
 
-def _ranking(column: np.ndarray, pool: Optional[np.ndarray] = None, k: Optional[int] = None):
-    """The first k (default all) of ``pool`` (default all indices) ranked by
-    ``column``, descending, ties to the lower index; zeros are ranked on demand."""
-    top = np.flatnonzero(column > 0) if pool is None else pool[column[pool] > 0]
-    if k and k < top.size:  # the k-th best score, then its ties in index order
-        scores = column[top]
-        kth = np.partition(scores, top.size - k)[top.size - k]
+def _ranking(samples: np.ndarray, scores: np.ndarray, k=None, column=(), pool=True):
+    """The first k (default all) of ``samples``, given in index order, ranked by
+    ``scores``, descending, ties to the lower index, then of the candidates of
+    score 0 in ``column`` and ``pool``, in index order; returns them and their scores."""
+    if k and k < samples.size:  # the k-th best score, then its ties in index order
+        kth = np.partition(scores, samples.size - k)[samples.size - k]
         keep = scores > kth
         keep[np.flatnonzero(scores == kth)[: k - np.count_nonzero(keep)]] = True
-        top = top[keep]
-    order = top[np.argsort(-column[top], kind="stable")]
-    if k is not None and k <= order.size:
-        return order[:k]
-    rest = np.flatnonzero(column <= 0) if pool is None else pool[column[pool] <= 0]
-    return np.concatenate([order, rest])[:k]  # checked scores: every rest score is 0
+        samples, scores = samples[keep], scores[keep]
+    order = np.argsort(-scores, kind="stable")[:k]
+    samples, scores = samples[order], scores[order]
+    if k is not None and k <= samples.size:
+        return samples, scores
+    tail = np.flatnonzero(np.less_equal(column, 0) & pool)[: k and k - samples.size]
+    return np.concatenate([samples, tail]), np.concatenate([scores, np.zeros(tail.size)])
 
 
 def _claim_one(labels: np.ndarray, j: int, ranked: np.ndarray, n_objects: int) -> bool:
@@ -321,9 +338,8 @@ def _guide(base: _Baseline, regressed, scores, sigma, l2c: bool, c2l: bool):
     if l2c:
         guided.append(ranked_selection(regressed, base.n_pos, base.n_ignored, base.pool))
     if c2l:
-        # object-major, so that ranked_selection needs no transposed copy
-        amplified = _amplify(base.quality().T, scores.T, sigma).T
-        guided.append(ranked_selection(amplified, base.n_pos, [0] * m, base.pool))
+        quality = base.quality()
+        guided.append(ranked_selection(quality, base.n_pos, [0] * m, base.pool, scores, sigma))
     for selection in guided:
         for j in np.flatnonzero(_positives(selection.labels, m) == 0):
             original = np.flatnonzero(result.classification_labels == j)

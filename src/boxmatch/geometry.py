@@ -129,8 +129,9 @@ def _by_row_blocks(a: np.ndarray, b: np.ndarray, reduce, *outs: np.ndarray) -> t
     of the block's IoU matrix against ``b``; one block is alive at a time."""
     for start in range(0, len(a), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        # a's rows innermost: long contiguous loops (the block is a transposed view)
-        for out, part in zip(outs, reduce(broadcast_iou(b[:, None], a[rows]).T)):
+        # a's rows innermost, each coordinate a contiguous row: long contiguous loops
+        coords = np.asfortranarray(a[rows])
+        for out, part in zip(outs, reduce(broadcast_iou(b[:, None], coords).T)):
             out[rows] = part
         del part  # the block goes before the next one is built
     return outs
@@ -138,7 +139,10 @@ def _by_row_blocks(a: np.ndarray, b: np.ndarray, reduce, *outs: np.ndarray) -> t
 
 def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` itself once every value is finite and in [0, 1]; ValueError otherwise."""
-    # min and max propagate NaN, which then fails both comparisons
+    # as integers, the float64 bits of +0.0 ... 1.0 are exactly those up to 1.0's
+    # (0x3FF0...): one pass accepts them; min and max propagate NaN, which fails both
+    if arr.dtype == np.float64 and arr.size and arr.view(np.uint64).max() <= 0x3FF0000000000000:
+        return arr
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError(f"{what} must be finite and lie in [0, 1]")
     return arr

@@ -10,7 +10,7 @@ from boxmatch import assignment, geometry, simulator
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors
 from boxmatch.assignment import (
     NEGATIVE,
-    _amplify,
+    amplified_iou,
     classify_to_localize,
     localize_to_classify,
     ranked_selection,
@@ -130,7 +130,7 @@ class TestRankedSelection:
         values = np.asarray(overlaps)
         scores = np.full_like(values, score)
         full = np.power(values, (sigma - scores) / sigma)
-        assert _amplify(values, scores, sigma).tobytes() == full.tobytes()
+        assert amplified_iou(values, scores, sigma).tobytes() == full.tobytes()
 
 
 BLOCK = geometry._BLOCK_ROWS
