@@ -188,8 +188,8 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
     warnings: list[str] = []
     # the fallback is offered free anchors only, so no other object's count moves
     for j in np.flatnonzero(_positives(labels, m) == 0):
-        free = np.flatnonzero(labels < 0)
-        best_free = _ranking(free, values[free, j], 1)[0]
+        hit = np.flatnonzero((labels < 0) & (values[:, j] > 0))  # the free anchors it overlaps
+        best_free = _ranking(hit, values[hit, j], 1, values[:, j], labels < 0)[0]
         _rescue(labels, j, best_free, m, warnings, "anchor")
 
     n_pos = _positives(labels, m).tolist()
@@ -220,13 +220,15 @@ def ranked_selection(
     With ``scores``, an entry v ranks as ``amplified_iou(v, score, sigma)``.
     """
     n, m = score_matrix.shape
-    sizes = [n] * m if candidate_mask is None else np.diff(_runs(candidate_mask)[2]).tolist()
+    sizes = [n] * m
+    if candidate_mask is not None:
+        sizes = np.bincount(np.flatnonzero(candidate_mask) % m, minlength=m).tolist()
     samples, at, bounds = _runs(score_matrix, candidate_mask)
     values = score_matrix.take(at)
     if scores is not None:  # amplify the run entries only: zeros stay zeros
         values = np.power(values, (sigma - scores.take(at)) / sigma)
 
-    pool = np.broadcast_to(True, (n, m)) if candidate_mask is None else candidate_mask
+    pool = np.ones((1, m), dtype=bool) if candidate_mask is None else candidate_mask  # (1, m): all
 
     def rank(j: int, k: Optional[int] = None):
         run = slice(bounds[j], bounds[j + 1])
@@ -267,14 +269,12 @@ def ranked_selection(
     return DynamicLabels(labels=labels, premerge_positive_counts=premerge, warnings=warnings)
 
 
-def _runs(matrix: np.ndarray, mask: Optional[np.ndarray] = None) -> tuple[np.ndarray, ...]:
+def _runs(matrix: np.ndarray, mask: Optional[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Each column's positive entries of ``matrix`` (within ``mask``) as one run in index
     order: their rows, their flat positions in the row-major matrix, the m + 1 run bounds."""
     n, m = matrix.shape
-    hit = matrix > 0
-    if mask is not None:
-        hit &= mask
-    rows = np.flatnonzero(hit.T)  # column by column: j * n + row
+    hit = matrix > 0 if mask is None else (matrix > 0) & mask
+    rows = np.flatnonzero(np.ascontiguousarray(hit.T))  # column by column: j * n + row
     bounds = np.searchsorted(rows, np.arange(m + 1) * n)
     columns = np.repeat(np.arange(m), bounds[1:] - bounds[:-1])
     rows -= columns * n
@@ -285,10 +285,10 @@ def _positives(labels: np.ndarray, n_objects: int) -> np.ndarray:
     return np.bincount(labels[labels >= 0], minlength=n_objects)
 
 
-def _ranking(samples: np.ndarray, scores: np.ndarray, k=None, column=(), pool=True):
-    """The first k (default all) of ``samples``, given in index order, ranked by
-    ``scores``, descending, ties to the lower index, then of the candidates of
-    score 0 in ``column`` and ``pool``, in index order; returns them and their scores."""
+def _ranking(samples: np.ndarray, scores: np.ndarray, k: Optional[int], column, pool):
+    """The first k (all if k is None) of ``samples``, given in index order, ranked by
+    ``scores``, descending, ties to the lower index, then of the ``pool`` members
+    whose ``column`` entry is 0, in index order; returns them and their scores."""
     if k and k < samples.size:  # the k-th best score, then its ties in index order
         kth = np.partition(scores, samples.size - k)[samples.size - k]
         keep = scores > kth
@@ -298,7 +298,7 @@ def _ranking(samples: np.ndarray, scores: np.ndarray, k=None, column=(), pool=Tr
     samples, scores = samples[order], scores[order]
     if k is not None and k <= samples.size:
         return samples, scores
-    tail = np.flatnonzero(np.less_equal(column, 0) & pool)[: k and k - samples.size]
+    tail = np.flatnonzero((column <= 0) & pool)[: k and k - samples.size]
     return np.concatenate([samples, tail]), np.concatenate([scores, np.zeros(tail.size)])
 
 
