@@ -223,16 +223,15 @@ def ranked_selection(
     sizes = [n] * m
     if candidate_mask is not None:
         sizes = np.bincount(np.flatnonzero(candidate_mask) % m, minlength=m).tolist()
-    samples, at, bounds = _runs(score_matrix, candidate_mask)
-    values = score_matrix.take(at)
-    if scores is not None:  # amplify the run entries only: zeros stay zeros
-        values = np.power(values, (sigma - scores.take(at)) / sigma)
-
+    runs, bounds = _runs(score_matrix, candidate_mask)
     pool = np.ones((1, m), dtype=bool) if candidate_mask is None else candidate_mask  # (1, m): all
 
     def rank(j: int, k: Optional[int] = None):
-        run = slice(bounds[j], bounds[j + 1])
-        return _ranking(samples[run], values[run], k, score_matrix[:, j], pool[:, j])
+        samples, column = runs[bounds[j] : bounds[j + 1]] - j * n, score_matrix[:, j]
+        values = column[samples]
+        if scores is not None:  # amplify the run entries only: zeros stay zeros
+            values = np.power(values, (sigma - scores[:, j][samples]) / sigma)
+        return _ranking(samples, values, k, column, pool[:, j])
 
     picks = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # positive claims and their scores
     ignored_any = np.zeros(n, dtype=bool)
@@ -269,16 +268,14 @@ def ranked_selection(
     return DynamicLabels(labels=labels, premerge_positive_counts=premerge, warnings=warnings)
 
 
-def _runs(matrix: np.ndarray, mask: Optional[np.ndarray]) -> tuple[np.ndarray, ...]:
-    """Each column's positive entries of ``matrix`` (within ``mask``) as one run in index
-    order: their rows, their flat positions in the row-major matrix, the m + 1 run bounds."""
+def _runs(matrix: np.ndarray, mask: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices j * n + i of the positive entries (i, j) of an (n, m) ``matrix``
+    (within ``mask``) in object-major order, each column's rows one run in index
+    order, and the m + 1 bounds of the runs."""
     n, m = matrix.shape
     hit = matrix > 0 if mask is None else (matrix > 0) & mask
-    rows = np.flatnonzero(np.ascontiguousarray(hit.T))  # column by column: j * n + row
-    bounds = np.searchsorted(rows, np.arange(m + 1) * n)
-    columns = np.repeat(np.arange(m), bounds[1:] - bounds[:-1])
-    rows -= columns * n
-    return rows, rows * m + columns, bounds
+    runs = np.flatnonzero(np.ascontiguousarray(hit.T))
+    return runs, np.searchsorted(runs, np.arange(m + 1) * n)
 
 
 def _positives(labels: np.ndarray, n_objects: int) -> np.ndarray:
