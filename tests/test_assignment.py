@@ -599,10 +599,11 @@ class TestGuidedOracle:
     def test_budget_beyond_the_positive_entries_takes_zeros_in_index_order(self):
         quality = column([0.0, 0.3, 0.0, 0.0])
         scores = column([0.9, 0.5, 0.0, 0.9])
-        result = assignment.ranked_selection(quality, [3], [0])
+        # one positive entry, then the zero-quality anchors from the lowest index up
+        result = assignment.ranked_selection(quality, [3], [0], None, scores, 2.0)
         assert result.labels.tolist() == [0, 0, 0, NEGATIVE]
-        amplified = assignment.ranked_selection(amplified_iou(quality, scores, 2.0), [3], [0])
-        assert amplified.labels.tolist() == result.labels.tolist()
+        dense = assignment.ranked_selection(amplified_iou(quality, scores, 2.0), [3], [0])
+        assert dense.labels.tolist() == result.labels.tolist()
 
     @given(start_of_training())
     def test_mutual_is_static_at_the_start_of_training(self, inputs):

@@ -96,6 +96,17 @@ class TestRankedSelection:
         values, n_pos, n_ign, mask = case
         check_against_oracle(values.tolist(), n_pos, n_ign, mask)
 
+    @given(selection_cases(), st.floats(1.0001, 10), st.data())
+    def test_amplifying_the_runs_equals_ranking_the_amplified_matrix(self, case, sigma, data):
+        values, n_pos, n_ign, mask = case
+        scores = np.asarray(data.draw(st.lists(SCORE, min_size=values.size,
+                                               max_size=values.size))).reshape(values.shape)
+        runs = ranked_selection(values, n_pos, n_ign, mask, scores, sigma)
+        dense = ranked_selection(amplified_iou(values, scores, sigma), n_pos, n_ign, mask)
+        assert runs.labels.tolist() == dense.labels.tolist()
+        assert runs.premerge_positive_counts == dense.premerge_positive_counts
+        assert runs.warnings == dense.warnings
+
     def test_zeros_rank_last_in_index_order(self):
         values = [[0.0], [0.3], [0.0], [0.0], [0.3]]
         result = check_against_oracle(values, [4], [1])

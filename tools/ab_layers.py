@@ -174,8 +174,6 @@ def main(argv=None) -> int:
     base = parser.add_mutually_exclusive_group(required=True)
     base.add_argument("--rev", help="git revision of the base tree")
     base.add_argument("--base-dir", type=Path, help="directory holding the base boxmatch package")
-    parser.add_argument("--change-dir", type=Path, default=ROOT / "src",
-                        help="directory holding the changed boxmatch package (default: src/)")
     parser.add_argument("--workload", default="train_crowded",
                         choices=("train_sparse", "train_crowded"))
     parser.add_argument("--seed", type=int, default=1)
@@ -185,7 +183,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         base_src = args.base_dir or extract_revision(args.rev, Path(tmp))
-        results = compare(base_src, args.change_dir, args.workload, args.seed, args.rounds,
+        results = compare(base_src, ROOT / "src", args.workload, args.seed, args.rounds,
                           args.ops, args.functions)
     print(f"change / base, {args.workload} seed {args.seed}, {args.ops} ops per round")
     for name, s in results.items():
