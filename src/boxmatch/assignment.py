@@ -205,7 +205,7 @@ def ranked_selection(
     n_ignored: Sequence[int],
     candidate_mask: Optional[np.ndarray] = None,
     scores: Optional[np.ndarray] = None,
-    sigma: float = 2.0,
+    sigma: Optional[float] = None,
 ) -> DynamicLabels:
     """Per-object top-k labeling with deterministic merge across objects.
 
@@ -217,12 +217,11 @@ def ranked_selection(
     claim (ties to the lower object index). Displaced claims are not refilled,
     except that an object left with no positive takes its best-ranked free
     anchor, or else its best-ranked anchor whose owner keeps another positive.
-    With ``scores``, an entry v ranks as ``amplified_iou(v, score, sigma)``.
+    With ``scores`` and ``sigma`` (given together), an entry v ranks as
+    ``amplified_iou(v, score, sigma)``.
     """
     n, m = score_matrix.shape
-    sizes = [n] * m
-    if candidate_mask is not None:
-        sizes = np.bincount(np.flatnonzero(candidate_mask) % m, minlength=m).tolist()
+    sizes = [n] * m if candidate_mask is None else np.count_nonzero(candidate_mask, 0).tolist()
     runs, bounds = _runs(score_matrix, candidate_mask)
     pool = np.ones((1, m), dtype=bool) if candidate_mask is None else candidate_mask  # (1, m): all
 

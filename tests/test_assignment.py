@@ -611,3 +611,21 @@ class TestGuidedOracle:
         assert mutual.classification_labels.tolist() == base.classification_labels.tolist()
         assert mutual.localization_labels.tolist() == base.localization_labels.tolist()
         assert mutual.per_object_counts == base.per_object_counts
+
+    def test_fallback_into_an_ignored_band_breaks_the_start_of_training_reduction(self):
+        # the one known scene where the reduction fails, pinned as it stands:
+        # objects 1 and 2 overlap nothing, so the static fallback gives them
+        # the free anchors 0 and 1, and anchor 1 lies in object 0's ignored
+        # band. Object 0's ignored budget is counted after the fallback (1:
+        # anchor 4), so l2c ranks anchor 1 (tied with 4, lower index) into
+        # that budget, loses it to object 2's positive, and leaves anchor 4
+        # NEGATIVE where static says IGNORED. Whether the fallback should skip
+        # ignored anchors, or the budget count them, is a behaviour decision;
+        # making either one changes these labels.
+        anchor = np.zeros((6, 3))
+        anchor[:, 0] = [0.0, 0.4, 0.0, 0.0, 0.4, 0.45]
+        base, mutual = ANCHOR_STRATEGIES["mutual"](anchor, anchor.copy(), np.zeros((6, 3)))
+        assert base.classification_labels.tolist() == [1, 2, NEGATIVE, NEGATIVE, IGNORED, 0]
+        assert mutual.classification_labels.tolist() == [1, 2, NEGATIVE, NEGATIVE, NEGATIVE, 0]
+        assert mutual.localization_labels.tolist() == base.localization_labels.tolist()
+        assert mutual.per_object_counts == base.per_object_counts == [(1, 1), (1, 0), (1, 0)]

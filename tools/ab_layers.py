@@ -4,10 +4,10 @@ Run from the repository root, comparing a git revision with the working tree:
 
     python3 tools/ab_layers.py --rev HEAD~1 --rounds 20
 
-`--rev` is extracted with `git archive` into a temporary directory; `--base-dir`
-names a directory that holds a `boxmatch` package instead. Both trees are
-imported under their own package names, and each builds its own grids and the
-scenes of a benchmark workload (`benchmarks/workloads.py`, read-only). Every
+The `src` directory of `--rev` is extracted with `git archive` into a temporary
+directory. Both trees are imported under their own package names, and each
+builds its own grids and the scenes (seed 1) of a benchmark workload
+(`benchmarks/workloads.py`, read-only). Every
 round times each public layer function of the workload's operation, and the
 whole operation, on the first `--ops` operations of a pass, calling the two
 trees in turn, call by call; the tree that goes first alternates by round. A
@@ -171,21 +171,17 @@ def compare(base_src: Path, change_src: Path, workload: str = "train_crowded", s
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    base = parser.add_mutually_exclusive_group(required=True)
-    base.add_argument("--rev", help="git revision of the base tree")
-    base.add_argument("--base-dir", type=Path, help="directory holding the base boxmatch package")
+    parser.add_argument("--rev", required=True, help="git revision of the base tree")
     parser.add_argument("--workload", default="train_crowded",
                         choices=("train_sparse", "train_crowded"))
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--ops", type=int, default=10, help="operations of the pass per round")
     parser.add_argument("--functions", nargs="*", help="time only these (default: all)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        base_src = args.base_dir or extract_revision(args.rev, Path(tmp))
-        results = compare(base_src, ROOT / "src", args.workload, args.seed, args.rounds,
-                          args.ops, args.functions)
-    print(f"change / base, {args.workload} seed {args.seed}, {args.ops} ops per round")
+        results = compare(extract_revision(args.rev, Path(tmp)), ROOT / "src", args.workload,
+                          rounds=args.rounds, ops=args.ops, functions=args.functions)
+    print(f"change / {args.rev}, {args.workload}, {args.ops} ops per round")
     for name, s in results.items():
         low, high = s["interval"]
         print(f"{name:28s} x{s['median']:.3f}  95% [{low:.3f}, {high:.3f}]  "
