@@ -129,9 +129,8 @@ def _by_row_blocks(a: np.ndarray, b: np.ndarray, reduce, *outs: np.ndarray) -> t
     of the block's IoU matrix against ``b``; one block is alive at a time."""
     for start in range(0, len(a), _BLOCK_ROWS):
         rows = slice(start, start + _BLOCK_ROWS)
-        # a's rows innermost, each coordinate a contiguous row: long contiguous loops
-        coords = np.asfortranarray(a[rows])
-        for out, part in zip(outs, reduce(broadcast_iou(b[:, None], coords).T)):
+        # a's rows innermost: long contiguous loops (the block is a transposed view)
+        for out, part in zip(outs, reduce(broadcast_iou(b[:, None], a[rows]).T)):
             out[rows] = part
         del part  # the block goes before the next one is built
     return outs
