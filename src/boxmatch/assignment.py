@@ -221,7 +221,6 @@ def ranked_selection(
     ``amplified_iou(v, score, sigma)``.
     """
     n, m = score_matrix.shape
-    sizes = [n] * m if candidate_mask is None else np.count_nonzero(candidate_mask, 0).tolist()
     runs, bounds = _runs(score_matrix, candidate_mask)
     pool = np.ones((1, m), dtype=bool) if candidate_mask is None else candidate_mask  # (1, m): all
 
@@ -238,7 +237,7 @@ def ranked_selection(
     warnings: list[str] = []
 
     for j in range(m):
-        size = sizes[j]
+        size = n if candidate_mask is None else np.count_nonzero(candidate_mask[:, j])
         k_pos = min(int(n_pos[j]), size)
         k_ign = min(int(n_ignored[j]), size - k_pos)
         if k_pos < n_pos[j] or k_ign < n_ignored[j]:
