@@ -20,19 +20,18 @@ import numpy as np
 
 from .anchors import AnchorGridSpec, LevelSpec, PointSet, generate_anchors, generate_points
 from .annotations import AnnotationError, _read_json, load_annotations, load_detections
-from .assignment import GUIDED_TASKS, MatchingConfig, _guide, _static
+from .assignment import GUIDED_TASKS, MatchingConfig, _guide
 from .evaluation import average_precision
-from .fcos import POINT_STRATEGIES, _original
-from .geometry import _bounded, _fields, boxes_to_array, pairwise_iou
+from .fcos import POINT_STRATEGIES
+from .geometry import _bounded, _fields
 from .render import STRATEGY_COLORS, render_assignment_svg
 from .simulator import (
     Scene,
     SceneSpec,
     TrajectoryConfig,
+    _baseline,
     _trajectories,
     ground_truth_from_scene,
-    synth_point_predictions,
-    synth_predictions,
     synth_scene,
 )
 
@@ -168,25 +167,14 @@ def _diff_payload(image_id: object, strategy: str, name: str, baseline, dynamic,
 
 
 def _label(cfg: RunConfig, strategy: str, grid, scene: Scene, seed: int):
-    """Label the scene with the strategy and with its baseline, the unguided
-    labelling it is compared against ("static" on anchors, "fcos" on points);
-    return (baseline name, baseline result, strategy result). Predictions are
-    simulated only for a guided strategy on an image with objects."""
-    if isinstance(grid, PointSet):
-        name, base = "fcos", _original(grid, scene.boxes, None)
-        simulate = synth_point_predictions
-    else:
-        iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
-        name, base = "static", _static(iou_anchor, cfg.matching)
-
-        def simulate(*at):
-            snapshot = synth_predictions(*at, _iou_anchor=iou_anchor)
-            return snapshot.iou_regressed, snapshot.classif_scores
-
+    """Label the scene with the strategy and with the grid's baseline (see
+    ``simulator._baseline``); return (baseline name, baseline result, strategy
+    result). Only a guided strategy on an image with objects reads predictions."""
+    name, base, predict = _baseline(scene, grid, cfg.matching)
     guided = GUIDED_TASKS[strategy]
     if not any(guided) or not scene.boxes:
         return name, base.result, base.result
-    predicted = simulate(scene, grid, cfg.trajectory, cfg.assign_progress, seed)
+    predicted = predict(cfg.trajectory, cfg.assign_progress, seed)
     return name, base.result, _guide(base, *predicted, cfg.matching.sigma, *guided)[0]
 
 

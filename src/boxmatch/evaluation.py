@@ -228,7 +228,7 @@ def _match(ranks, cols, overlaps, n_dets: int, thresholds: tuple[float, ...]) ->
     threshold are dropped once.
     """
     flags = np.zeros((len(thresholds), n_dets), dtype=bool)
-    keep = (overlaps >= min(thresholds, default=1.0)) & (overlaps > 0)
+    keep = (overlaps >= min(thresholds)) & (overlaps > 0)
     pick = np.lexsort((cols[keep], -overlaps[keep], ranks[keep]))
     ranks, cols, values = (a[keep][pick] for a in (ranks, cols, overlaps))
     for t, threshold in enumerate(thresholds):
@@ -306,6 +306,8 @@ def average_precision(
     if not ground_truth:
         raise ValueError("ground truth must be non-empty")
     thresholds = tuple(float(t) for t in iou_thresholds)
+    if not thresholds:
+        raise ValueError("IoU thresholds must not be empty")
     _unit_interval(np.asarray(thresholds), "IoU thresholds")
     dets = _batch(dets)
     det_keys, gt_boxes, gt_classes, gt_keys = _keyed(dets, ground_truth)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import assignment
+from . import assignment, fcos
 from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth
@@ -259,7 +259,7 @@ def synth_point_predictions(
 
 def run_trajectory(
     scene: Scene,
-    anchor_set: AnchorSet,
+    grid: Union[AnchorSet, PointSet],
     cfg: TrajectoryConfig,
     strategy: str,
     matching: Optional[MatchingConfig] = None,
@@ -267,45 +267,55 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """Label the scene at every trajectory step and count positives.
 
-    ``strategy`` is a name from ``ANCHOR_STRATEGIES`` ("static", "l2c",
-    "c2l", "mutual") or "l2c-fixed", the static thresholds applied directly
-    to regressed overlap. The count is over classification labels except for
-    "c2l", which only guides localization labels.
+    Anchors take "static", "l2c", "c2l", "mutual" and "l2c-fixed" (the static
+    thresholds applied to regressed overlap); points take "fcos" and
+    "fcos-mutual". Any other pairing raises ValueError. "c2l" counts
+    localization positives, the others classification positives.
     """
-    return _trajectories(scene, anchor_set, cfg, (strategy,), matching, seed)[0]
+    return _trajectories(scene, grid, cfg, (strategy,), matching, seed)[0]
+
+
+def _baseline(scene: Scene, grid: Union[AnchorSet, PointSet], matching: MatchingConfig):
+    """The grid's unguided labelling, "static" on anchors and "fcos" on points, as
+    (name, ``_Baseline``, predictor ``(cfg, t, seed) -> (iou_regressed, scores)``)."""
+    if isinstance(grid, PointSet):
+        base = fcos._original(grid, scene.boxes, None)
+        return "fcos", base, lambda *at: synth_point_predictions(scene, grid, *at)
+    iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+
+    def predict(*at):
+        snapshot = synth_predictions(scene, grid, *at, _iou_anchor=iou_anchor)
+        return snapshot.iou_regressed, snapshot.classif_scores
+
+    return "static", assignment._static(iou_anchor, matching), predict
 
 
 def _trajectories(
     scene: Scene,
-    anchor_set: AnchorSet,
+    grid: Union[AnchorSet, PointSet],
     cfg: TrajectoryConfig,
     strategies: Sequence[str],
     matching: Optional[MatchingConfig],
     seed: int,
 ) -> list[TrajectoryResult]:
-    """One run_trajectory result per strategy, in order; each step's snapshot
-    is simulated once and labelled for every strategy."""
+    """One run_trajectory result per strategy, in order; one baseline serves
+    every step, whose predictions are simulated once for all strategies."""
+    kind = "points" if isinstance(grid, PointSet) else "anchors"
+    choices = [*fcos.POINT_STRATEGIES] if kind == "points" else [*ANCHOR_STRATEGIES, "l2c-fixed"]
     for strategy in strategies:
-        if strategy != "l2c-fixed" and strategy not in ANCHOR_STRATEGIES:
-            choices = sorted([*ANCHOR_STRATEGIES, "l2c-fixed"])
-            raise ValueError(f"unknown strategy {strategy!r}; choose from {choices}")
+        if strategy not in choices:
+            raise ValueError(f"strategy {strategy!r} does not label {kind}; choose from {choices}")
     matching = matching or MatchingConfig()
-    iou_anchor = pairwise_iou(anchor_set.array, boxes_to_array(scene.boxes))
-    # iou_anchor does not depend on t: one IoU and one static pass serve every step
-    base = assignment._static(iou_anchor, matching)
-
+    _, base, predict = _baseline(scene, grid, matching)
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
     for t in np.linspace(0.0, 1.0, cfg.steps):
-        snapshot = synth_predictions(
-            scene, anchor_set, cfg, float(t), seed=seed, _iou_anchor=iou_anchor
-        )
+        iou_regressed, scores = predict(cfg, float(t), seed)
         for result in results:
             if result.strategy == "l2c-fixed":
-                labels = static_assign(snapshot.iou_regressed, matching).classification_labels
+                labels = static_assign(iou_regressed, matching).classification_labels
             else:
-                predicted = snapshot.iou_regressed, snapshot.classif_scores
                 guided = GUIDED_TASKS[result.strategy]
-                labeled = assignment._guide(base, *predicted, matching.sigma, *guided)[0]
+                labeled = assignment._guide(base, iou_regressed, scores, matching.sigma, *guided)[0]
                 c2l = result.strategy == "c2l"
                 labels = labeled.localization_labels if c2l else labeled.classification_labels
             result.steps.append(TrajectoryStep(t=float(t), positive_count=int(np.sum(labels >= 0))))

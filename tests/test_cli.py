@@ -274,15 +274,28 @@ def test_integral_floats_load_as_integers(tmp_path):
 
 
 def count_simulations(monkeypatch):
-    """Record the scene of every call the CLI makes to each simulator."""
+    """Record the scene of every call the CLI makes, through ``simulator``, to
+    each simulator. synth_point_predictions runs its proxy boxes through
+    synth_predictions; that inner call is not counted as a second simulation."""
     calls = {"synth_predictions": [], "synth_point_predictions": []}
-    for name, scenes in calls.items():
-        real = getattr(cli, name)
-        monkeypatch.setattr(
-            cli, name, lambda scene, *a, real=real, scenes=scenes, **k: (
-                scenes.append(scene) or real(scene, *a, **k)
-            )
-        )
+    real_anchor, real_point = simulator.synth_predictions, simulator.synth_point_predictions
+    in_point = []
+
+    def anchor(scene, *a, **k):
+        if not in_point:
+            calls["synth_predictions"].append(scene)
+        return real_anchor(scene, *a, **k)
+
+    def point(scene, *a, **k):
+        calls["synth_point_predictions"].append(scene)
+        in_point.append(scene)
+        try:
+            return real_point(scene, *a, **k)
+        finally:
+            in_point.pop()
+
+    monkeypatch.setattr(simulator, "synth_predictions", anchor)
+    monkeypatch.setattr(simulator, "synth_point_predictions", point)
     return calls
 
 

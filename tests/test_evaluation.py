@@ -527,7 +527,7 @@ class TestThresholdsAreChecked:
         with pytest.raises(ValueError, match="IoU threshold"):
             nms(self.DETS, threshold)
 
-    @pytest.mark.parametrize("thresholds", [(np.nan,), (0.5, 1.2), (-0.5,)])
+    @pytest.mark.parametrize("thresholds", [(np.nan,), (0.5, 1.2), (-0.5,), ()])
     def test_average_precision(self, thresholds):
         with pytest.raises(ValueError, match="IoU thresholds"):
             average_precision(self.DETS, [gt(0, 0, 10, 10)], iou_thresholds=thresholds)

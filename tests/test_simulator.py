@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
-from boxmatch.assignment import mutual_guidance_assign
+from boxmatch.assignment import (
+    ANCHOR_STRATEGIES,
+    MatchingConfig,
+    mutual_guidance_assign,
+    static_assign,
+)
 from boxmatch.evaluation import Detections
+from boxmatch.fcos import POINT_STRATEGIES, fcos_assign_original, fcos_localize_to_classify
 from boxmatch.geometry import Box, boxes_to_array, iou, pairwise_iou
 from boxmatch.simulator import (
     GAIN_CURVES,
@@ -27,6 +34,12 @@ GRID = AnchorGridSpec(320, 320, (
     LevelSpec(32, (96.0, 160.0), (1.0, 2.0, 0.5)),
 ))
 ANCHORS = generate_anchors(GRID)
+POINTS = generate_points(GRID)
+# every strategy run_trajectory accepts, with the grid it labels
+GRID_STRATEGIES = [(ANCHORS, name) for name in [*ANCHOR_STRATEGIES, "l2c-fixed"]] + [
+    (POINTS, name) for name in POINT_STRATEGIES
+]
+GRID_IDS = [name for _, name in GRID_STRATEGIES]
 MISALIGNED = TrajectoryConfig(
     misalignment_fraction=0.3, localization_gain="sqrt", score_gain="quadratic", noise=0.1
 )
@@ -241,9 +254,50 @@ class TestRunTrajectory:
         assert len(result.counts) == 1
 
     def test_unknown_strategy_rejected(self):
+        """Unknown names and names of the other grid are refused by name of
+        the grid, with its valid strategies; a point grid once raised
+        AttributeError."""
         scene = synth_scene(SceneSpec(seed=21))
-        with pytest.raises(ValueError, match="strategy"):
-            run_trajectory(scene, ANCHORS, TrajectoryConfig(), "simota", seed=21)
+        for grid, strategy in [(ANCHORS, "simota"), (ANCHORS, "fcos"), (POINTS, "mutual"),
+                               (POINTS, "l2c-fixed")]:
+            with pytest.raises(ValueError, match="strategy") as raised:
+                run_trajectory(scene, grid, TrajectoryConfig(), strategy, seed=21)
+            kind, other = ("points", "anchors") if grid is POINTS else ("anchors", "points")
+            message = str(raised.value)
+            assert kind in message and other not in message
+            assert all(repr(name) in message for g, name in GRID_STRATEGIES if g is grid)
+
+    @pytest.mark.parametrize("grid, strategy", GRID_STRATEGIES, ids=GRID_IDS)
+    def test_counts_equal_the_strategy_rows(self, grid, strategy):
+        """At every step, the count is the positives of the public row on
+        that step's predictions: ``ANCHOR_STRATEGIES`` (localization labels
+        for c2l) or static_assign on regressed overlap for l2c-fixed on
+        anchors, ``POINT_STRATEGIES`` on points."""
+        cfg = replace(MISALIGNED, steps=4)
+        matching = MatchingConfig(t_pos=0.6, t_neg=0.3, sigma=3.0)
+        for seed, scene in enumerate([MISALIGNED_SCENE, synth_scene(SceneSpec(seed=4))]):
+            result = run_trajectory(scene, grid, cfg, strategy, matching, seed=seed)
+            assert [step.t for step in result.steps] == np.linspace(0, 1, cfg.steps).tolist()
+            rows = [row_positives(scene, grid, cfg, s.t, seed, strategy, matching)
+                    for s in result.steps]
+            assert result.counts == rows
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_point_budgets(self, seed):
+        """fcos realises the original budgets at every step. fcos-mutual
+        selects each object's budget before the merge, but the merge may drop
+        claims where point pools overlap: its count lies between one positive
+        per object and the budget."""
+        scene = synth_scene(SceneSpec(seed=seed))
+        per_object = fcos_assign_original(POINTS, scene.boxes).per_object_counts
+        budget, cfg = sum(per_object), TrajectoryConfig(steps=5)
+        assert run_trajectory(scene, POINTS, cfg, "fcos", seed=seed).counts == [budget] * 5
+        mutual = run_trajectory(scene, POINTS, cfg, "fcos-mutual", seed=seed)
+        for step in mutual.steps:
+            assert len(scene.boxes) <= step.positive_count <= budget
+            regressed = synth_point_predictions(scene, POINTS, cfg, step.t, seed)[0]
+            selected = fcos_localize_to_classify(POINTS, scene.boxes, regressed)
+            assert selected.premerge_positive_counts == per_object
 
     def test_json_shape(self):
         scene = synth_scene(SceneSpec(seed=21))
@@ -253,6 +307,23 @@ class TestRunTrajectory:
         assert payload["strategy"] == "mutual"
         assert len(payload["steps"]) == 3
         assert {"t", "positive_count"} <= set(payload["steps"][0])
+
+
+def row_positives(scene, grid, cfg, t, seed, strategy, matching):
+    """Positives of ``strategy``'s public row on the predictions at step t."""
+    if grid is POINTS:
+        predicted = synth_point_predictions(scene, grid, cfg, t, seed)
+        labeled = POINT_STRATEGIES[strategy](grid, scene.boxes, *predicted, matching)[1]
+    else:
+        snapshot = synth_predictions(scene, grid, cfg, t, seed)
+        if strategy == "l2c-fixed":
+            labeled = static_assign(snapshot.iou_regressed, matching)
+        else:
+            iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+            predicted = snapshot.iou_regressed, snapshot.classif_scores
+            labeled = ANCHOR_STRATEGIES[strategy](iou_anchor, *predicted, matching)[1]
+    labels = labeled.localization_labels if strategy == "c2l" else labeled.classification_labels
+    return int(np.count_nonzero(labels >= 0))
 
 
 class TestPointPredictions:
@@ -399,9 +470,9 @@ class TestSceneWithoutObjects:
         )
         assert iou_regressed.shape == scores.shape == (len(points), 0)
 
-    @pytest.mark.parametrize("strategy", ["static", "l2c", "c2l", "mutual", "l2c-fixed"])
-    def test_trajectory_counts_no_positive(self, strategy):
-        result = run_trajectory(self.EMPTY, ANCHORS, TrajectoryConfig(steps=3), strategy)
+    @pytest.mark.parametrize("grid, strategy", GRID_STRATEGIES, ids=GRID_IDS)
+    def test_trajectory_counts_no_positive(self, grid, strategy):
+        result = run_trajectory(self.EMPTY, grid, TrajectoryConfig(steps=3), strategy)
         assert result.counts == [0, 0, 0]
 
     @pytest.mark.parametrize("suppressed", [False, True])
