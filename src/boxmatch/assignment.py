@@ -70,6 +70,11 @@ class Assignment:
     mode: str = "anchors"
 
     def to_json_dict(self) -> dict:
+        payload = self._json_payload()
+        return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in payload.items()}
+
+    def _json_payload(self) -> dict:
+        """``to_json_dict`` with the label arrays themselves, for the CLI's writer."""
         if self.mode == "points":
             counts = [{"positive": int(p)} for p in self.per_object_counts]
         else:
@@ -77,8 +82,8 @@ class Assignment:
         return {
             "format_version": 1,
             "mode": self.mode,
-            "classification": self.classification_labels.tolist(),
-            "localization": self.localization_labels.tolist(),
+            "classification": self.classification_labels,
+            "localization": self.localization_labels,
             "per_object_counts": counts,
             "warnings": list(self.warnings),
         }

@@ -106,25 +106,26 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for string-keyed dicts;
-    ``indent`` is the line break and spaces before the closing bracket.
-
-    A list whose compact C-encoded text has no quote, brace or bracket past
-    its opening bracket holds only numbers, booleans and null, so ", "
-    separates exactly its items and one replace gives the indented layout.
-    """
+    """``json.dumps(value, sort_keys=True, indent=2)`` for string-keyed dicts, with a 1-D
+    NumPy integer array for its list; ``indent`` is the line break and spaces before the
+    closing bracket. An array's dtype vouches for its items, so they need no scan: labels
+    (in [-2, m)) are gathered from one string per value of their range."""
     inner = indent + "  "
-    if isinstance(value, dict) and value:
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype.kind in "iu":
+        lo, hi = (int(value.min()), int(value.max())) if value.size else (0, 0)
+        if hi - lo < value.size:  # value - lo may wrap in the dtype; read unsigned, it is exact
+            words = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+            items = words[(value - lo).view(f"u{value.itemsize}")].tolist()
+        else:  # a range wider than the array gets no table
+            items = [str(v) for v in value.tolist()]
+    elif isinstance(value, dict):
         items = [f"{json.dumps(key)}: {_json_text(value[key], inner)}" for key in sorted(value)]
-    elif isinstance(value, (list, tuple)) and value:
-        flat = json.dumps(value)
-        if '"' not in flat and "{" not in flat and flat.find("[", 1) < 0:
-            return "[" + inner + flat[1:-1].replace(", ", "," + inner) + indent + "]"
+    elif isinstance(value, (list, tuple)):
         items = [_json_text(item, inner) for item in value]
     else:
         return json.dumps(value)
     brackets = "{}" if isinstance(value, dict) else "[]"
-    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+    return brackets[0] + (inner + ("," + inner).join(items) + indent if items else "") + brackets[1]
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -186,8 +187,8 @@ def _write_scene(
     anchor boxes or point coordinates."""
     out = Path(args.out)
     files = {
-        f"{image_id}.{name}.json": baseline.to_json_dict(),
-        f"{image_id}.{args.strategy}.json": dynamic.to_json_dict(),
+        f"{image_id}.{name}.json": baseline._json_payload(),
+        f"{image_id}.{args.strategy}.json": dynamic._json_payload(),
         f"{image_id}.diff.json": _diff_payload(
             image_id, args.strategy, name, baseline, dynamic, len(scene.boxes)
         ),

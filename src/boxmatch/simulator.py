@@ -298,8 +298,8 @@ def _trajectories(
     matching: Optional[MatchingConfig],
     seed: int,
 ) -> list[TrajectoryResult]:
-    """One run_trajectory result per strategy, in order; one baseline serves
-    every step, whose predictions are simulated once for all strategies."""
+    """One run_trajectory result per strategy, in order; one baseline serves every
+    step, whose predictions are simulated once for all strategies, if one reads them."""
     kind = "points" if isinstance(grid, PointSet) else "anchors"
     choices = [*fcos.POINT_STRATEGIES] if kind == "points" else [*ANCHOR_STRATEGIES, "l2c-fixed"]
     for strategy in strategies:
@@ -308,8 +308,9 @@ def _trajectories(
     matching = matching or MatchingConfig()
     _, base, predict = _baseline(scene, grid, matching)
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
+    reads = any(s == "l2c-fixed" or any(GUIDED_TASKS[s]) for s in strategies)
     for t in np.linspace(0.0, 1.0, cfg.steps):
-        iou_regressed, scores = predict(cfg, float(t), seed)
+        iou_regressed, scores = predict(cfg, float(t), seed) if reads else (None, None)
         for result in results:
             if result.strategy == "l2c-fixed":
                 labels = static_assign(iou_regressed, matching).classification_labels

@@ -36,3 +36,16 @@ def test_summary_of_known_ratios():
     assert summary["faster"] == 3 and summary["rounds"] == 4
     low, high = summary["interval"]
     assert 0.8 <= low <= 0.9 <= high <= 1.1
+
+
+
+def test_cli_command_against_itself():
+    """cli_io rounds run the commands in process, each tree writing into its
+    own directory; A/A, `evaluate` gives an interval around one (40 runs in a
+    row all held)."""
+    results = load_harness().compare(ROOT / "src", ROOT / "src", "cli_io", seed=1, rounds=20,
+                                     ops=1, functions=["evaluate"], level=0.999)
+    assert list(results) == ["evaluate"]
+    low, high = results["evaluate"]["interval"]
+    assert low <= 1.0 <= high
+    assert results["evaluate"]["rounds"] == 20

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from boxmatch import cli, simulator
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
@@ -520,6 +521,29 @@ def indented(value):
     return json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+@st.composite
+def integer_arrays(draw):
+    """1-D arrays of a few integer dtypes: values from the whole dtype range
+    (mostly wider than the array), or a few around one point (the table)."""
+    dtype = np.dtype(draw(st.sampled_from(["int8", "int32", "int64", "uint64"])))
+    low, high = int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+    if draw(st.booleans()):
+        center, width = draw(st.integers(low, high)), draw(st.integers(0, 3))
+        low, high = max(low, center - width), min(high, center + width)
+    return draw(hnp.arrays(dtype, st.integers(0, 30), elements=st.integers(low, high)))
+
+
+def as_lists(value):
+    """``value`` with every array replaced by its list."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
 class TestJsonWriter:
     @given(JSON_VALUES)
     @example(["a, b", 1])
@@ -552,6 +576,46 @@ class TestJsonWriter:
         for name, payload in payloads.items():
             _write_json(tmp_path / name, payload)
             assert (tmp_path / name).read_text() == indented(payload), name
+
+    @given(integer_arrays())
+    @example(np.zeros(0, dtype=np.int64))
+    @example(np.array([7], dtype=np.int32))
+    @example(np.full(5, -2, dtype=np.int8))
+    @example(np.array([-2, -1, 0, 3, -1, 2], dtype=np.int64))
+    @example(np.array([-100, 100] * 101, dtype=np.int8))  # value - lo wraps in int8
+    @example(np.array([-(2**63), 2**63 - 1], dtype=np.int64))  # no table of 2**64 strings
+    @example(np.array([2**63 - 1, -(2**63)] * 3, dtype=np.int64))
+    @example(np.array([2**64 - 1, 2**64 - 3, 2**64 - 2], dtype=np.uint64))
+    @example(np.array([0, 2**64 - 1], dtype=np.uint64))
+    def test_integer_arrays_equal_their_lists(self, arr):
+        assert _json_text(arr) + "\n" == indented(arr.tolist())
+
+    def test_nested_arrays_lists_and_dicts(self):
+        payload = {
+            "labels": np.array([-2, -1, 0, 1, 1, 0], dtype=np.int64),
+            "rows": [np.zeros(0, dtype=np.intp), {"k": np.arange(3, dtype=np.uint8)}, [1, "a"]],
+            "sparse": np.array([3, 700, 7499], dtype=np.intp),
+            "empty": {},
+            "nested": {"z": [[np.array([5], dtype=np.int32)], ()], "a": None},
+        }
+        assert _json_text(payload) + "\n" == indented(as_lists(payload))
+
+    def test_assign_writes_the_label_arrays_themselves(self, tmp_path, monkeypatch):
+        """The writer gets the label arrays, and the file holds their lists."""
+        written, write = {}, cli._write_json
+
+        def spy(path, payload):
+            written[path.name] = payload
+            write(path, payload)
+
+        monkeypatch.setattr(cli, "_write_json", spy)
+        assert main(["assign", "--synthetic", "--seed", "3", "--out", str(tmp_path)]) == 0
+        for name in ("scene-0000.static.json", "scene-0000.mutual.json"):
+            payload = written[name]
+            for key in ("classification", "localization"):
+                assert isinstance(payload[key], np.ndarray), (name, key)
+            assert (tmp_path / name).read_text() == indented(as_lists(payload))
+
 
 
 class TestRunConfig:

@@ -1,11 +1,13 @@
 import hashlib
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from boxmatch import fcos, simulator
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.assignment import (
     ANCHOR_STRATEGIES,
@@ -298,6 +300,24 @@ class TestRunTrajectory:
             regressed = synth_point_predictions(scene, POINTS, cfg, step.t, seed)[0]
             selected = fcos_localize_to_classify(POINTS, scene.boxes, regressed)
             assert selected.premerge_positive_counts == per_object
+
+    @pytest.mark.parametrize("grid, strategy", GRID_STRATEGIES, ids=GRID_IDS)
+    def test_predicts_only_what_a_strategy_reads(self, grid, strategy):
+        """static and fcos label every step from the baseline alone, so no
+        step is simulated; every other strategy simulates each step once."""
+        scene = synth_scene(SceneSpec(seed=21))
+        name = "synth_point_predictions" if grid is POINTS else "synth_predictions"
+        with mock.patch.object(simulator, name, wraps=getattr(simulator, name)) as predictor:
+            result = run_trajectory(scene, grid, TrajectoryConfig(steps=10), strategy, seed=21)
+        assert predictor.call_count == (0 if strategy in ("static", "fcos") else 10)
+        assert len(result.counts) == 10
+
+    def test_point_trajectory_builds_the_centerness_once(self):
+        scene = synth_scene(SceneSpec(seed=21))
+        cfg = TrajectoryConfig(steps=10)
+        with mock.patch.object(fcos, "_centerness_matrix", wraps=fcos._centerness_matrix) as built:
+            run_trajectory(scene, POINTS, cfg, "fcos-mutual", seed=21)
+        assert built.call_count == 1
 
     def test_json_shape(self):
         scene = synth_scene(SceneSpec(seed=21))

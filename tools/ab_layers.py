@@ -3,6 +3,7 @@
 Run from the repository root, comparing a git revision with the working tree:
 
     python3 tools/ab_layers.py --rev HEAD~1 --rounds 20
+    python3 tools/ab_layers.py --rev HEAD~1 --workload cli_io --ops 2
 
 The `src` directory of `--rev` is extracted with `git archive` into a temporary
 directory. Both trees are imported under their own package names, and each
@@ -10,9 +11,11 @@ builds its own grids and the scenes (seed 1) of a benchmark workload
 (`benchmarks/workloads.py`, read-only). Every
 round times each public layer function of the workload's operation, and the
 whole operation, on the first `--ops` operations of a pass, calling the two
-trees in turn, call by call; the tree that goes first alternates by round. A
-round's ratio is the change's time over the base's, summed over the
-operations. Per function the script prints the median ratio over the rounds,
+trees in turn, call by call; the tree that goes first alternates by round. On
+`cli_io` a round times each of the four commands of a pass in process, and
+the whole pass, on `--ops` passes; each tree writes into its own temporary
+directory. A round's ratio is the change's time over the base's, summed over
+the operations. Per function the script prints the median ratio over the rounds,
 a bootstrap 95% interval of that median and in how many rounds the change was
 faster. Timing is `time.perf_counter` inside this process.
 """
@@ -34,12 +37,17 @@ import sys
 import tarfile
 import tempfile
 import time
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RESAMPLES = 2000
+# the commands of a `cli_io` pass, in its order
+CLI_COMMANDS = ("assign_anchors", "assign_points", "simulate", "evaluate")
 
 
 def load_package(name: str, src: Path):
@@ -76,13 +84,32 @@ def load_workloads():
 class Tree:
     """One package with its own grids, workload scenes and per-operation inputs."""
 
-    def __init__(self, bm, workloads, workload: str, seed: int, ops: int):
+    def __init__(self, bm, workloads, workload: str, seed: int, ops: int, workdir: Path):
         cls = workloads.WORKLOADS[workload]
         spec = bm.AnchorGridSpec(image_width=cls.width, image_height=cls.width)
         self.bm = bm
         self.anchors, self.points = bm.generate_anchors(spec), bm.generate_points(spec)
-        self.workload = cls(bm, seed, (self.anchors, self.points), None, None)
-        self.calls = [self._calls(k, workloads.TRAJ_TS) for k in range(ops)]
+        self.workload = cls(bm, seed, (self.anchors, self.points), workdir, None)
+        if workload == "cli_io":
+            self.calls = [self._cli_calls(p) for p in range(ops)]
+        else:
+            self.calls = [self._calls(k, workloads.TRAJ_TS) for k in range(ops)]
+
+    def _cli_calls(self, p: int) -> dict:
+        """Each command of pass p, run in process as the workload runs it, and the pass."""
+        wl = self.workload
+        cli = importlib.import_module(f"{self.bm.__name__}.cli")
+        layer = SimpleNamespace(cli_main=cli.main, span=lambda name: nullcontext())
+
+        def command(k: int):
+            code, log = wl.op(k, layer)[2:]
+            if code:
+                raise RuntimeError(f"{wl.commands[k % wl.pass_len][0]} exited {code}: {log}")
+
+        ks = range(p * wl.pass_len, (p + 1) * wl.pass_len)
+        calls = {name: partial(command, k) for name, k in zip(CLI_COMMANDS, ks)}
+        calls["pass"] = lambda: [command(k) for k in ks]
+        return calls
 
     def _calls(self, k: int, ts) -> dict:
         """Each layer function of operation k, bound to its inputs, and the operation."""
@@ -148,23 +175,24 @@ def compare(base_src: Path, change_src: Path, workload: str = "train_crowded", s
             rounds: int = 20, ops: int = 10, functions=None, level: float = 0.95) -> dict:
     """Time both trees round by round; returns {function: summarize(...)}."""
     workloads = load_workloads()
-    trees = [
-        Tree(load_package(name, src), workloads, workload, seed, ops)
-        for name, src in (("boxmatch_ab_base", base_src), ("boxmatch_ab_change", change_src))
-    ]
-    names = [f for f in trees[0].calls[0] if functions is None or f in functions]
-    for tree in trees:  # warm-up: one untimed call of everything
-        for calls in tree.calls:
-            for name in names:
-                calls[name]()
-    seconds = np.zeros((rounds, len(names), 2))
-    for r in range(rounds):
-        gc.collect()
-        sides = (0, 1) if r % 2 == 0 else (1, 0)
-        for f, name in enumerate(names):
-            for k in range(ops):
-                for side in sides:
-                    seconds[r, f, side] += timed(trees[side].calls[k][name])
+    with tempfile.TemporaryDirectory() as tmp:  # where each tree's workload writes
+        trees = [
+            Tree(load_package(name, src), workloads, workload, seed, ops, Path(tmp) / name)
+            for name, src in (("boxmatch_ab_base", base_src), ("boxmatch_ab_change", change_src))
+        ]
+        names = [f for f in trees[0].calls[0] if functions is None or f in functions]
+        for tree in trees:  # warm-up: one untimed call of everything
+            for calls in tree.calls:
+                for name in names:
+                    calls[name]()
+        seconds = np.zeros((rounds, len(names), 2))
+        for r in range(rounds):
+            gc.collect()
+            sides = (0, 1) if r % 2 == 0 else (1, 0)
+            for f, name in enumerate(names):
+                for k in range(ops):
+                    for side in sides:
+                        seconds[r, f, side] += timed(trees[side].calls[k][name])
     ratios = seconds[:, :, 1] / seconds[:, :, 0]
     return {name: summarize(ratios[:, f], level) for f, name in enumerate(names)}
 
@@ -173,9 +201,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", required=True, help="git revision of the base tree")
     parser.add_argument("--workload", default="train_crowded",
-                        choices=("train_sparse", "train_crowded"))
+                        choices=("train_sparse", "train_crowded", "cli_io"))
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--ops", type=int, default=10, help="operations of the pass per round")
+    parser.add_argument("--ops", type=int, default=10, help="operations (cli_io: passes) per round")
     parser.add_argument("--functions", nargs="*", help="time only these (default: all)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
