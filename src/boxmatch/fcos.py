@@ -17,7 +17,7 @@ positive fallback". An image without objects is all NEGATIVE.
 from __future__ import annotations
 
 import math
-from functools import cache, partial
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,7 +143,7 @@ def _original(
 
     counts = _positives(labels, m).tolist()
     result = Assignment(labels, labels.copy(), counts, warnings, mode="points")
-    quality = cache(partial(_centerness_matrix, points.xy, gt, pool))  # built once, if read
+    quality = partial(_centerness_matrix, points.xy, gt, pool)
     return _Baseline(result, counts, [0] * m, pool, quality, "point")
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -307,6 +308,7 @@ def _trajectories(
             raise ValueError(f"strategy {strategy!r} does not label {kind}; choose from {choices}")
     matching = matching or MatchingConfig()
     _, base, predict = _baseline(scene, grid, matching)
+    base = base._replace(quality=cache(base.quality))  # it does not depend on t
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
     reads = any(s == "l2c-fixed" or any(GUIDED_TASKS[s]) for s in strategies)
     for t in np.linspace(0.0, 1.0, cfg.steps):
