@@ -210,9 +210,17 @@ def _write_scene(
 
 
 def cmd_assign(args: argparse.Namespace, cfg: RunConfig) -> int:
+    scenes = _load_scenes(args, cfg)
+    stems = [str(image_id) for image_id, _, _ in scenes]  # each names its files
+    unsafe = [s for s in stems if s in ("", ".", "..") or {os.sep, os.altsep} & set(s)]
+    if unsafe:
+        raise CliError(f"image ids cannot name files: {', '.join(map(repr, unsafe))}")
+    if len(set(stems)) < len(stems):
+        shared = [image_id for (image_id, _, _), s in zip(scenes, stems) if stems.count(s) > 1]
+        raise CliError(f"image ids name the same files: {', '.join(map(repr, shared))}")
     Path(args.out).mkdir(parents=True, exist_ok=True)
     grid = (generate_points if args.strategy in POINT_STRATEGIES else generate_anchors)(cfg.grid)
-    for image_id, scene, seed in _load_scenes(args, cfg):
+    for image_id, scene, seed in scenes:
         _write_scene(args, image_id, scene, grid, *_label(cfg, args.strategy, grid, scene, seed))
     return 0
 

@@ -339,9 +339,12 @@ def detections_from_snapshot(
     network trained to score them as background. A scene without objects
     gives an empty batch.
     """
+    scores = snapshot.classif_scores
+    shape = None if classification_labels is None else np.shape(classification_labels)
+    if shape not in (None, scores.shape[:1]):
+        raise ValueError(f"label shape {shape} differs from the score rows' {scores.shape[:1]}")
     if not scene.boxes:  # no object, no class: nothing to detect
         return Detections(np.zeros((0, 4)), (), (), (image_id,), ())
-    scores = snapshot.classif_scores
     if classification_labels is not None:
         factor = np.where(classification_labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
         scores = scores * factor[:, None]

@@ -1,12 +1,20 @@
 """The layer A/B harness in tools/ab_layers.py, run A/A: one source tree
-against itself, imported under two package names, on a few small operations."""
+against itself, imported under two package names, on one pass of a workload."""
 
 import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# the layer calls of one training operation, in their order
+TRAINING = (
+    "geometry.pairwise_iou", "simulator.synth_predictions", "assignment.static_assign",
+    "assignment.localize_to_classify", "assignment.classify_to_localize",
+    "assignment.mutual_guidance_assign", "simulator.synth_point_predictions",
+    "fcos.assign_original", "fcos.localize_to_classify", "fcos.classify_to_localize",
+)
 
 
 def load_harness():
@@ -16,18 +24,37 @@ def load_harness():
     return module
 
 
-def test_a_tree_against_itself_gives_an_interval_around_one():
-    harness = load_harness()
+def check_a_a(results, rows, rounds):
     # at 99.9%, an A/A interval misses 1 by chance about once in a thousand
     # runs; a bias between the two imports or the two orders would not
-    results = harness.compare(ROOT / "src", ROOT / "src", "train_sparse", seed=1, rounds=15,
-                              ops=2, functions=["static_assign", "op"], level=0.999)
-    assert list(results) == ["static_assign", "op"]
+    assert list(results) == rows
     for summary in results.values():
         low, high = summary["interval"]
         assert low <= summary["median"] <= high
         assert low <= 1.0 <= high
-        assert summary["rounds"] == 15
+        assert summary["rounds"] == rounds
+
+
+@pytest.fixture(scope="module")
+def trees(tmp_path_factory):
+    """The A/A pair of trees of a workload, each recording one pass; built once."""
+    harness, built = load_harness(), {}
+
+    def pair(workload):
+        if workload not in built:
+            workdir = tmp_path_factory.mktemp(workload)
+            built[workload] = harness.make_trees(ROOT / "src", ROOT / "src", workload, 1, 1,
+                                                 workdir)
+        return built[workload]
+
+    return pair
+
+
+def test_a_tree_against_itself_gives_an_interval_around_one(trees):
+    rows = ["assignment.static_assign", "pass"]
+    results = load_harness().replay(*trees("train_sparse"), rounds=8, functions=rows,
+                                    level=0.999)
+    check_a_a(results, rows, 8)
 
 
 def test_summary_of_known_ratios():
@@ -38,14 +65,35 @@ def test_summary_of_known_ratios():
     assert 0.8 <= low <= 0.9 <= high <= 1.1
 
 
-
-def test_cli_command_against_itself():
+def test_cli_command_against_itself(trees):
     """cli_io rounds run the commands in process, each tree writing into its
-    own directory; A/A, `evaluate` gives an interval around one (40 runs in a
-    row all held)."""
-    results = load_harness().compare(ROOT / "src", ROOT / "src", "cli_io", seed=1, rounds=20,
-                                     ops=1, functions=["evaluate"], level=0.999)
-    assert list(results) == ["evaluate"]
-    low, high = results["evaluate"]["interval"]
-    assert low <= 1.0 <= high
-    assert results["evaluate"]["rounds"] == 20
+    own directory; A/A, `evaluate` gives an interval around one."""
+    results = load_harness().replay(*trees("cli_io"), rounds=20, functions=["cli.evaluate"],
+                                    level=0.999)
+    check_a_a(results, ["cli.evaluate"], 20)
+
+
+def test_average_precision_against_itself(trees):
+    """An eval_paper pass reaches its corpus AP, which closes the pass."""
+    rows = ["evaluation.average_precision"]
+    results = load_harness().replay(*trees("eval_paper"), rounds=10, functions=rows,
+                                    level=0.999)
+    check_a_a(results, rows, 10)
+
+
+def test_a_recorded_pass_holds_the_calls_of_its_workload(trees):
+    def recorded(workload):
+        return [name for name, _ in trees(workload)[0].calls]
+
+    assert recorded("train_sparse") == list(TRAINING) * 10
+    # per image: static and mutual labels, their detections and NMS; the
+    # last image's operation also evaluates the pass's corpus
+    image = ["geometry.pairwise_iou", "simulator.synth_predictions", "assignment.static_assign",
+             "assignment.mutual_guidance_assign", *["simulator.detections_from_snapshot"] * 2,
+             *["evaluation.nms"] * 2]
+    corpus = [*["evaluation.average_precision"] * 2, *["evaluation.misalignment_rate"] * 2]
+    assert recorded("eval_paper") == image * 30 + corpus
+    # the two assigns are told apart by their strategy
+    assert recorded("cli_io") == [
+        "cli.assign:mutual", "cli.assign:fcos-mutual", "cli.simulate", "cli.evaluate"
+    ]

@@ -415,6 +415,21 @@ class TestAssignCommand:
         assert main(["assign", "--annotations", path, "--out", str(tmp_path / "x")]) == 1
         assert "annotations[0]" in capsys.readouterr().err
 
+    # image ids name the output files: one that is not a plain file name, or
+    # two with the same text, are refused before anything is written
+    @pytest.mark.parametrize("ids, message", [
+        (["../escaped", "sub/dir"], "image ids cannot name files: '../escaped', 'sub/dir'"),
+        ([1, "1"], "image ids name the same files: 1, '1'"),
+    ], ids=["path", "same-text"])
+    def test_image_ids_that_cannot_name_files_are_refused(self, ids, message, tmp_path, capsys):
+        images = [{"id": image_id, "width": 320, "height": 320} for image_id in ids]
+        path = write_json(tmp_path / "gt.json", {"images": images, "annotations": []})
+        argv = ["assign", "--annotations", path, "--strategy", "static",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["gt.json"]
+
     def test_config_file_overrides(self, tmp_path):
         config = write_json(
             tmp_path / "config.json",

@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -469,6 +470,14 @@ class TestDetectionsFromSnapshot:
         labels = np.full(len(ANCHORS.array), -1)
         dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, snapshot, labels)
         assert len(dets) == 0 and dets.boxes.shape == (0, 4)
+
+    # one label broadcast over every row, one column per row, too few rows
+    @pytest.mark.parametrize("shape", [(1,), (len(ANCHORS), 1), (2,)], ids=str)
+    def test_labels_of_another_shape_are_refused(self, shape):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        message = f"label shape {shape} differs from the score rows' ({len(ANCHORS)},)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, snapshot, np.full(shape, -1))
 
 
 class TestSceneWithoutObjects:

@@ -1,12 +1,13 @@
-"""Source-text rules of the library: every line of ``src/boxmatch`` fits in
-100 characters."""
+"""Source-text rules of the library and its tools: every line of
+``src/boxmatch`` and ``tools`` fits in 100 characters."""
 
 from pathlib import Path
 
 import pytest
 
 MAX_LINE = 100
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "boxmatch").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "boxmatch").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def test_the_package_has_sources():

@@ -3,21 +3,19 @@
 Run from the repository root, comparing a git revision with the working tree:
 
     python3 tools/ab_layers.py --rev HEAD~1 --rounds 20
-    python3 tools/ab_layers.py --rev HEAD~1 --workload cli_io --ops 2
+    python3 tools/ab_layers.py --rev HEAD~1 --workload eval_paper --rounds 10
 
-The `src` directory of `--rev` is extracted with `git archive` into a temporary
-directory. Both trees are imported under their own package names, and each
-builds its own grids and the scenes (seed 1) of a benchmark workload
-(`benchmarks/workloads.py`, read-only). Every
-round times each public layer function of the workload's operation, and the
-whole operation, on the first `--ops` operations of a pass, calling the two
-trees in turn, call by call; the tree that goes first alternates by round. On
-`cli_io` a round times each of the four commands of a pass in process, and
-the whole pass, on `--ops` passes; each tree writes into its own temporary
-directory. A round's ratio is the change's time over the base's, summed over
-the operations. Per function the script prints the median ratio over the rounds,
-a bootstrap 95% interval of that median and in how many rounds the change was
-faster. Timing is `time.perf_counter` inside this process.
+The `src` of `--rev` is extracted with `git archive` into a temporary directory,
+and both trees are imported under their own package names. Each builds the
+seed-1 inputs of a benchmark workload (on `cli_io`, in its own directory) and
+runs the first `--passes` passes once through the benchmark's `Layers`, which
+records every layer call with its arguments under its span name: `cli.<command>`
+for a CLI command, plus `:<strategy>` if it names one. `benchmarks/` is only
+read. A round replays the recorded calls, the two trees in turn call by call,
+then each whole pass (the `pass` row); the tree that goes first alternates by
+round. Per row the script prints the median over the rounds of the change's
+time over the base's, a bootstrap 95% interval of it and in how many rounds the
+change was faster. Timing is `time.perf_counter` inside this process.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUME
     os.environ.setdefault(_var, "1")
 
 import argparse
+import contextlib
 import gc
 import importlib.util
 import io
@@ -37,21 +36,20 @@ import sys
 import tarfile
 import tempfile
 import time
-from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RESAMPLES = 2000
-# the commands of a `cli_io` pass, in its order
-CLI_COMMANDS = ("assign_anchors", "assign_points", "simulate", "evaluate")
 
 
 def load_package(name: str, src: Path):
-    """Import the ``boxmatch`` package under ``src`` as the top-level package ``name``."""
+    """Import the ``boxmatch`` package under ``src`` as the top-level package
+    ``name``, with its ``cli`` module, which the benchmark's `Layers` reads."""
+    for stale in [m for m in sys.modules if m == name or m.startswith(name + ".")]:
+        del sys.modules[stale]  # an earlier import's submodules would shadow this tree's
     package = src / "boxmatch"
     spec = importlib.util.spec_from_file_location(
         name, package / "__init__.py", submodule_search_locations=[str(package)]
@@ -59,6 +57,7 @@ def load_package(name: str, src: Path):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    importlib.import_module(f"{name}.cli")
     return module
 
 
@@ -72,88 +71,64 @@ def extract_revision(rev: str, into: Path) -> Path:
     return into / "src"
 
 
-def load_workloads():
+def load_benchmark(name: str):
+    """The module ``benchmarks/<name>.py``, imported from its file."""
     spec = importlib.util.spec_from_file_location(
-        "boxmatch_ab_workloads", ROOT / "benchmarks" / "workloads.py"
+        f"boxmatch_ab_{name}", ROOT / "benchmarks" / f"{name}.py"
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-class Tree:
-    """One package with its own grids, workload scenes and per-operation inputs."""
+def quiet_cli(main, argv) -> int:
+    """Run one CLI command with its output captured; a failed command raises."""
+    log = io.StringIO()
+    with contextlib.redirect_stdout(log), contextlib.redirect_stderr(log):
+        code = main(argv)
+    if code:
+        raise RuntimeError(f"{argv[0]} exited {code}: {log.getvalue().strip()}")
+    return code
 
-    def __init__(self, bm, workloads, workload: str, seed: int, ops: int, workdir: Path):
+
+class Tree:
+    """One package with its own grids and workload. The workload's first passes
+    run once through a copy of the benchmark's `Layers` that records each layer
+    call, bound to its arguments, under its span name (`calls`); `passes` runs
+    each of them again through the plain `Layers`."""
+
+    def __init__(self, bm, tracing, workloads, workload: str, seed: int, passes: int,
+                 workdir: Path):
         cls = workloads.WORKLOADS[workload]
         spec = bm.AnchorGridSpec(image_width=cls.width, image_height=cls.width)
-        self.bm = bm
-        self.anchors, self.points = bm.generate_anchors(spec), bm.generate_points(spec)
-        self.workload = cls(bm, seed, (self.anchors, self.points), workdir, None)
-        if workload == "cli_io":
-            self.calls = [self._cli_calls(p) for p in range(ops)]
-        else:
-            self.calls = [self._calls(k, workloads.TRAJ_TS) for k in range(ops)]
+        grid = bm.generate_anchors(spec), bm.generate_points(spec)
+        self.workload = cls(bm, seed, grid, workdir, None)
+        self.calls, self.spans = [], []
+        layers = tracing.Layers(bm)
+        for name, (_, attr) in tracing.FUNCTIONS.items():
+            setattr(layers, attr, partial(self.record, name, getattr(layers, attr)))
+        layers.span = lambda name: self.spans.append(name) or contextlib.nullcontext()
+        layers.cli_main = partial(self.record_cli, bm.cli.main)
+        for p in range(passes):
+            self.run_pass(layers, p)
+        self.passes = [partial(self.run_pass, tracing.Layers(bm), p) for p in range(passes)]
 
-    def _cli_calls(self, p: int) -> dict:
-        """Each command of pass p, run in process as the workload runs it, and the pass."""
+    def record(self, name, fn, /, *args, **kwargs):
+        call = partial(fn, *args, **kwargs)
+        self.calls.append((name, call))
+        return call()
+
+    def record_cli(self, main, argv):
+        """A command is named by the span it runs in, and by its strategy if it has one."""
+        name = self.spans[-1]
+        if "--strategy" in argv:
+            name += ":" + argv[argv.index("--strategy") + 1]
+        return self.record(name, quiet_cli, main, argv)
+
+    def run_pass(self, layers, p: int):
         wl = self.workload
-        cli = importlib.import_module(f"{self.bm.__name__}.cli")
-        layer = SimpleNamespace(cli_main=cli.main, span=lambda name: nullcontext())
-
-        def command(k: int):
-            code, log = wl.op(k, layer)[2:]
-            if code:
-                raise RuntimeError(f"{wl.commands[k % wl.pass_len][0]} exited {code}: {log}")
-
-        ks = range(p * wl.pass_len, (p + 1) * wl.pass_len)
-        calls = {name: partial(command, k) for name, k in zip(CLI_COMMANDS, ks)}
-        calls["pass"] = lambda: [command(k) for k in ks]
-        return calls
-
-    def _calls(self, k: int, ts) -> dict:
-        """Each layer function of operation k, bound to its inputs, and the operation."""
-        bm, wl = self.bm, self.workload
-        i = k % wl.scenes_per_pass
-        scene, gt, seed = wl.scenes[i], wl.gt_arrays[i], wl.seed + i
-        t = float(ts[k % len(ts)])
-        iou_anchor = bm.pairwise_iou(self.anchors.array, gt)
-        snap = bm.synth_predictions(scene, self.anchors, wl.traj, t, seed=seed)
-        iou_reg, scores = bm.synth_point_predictions(scene, self.points, wl.traj, t, seed=seed)
-        points, boxes = self.points, scene.boxes
-        return {
-            "pairwise_iou": lambda: bm.pairwise_iou(self.anchors.array, gt),
-            "synth_predictions": lambda: bm.synth_predictions(
-                scene, self.anchors, wl.traj, t, seed=seed
-            ),
-            "static_assign": lambda: bm.static_assign(iou_anchor),
-            "localize_to_classify": lambda: bm.localize_to_classify(
-                iou_anchor, snap.iou_regressed
-            ),
-            "classify_to_localize": lambda: bm.classify_to_localize(
-                iou_anchor, snap.classif_scores
-            ),
-            "mutual_guidance_assign": lambda: bm.mutual_guidance_assign(
-                iou_anchor, snap.iou_regressed, snap.classif_scores
-            ),
-            "synth_point_predictions": lambda: bm.synth_point_predictions(
-                scene, points, wl.traj, t, seed=seed
-            ),
-            "fcos_assign_original": lambda: bm.fcos_assign_original(points, boxes),
-            "fcos_localize_to_classify": lambda: bm.fcos_localize_to_classify(
-                points, boxes, iou_reg
-            ),
-            "fcos_classify_to_localize": lambda: bm.fcos_classify_to_localize(
-                points, boxes, scores
-            ),
-            "op": lambda: wl.op(k, bm),
-        }
-
-
-def timed(call) -> float:
-    start = time.perf_counter()
-    call()
-    return time.perf_counter() - start
+        for k in range(p * wl.pass_len, (p + 1) * wl.pass_len):
+            wl.op(k, layers)
 
 
 def summarize(ratios: np.ndarray, level: float = 0.95, resamples: int = RESAMPLES) -> dict:
@@ -171,48 +146,62 @@ def summarize(ratios: np.ndarray, level: float = 0.95, resamples: int = RESAMPLE
     }
 
 
-def compare(base_src: Path, change_src: Path, workload: str = "train_crowded", seed: int = 1,
-            rounds: int = 20, ops: int = 10, functions=None, level: float = 0.95) -> dict:
-    """Time both trees round by round; returns {function: summarize(...)}."""
-    workloads = load_workloads()
-    with tempfile.TemporaryDirectory() as tmp:  # where each tree's workload writes
-        trees = [
-            Tree(load_package(name, src), workloads, workload, seed, ops, Path(tmp) / name)
-            for name, src in (("boxmatch_ab_base", base_src), ("boxmatch_ab_change", change_src))
-        ]
-        names = [f for f in trees[0].calls[0] if functions is None or f in functions]
-        for tree in trees:  # warm-up: one untimed call of everything
-            for calls in tree.calls:
-                for name in names:
-                    calls[name]()
-        seconds = np.zeros((rounds, len(names), 2))
-        for r in range(rounds):
+def make_trees(base_src: Path, change_src: Path, workload: str, seed: int, passes: int,
+               workdir: Path) -> list[Tree]:
+    """The base and the change tree, each workload writing under ``workdir``."""
+    benchmarks = load_benchmark("tracing"), load_benchmark("workloads")
+    return [
+        Tree(load_package(name, src), *benchmarks, workload, seed, passes, workdir / name)
+        for name, src in (("boxmatch_ab_base", base_src), ("boxmatch_ab_change", change_src))
+    ]
+
+
+def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
+           level: float = 0.95) -> dict:
+    """Time both trees' recorded calls and passes round by round, the two trees
+    in turn call by call; returns {row: summarize(...)}."""
+    if [name for name, _ in base.calls] != [name for name, _ in change.calls]:
+        raise RuntimeError("the two trees made different layer calls")
+    calls = [(name, (a, b)) for (name, a), (_, b) in zip(base.calls, change.calls)]
+    calls += [("pass", pair) for pair in zip(base.passes, change.passes)]
+    rows = list(dict.fromkeys(n for n, _ in calls if functions is None or n in functions))
+    calls = [(rows.index(name), pair) for name, pair in calls if name in rows]
+    seconds = np.zeros((rounds, len(rows), 2))
+    gc.collect()
+    gc.freeze()  # each round's collection then scans only what the rounds made
+    try:
+        for r in range(rounds):  # recording ran every call once: no warm-up
             gc.collect()
             sides = (0, 1) if r % 2 == 0 else (1, 0)
-            for f, name in enumerate(names):
-                for k in range(ops):
-                    for side in sides:
-                        seconds[r, f, side] += timed(trees[side].calls[k][name])
+            for row, pair in calls:
+                for side in sides:
+                    start = time.perf_counter()
+                    pair[side]()
+                    seconds[r, row, side] += time.perf_counter() - start
+    finally:
+        gc.unfreeze()
     ratios = seconds[:, :, 1] / seconds[:, :, 0]
-    return {name: summarize(ratios[:, f], level) for f, name in enumerate(names)}
+    return {name: summarize(ratios[:, f], level) for f, name in enumerate(rows)}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--rev", required=True, help="git revision of the base tree")
     parser.add_argument("--workload", default="train_crowded",
-                        choices=("train_sparse", "train_crowded", "cli_io"))
+                        choices=list(load_benchmark("workloads").WORKLOADS))
     parser.add_argument("--rounds", type=int, default=20)
-    parser.add_argument("--ops", type=int, default=10, help="operations (cli_io: passes) per round")
-    parser.add_argument("--functions", nargs="*", help="time only these (default: all)")
+    parser.add_argument("--passes", type=int, default=1, help="workload passes per round")
+    parser.add_argument("--functions", nargs="*", help="time only these rows (default: all)")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        results = compare(extract_revision(args.rev, Path(tmp)), ROOT / "src", args.workload,
-                          rounds=args.rounds, ops=args.ops, functions=args.functions)
-    print(f"change / {args.rev}, {args.workload}, {args.ops} ops per round")
+    with tempfile.TemporaryDirectory() as tmp:  # the base's src and each tree's workload
+        base_src = extract_revision(args.rev, Path(tmp))
+        trees = make_trees(base_src, ROOT / "src", args.workload, 1, args.passes, Path(tmp))
+        results = replay(*trees, args.rounds, args.functions)
+    print(f"change / {args.rev}, {args.workload}, {args.passes} passes per round")
+    width = max(map(len, results), default=0)
     for name, s in results.items():
         low, high = s["interval"]
-        print(f"{name:28s} x{s['median']:.3f}  95% [{low:.3f}, {high:.3f}]  "
+        print(f"{name:{width}s} x{s['median']:.3f}  95% [{low:.3f}, {high:.3f}]  "
               f"faster in {s['faster']} of {s['rounds']}")
     return 0
 
