@@ -11,11 +11,12 @@ seed-1 inputs of a benchmark workload (on `cli_io`, in its own directory) and
 runs the first `--passes` passes once through the benchmark's `Layers`, which
 records every layer call with its arguments under its span name: `cli.<command>`
 for a CLI command, plus `:<strategy>` if it names one. `benchmarks/` is only
-read. A round replays the recorded calls, the two trees in turn call by call,
-then each whole pass (the `pass` row); the tree that goes first alternates by
-round. Per row the script prints the median over the rounds of the change's
-time over the base's, a bootstrap 95% interval of it and in how many rounds the
-change was faster. Timing is `time.perf_counter` inside this process.
+read. A round replays the recorded calls row by row, the two trees in turn
+call by call, then each whole pass (the `pass` row); the tree that goes first
+alternates by round. Per row the script prints the median over the rounds of
+the change's time over the base's, a bootstrap 95% interval of it and in how
+many rounds the change was faster. Timing is `time.perf_counter` inside this
+process.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 RESAMPLES = 2000
+SEED = 1  # the workload inputs are the benchmark's first seed's
 
 
 def load_package(name: str, src: Path):
@@ -97,12 +99,11 @@ class Tree:
     call, bound to its arguments, under its span name (`calls`); `passes` runs
     each of them again through the plain `Layers`."""
 
-    def __init__(self, bm, tracing, workloads, workload: str, seed: int, passes: int,
-                 workdir: Path):
+    def __init__(self, bm, tracing, workloads, workload: str, passes: int, workdir: Path):
         cls = workloads.WORKLOADS[workload]
         spec = bm.AnchorGridSpec(image_width=cls.width, image_height=cls.width)
         grid = bm.generate_anchors(spec), bm.generate_points(spec)
-        self.workload = cls(bm, seed, grid, workdir, None)
+        self.workload = cls(bm, SEED, grid, workdir, None)
         self.calls, self.spans = [], []
         layers = tracing.Layers(bm)
         for name, (_, attr) in tracing.FUNCTIONS.items():
@@ -146,32 +147,32 @@ def summarize(ratios: np.ndarray, level: float = 0.95, resamples: int = RESAMPLE
     }
 
 
-def make_trees(base_src: Path, change_src: Path, workload: str, seed: int, passes: int,
+def make_trees(base_src: Path, change_src: Path, workload: str, passes: int,
                workdir: Path) -> list[Tree]:
     """The base and the change tree, each workload writing under ``workdir``."""
     benchmarks = load_benchmark("tracing"), load_benchmark("workloads")
     return [
-        Tree(load_package(name, src), *benchmarks, workload, seed, passes, workdir / name)
+        Tree(load_package(name, src), *benchmarks, workload, passes, workdir / name)
         for name, src in (("boxmatch_ab_base", base_src), ("boxmatch_ab_change", change_src))
     ]
 
 
 def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
            level: float = 0.95) -> dict:
-    """Time both trees' recorded calls and passes round by round, the two trees
-    in turn call by call; returns {row: summarize(...)}."""
+    """Time both trees' recorded calls and passes round by round, row by row
+    and the two trees in turn call by call; returns {row: summarize(...)}."""
     if [name for name, _ in base.calls] != [name for name, _ in change.calls]:
         raise RuntimeError("the two trees made different layer calls")
     calls = [(name, (a, b)) for (name, a), (_, b) in zip(base.calls, change.calls)]
     calls += [("pass", pair) for pair in zip(base.passes, change.passes)]
     rows = list(dict.fromkeys(n for n, _ in calls if functions is None or n in functions))
-    calls = [(rows.index(name), pair) for name, pair in calls if name in rows]
+    # row by row: a call then follows calls like it, not whatever the operation made before it
+    calls = [(f, pair) for f, row in enumerate(rows) for name, pair in calls if name == row]
     seconds = np.zeros((rounds, len(rows), 2))
     gc.collect()
-    gc.freeze()  # each round's collection then scans only what the rounds made
+    gc.disable()  # no collection lands inside a timed call
     try:
         for r in range(rounds):  # recording ran every call once: no warm-up
-            gc.collect()
             sides = (0, 1) if r % 2 == 0 else (1, 0)
             for row, pair in calls:
                 for side in sides:
@@ -179,7 +180,7 @@ def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
                     pair[side]()
                     seconds[r, row, side] += time.perf_counter() - start
     finally:
-        gc.unfreeze()
+        gc.enable()
     ratios = seconds[:, :, 1] / seconds[:, :, 0]
     return {name: summarize(ratios[:, f], level) for f, name in enumerate(rows)}
 
@@ -195,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:  # the base's src and each tree's workload
         base_src = extract_revision(args.rev, Path(tmp))
-        trees = make_trees(base_src, ROOT / "src", args.workload, 1, args.passes, Path(tmp))
+        trees = make_trees(base_src, ROOT / "src", args.workload, args.passes, Path(tmp))
         results = replay(*trees, args.rounds, args.functions)
     print(f"change / {args.rev}, {args.workload}, {args.passes} passes per round")
     width = max(map(len, results), default=0)
