@@ -280,37 +280,30 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file; flags override its values")
-    parser.add_argument("--annotations", help="annotation file (COCO-style subset)")
-    parser.add_argument("--synthetic", action="store_true", help="generate random scenes")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--sigma", type=float, default=None, help="amplification exponent")
-    parser.add_argument("--out", default="out", help="output directory")
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="boxmatch",
         description="Run and compare detector label-assignment strategies.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags every command takes
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument("--annotations", help="annotation file (COCO-style subset)")
+    common.add_argument("--synthetic", action="store_true", help="generate random scenes")
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--sigma", type=float, default=None, help="amplification exponent")
+    common.add_argument("--out", default="out", help="output directory")
 
-    p_assign = sub.add_parser("assign", help="run strategies and write label diffs")
-    _add_common_flags(p_assign)
-    p_assign.add_argument(
-        "--strategy",
-        choices=list(GUIDED_TASKS),
-        default="mutual",
-        help="dynamic strategy to compare against its static baseline",
-    )
+    p_assign = sub.add_parser("assign", parents=[common],
+                              help="run strategies and write label diffs")
+    p_assign.add_argument("--strategy", choices=list(GUIDED_TASKS), default="mutual",
+                          help="dynamic strategy to compare against its static baseline")
     p_assign.add_argument("--svg", action="store_true", help="also render SVGs")
 
-    p_sim = sub.add_parser("simulate", help="trajectory positive-count experiment")
-    _add_common_flags(p_sim)
+    sub.add_parser("simulate", parents=[common], help="trajectory positive-count experiment")
 
-    p_eval = sub.add_parser("evaluate", help="COCO-style AP over a detection file")
-    _add_common_flags(p_eval)
+    p_eval = sub.add_parser("evaluate", parents=[common],
+                            help="COCO-style AP over a detection file")
     p_eval.add_argument("--detections", help="detection results file")
     p_eval.add_argument("--area-bands", action="store_true", help="also report AP_s/m/l")
     return parser

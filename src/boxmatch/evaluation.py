@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Box, _as_box_array, _unit_interval, boxes_to_array, broadcast_iou
+from .geometry import (Box, _as_box_array, _fields, _integral, _unit_interval, boxes_to_array,
+                       broadcast_iou)
 
 COCO_IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -35,6 +36,7 @@ class Detection:
     image_id: object = 0
 
     def __post_init__(self):
+        _fields(self, class_id=_integral)
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score must lie in [0, 1], got {self.score}")
 
@@ -149,6 +151,9 @@ class GroundTruth:
     box: Box
     class_id: int
     image_id: object = 0
+
+    def __post_init__(self):
+        _fields(self, class_id=_integral)
 
 
 @dataclass

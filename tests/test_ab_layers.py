@@ -29,10 +29,10 @@ HARNESS = load_harness()
 
 
 def check_a_a(results, rows, rounds):
-    # an A/A interval misses 1 by chance only: at 99.9% nominal, in about 1%
-    # of runs at 8 rounds and 0.3% at 20 (the percentile bootstrap of a
-    # median covers less than its level over few rounds); a bias between the
-    # two imports or the two orders would miss it every time
+    # an A/A interval misses 1 by chance only: at 99.9%, in at most 0.1% of
+    # runs (0.098% at 11 rounds, min to max; 0.040% at 20, the 3rd to the
+    # 18th ratio); a bias between the two imports or the two orders would
+    # miss it every time
     assert list(results) == rows
     for summary in results.values():
         low, high = summary["interval"]
@@ -65,16 +65,57 @@ def eval_paper_tree(tmp_path_factory):
 
 def test_a_tree_against_itself_gives_an_interval_around_one(trees):
     rows = ["assignment.static_assign", "pass"]
-    results = HARNESS.replay(*trees("train_sparse"), rounds=8, functions=rows, level=0.999)
-    check_a_a(results, rows, 8)
+    results = HARNESS.replay(*trees("train_sparse"), rounds=11, functions=rows, level=0.999)
+    check_a_a(results, rows, 11)
 
 
 def test_summary_of_known_ratios():
     summary = HARNESS.summarize(np.asarray([0.8, 0.9, 0.9, 1.1]))
     assert summary["median"] == 0.9
     assert summary["faster"] == 3 and summary["rounds"] == 4
-    low, high = summary["interval"]
-    assert 0.8 <= low <= 0.9 <= high <= 1.1
+    # 4 rounds cannot reach 95%: the interval is min to max
+    assert summary["interval"] == (0.8, 1.1)
+
+
+@pytest.mark.parametrize("n, level, k", [(10, 0.95, 2), (20, 0.95, 6), (20, 0.999, 3)])
+def test_interval_is_the_kth_lowest_to_the_kth_highest_ratio(n, level, k):
+    ratios = np.random.default_rng(n).permutation(np.arange(1.0, n + 1.0))
+    assert HARNESS.summarize(ratios, level)["interval"] == (k, n + 1 - k)
+
+
+def miss_chance(n, k):
+    """The chance that [x(k), x(n+1-k)] of n draws misses their median, by
+    enumerating which draws fall below it: each of the 2**n patterns is as likely."""
+    below = np.zeros(2**n, dtype=int)
+    for bit in range(n):
+        below += (np.arange(2**n) >> bit) & 1
+    return np.count_nonzero((below < k) | (below > n - k)) / 2**n
+
+
+@pytest.mark.parametrize("level", [0.95, 0.999])
+@pytest.mark.parametrize("n", range(1, 17))
+def test_interval_holds_its_level(n, level):
+    """The chosen k misses the median with chance at most 1 - level and k + 1
+    would miss more often; where even min to max misses more often, k = 1."""
+    k = int(HARNESS.summarize(np.arange(1.0, n + 1.0), level)["interval"][0])
+    if miss_chance(n, 1) > 1 - level:
+        assert k == 1
+    else:
+        assert miss_chance(n, k) <= 1 - level < miss_chance(n, k + 1)
+
+
+class StubTree:
+    def __init__(self, *names):
+        self.calls = [(name, lambda: None) for name in names]
+        self.passes = [lambda: None]
+
+
+def test_unknown_rows_are_refused():
+    base, change = StubTree("evaluation.nms"), StubTree("evaluation.nms")
+    with pytest.raises(ValueError, match=r"no rows named \['nope'\]; the rows are "
+                                         r"\['evaluation.nms', 'pass'\]"):
+        HARNESS.replay(base, change, rounds=2, functions=["nope", "pass"])
+    assert list(HARNESS.replay(base, change, rounds=2, functions=["pass"])) == ["pass"]
 
 
 def test_cli_command_against_itself(trees):

@@ -1,4 +1,5 @@
 import gc
+import re
 import weakref
 from unittest import mock
 
@@ -543,3 +544,27 @@ class TestThresholdsAreChecked:
         result = average_precision(self.DETS, [gt(0, 0, 10, 10)], (0.0, 1.0))
         assert len(result.per_threshold_ap) == 2
         assert misalignment_rate(self.DETS, [gt(0, 0, 10, 10)], 1.0, 0.0).rate == 2 / 3
+
+
+class TestClassIdsAreChecked:
+    """A class id is a 64-bit integer, as a `Scene`'s are: numpy's int64 cast
+    no longer truncates 1.9 to class 1, and no bool passes as class 1."""
+
+    @pytest.mark.parametrize("record, class_id", [
+        (GroundTruth, 1.9),  # scored as class 1: AP 1.0, misalignment 0.0
+        (GroundTruth, True),
+        (GroundTruth, "1"),
+        (GroundTruth, 2**70),  # numpy's OverflowError
+        (Detection, True),  # beside an int id, a class-1 detection
+    ])
+    def test_a_record_refuses_a_class_id_that_is_no_integer(self, record, class_id):
+        score = (0.8,) if record is Detection else ()
+        message = f"bad field 'class_id': must be a 64-bit integer, got {class_id!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            record(Box(0, 0, 10, 10), class_id, *score)
+
+    def test_numpy_integers_are_class_ids(self):
+        truth = GroundTruth(Box(0, 0, 10, 10), np.int32(1))
+        dets = [Detection(Box(0, 0, 10, 10), np.uint8(1), 0.9)]
+        assert type(truth.class_id) is int and type(dets[0].class_id) is int
+        assert average_precision(dets, [truth]).ap == 1.0

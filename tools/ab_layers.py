@@ -14,9 +14,9 @@ for a CLI command, plus `:<strategy>` if it names one. `benchmarks/` is only
 read. A round replays the recorded calls row by row, the two trees in turn
 call by call, then each whole pass (the `pass` row); the tree that goes first
 alternates by round. Per row the script prints the median over the rounds of
-the change's time over the base's, a bootstrap 95% interval of it and in how
-many rounds the change was faster. Timing is `time.perf_counter` inside this
-process.
+the change's time over the base's, a distribution-free 95% interval of it (two
+order statistics; min to max below 6 rounds) and in how many rounds the change
+was faster. Timing is `time.perf_counter` inside this process.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import contextlib
 import gc
 import importlib.util
 import io
+import math
 import subprocess
 import sys
 import tarfile
@@ -43,7 +44,6 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-RESAMPLES = 2000
 SEED = 1  # the workload inputs are the benchmark's first seed's
 
 
@@ -132,16 +132,16 @@ class Tree:
             wl.op(k, layers)
 
 
-def summarize(ratios: np.ndarray, level: float = 0.95, resamples: int = RESAMPLES) -> dict:
-    """Median of the per-round ratios, its bootstrap interval at ``level`` and
-    the number of rounds in which the change was faster."""
-    rng = np.random.default_rng(0)
-    picks = rng.integers(0, ratios.size, size=(resamples, ratios.size))
-    tail = 50.0 * (1.0 - level)
-    low, high = np.percentile(np.median(ratios[picks], axis=1), [tail, 100.0 - tail])
+def summarize(ratios: np.ndarray, level: float = 0.95) -> dict:
+    """Median of the per-round ratios, the k-th lowest to k-th highest ratio as its
+    interval at ``level`` and the number of rounds in which the change was faster."""
+    n, ranked = ratios.size, np.sort(ratios)
+    # that interval misses the median with chance 2 P(Binomial(n, 1/2) < k); k >= 1
+    miss = 2 * np.cumsum([math.comb(n, i) / 2**n for i in range(n)])
+    k = max(1, int(np.count_nonzero(miss <= 1 - level)))
     return {
         "median": float(np.median(ratios)),
-        "interval": (float(low), float(high)),
+        "interval": (float(ranked[k - 1]), float(ranked[n - k])),
         "faster": int(np.count_nonzero(ratios < 1.0)),
         "rounds": int(ratios.size),
     }
@@ -165,7 +165,10 @@ def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
         raise RuntimeError("the two trees made different layer calls")
     calls = [(name, (a, b)) for (name, a), (_, b) in zip(base.calls, change.calls)]
     calls += [("pass", pair) for pair in zip(base.passes, change.passes)]
-    rows = list(dict.fromkeys(n for n, _ in calls if functions is None or n in functions))
+    rows = list(dict.fromkeys(name for name, _ in calls))
+    if unknown := sorted(set(functions or ()) - set(rows)):
+        raise ValueError(f"no rows named {unknown}; the rows are {rows}")
+    rows = [row for row in rows if functions is None or row in functions]
     # row by row: a call then follows calls like it, not whatever the operation made before it
     calls = [(f, pair) for f, row in enumerate(rows) for name, pair in calls if name == row]
     seconds = np.zeros((rounds, len(rows), 2))
