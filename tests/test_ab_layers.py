@@ -105,6 +105,8 @@ def test_interval_holds_its_level(n, level):
 
 
 class StubTree:
+    """A tree's recorded calls and one pass, all doing nothing: no workload is built."""
+
     def __init__(self, *names):
         self.calls = [(name, lambda: None) for name in names]
         self.passes = [lambda: None]
@@ -116,6 +118,8 @@ def test_unknown_rows_are_refused():
                                          r"\['evaluation.nms', 'pass'\]"):
         HARNESS.replay(base, change, rounds=2, functions=["nope", "pass"])
     assert list(HARNESS.replay(base, change, rounds=2, functions=["pass"])) == ["pass"]
+    # `--functions` with no names times every row, as no `--functions` does
+    assert list(HARNESS.replay(base, change, rounds=2, functions=[])) == ["evaluation.nms", "pass"]
 
 
 def test_cli_command_against_itself(trees):

@@ -136,7 +136,7 @@ def summarize(ratios: np.ndarray, level: float = 0.95) -> dict:
     """Median of the per-round ratios, the k-th lowest to k-th highest ratio as its
     interval at ``level`` and the number of rounds in which the change was faster."""
     n, ranked = ratios.size, np.sort(ratios)
-    # that interval misses the median with chance 2 P(Binomial(n, 1/2) < k); k >= 1
+    # it misses the median w.p. 2 P(Binomial(n, 1/2) < k): the largest k within 1 - level, or 1
     miss = 2 * np.cumsum([math.comb(n, i) / 2**n for i in range(n)])
     k = max(1, int(np.count_nonzero(miss <= 1 - level)))
     return {
@@ -168,7 +168,7 @@ def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
     rows = list(dict.fromkeys(name for name, _ in calls))
     if unknown := sorted(set(functions or ()) - set(rows)):
         raise ValueError(f"no rows named {unknown}; the rows are {rows}")
-    rows = [row for row in rows if functions is None or row in functions]
+    rows = [row for row in rows if not functions or row in functions]
     # row by row: a call then follows calls like it, not whatever the operation made before it
     calls = [(f, pair) for f, row in enumerate(rows) for name, pair in calls if name == row]
     seconds = np.zeros((rounds, len(rows), 2))
