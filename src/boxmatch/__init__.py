@@ -3,6 +3,8 @@ prediction-guided re-ranking for both tasks, anchor-free point variants, plus
 the anchor grids, NMS, AP evaluation and trajectory simulator used to study
 them without training a network."""
 
+from types import ModuleType as _ModuleType
+
 from .anchors import (
     AnchorGridSpec,
     AnchorSet,
@@ -58,51 +60,8 @@ from .simulator import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnchorGridSpec",
-    "AnchorSet",
-    "Assignment",
-    "Box",
-    "COCO_IOU_THRESHOLDS",
-    "Detection",
-    "Detections",
-    "DynamicLabels",
-    "EvalResult",
-    "GroundTruth",
-    "IGNORED",
-    "LevelSpec",
-    "MatchingConfig",
-    "MisalignmentResult",
-    "NEGATIVE",
-    "PointSet",
-    "Scene",
-    "SceneSpec",
-    "TrajectoryConfig",
-    "TrajectoryResult",
-    "TrajectorySnapshot",
-    "amplified_iou",
-    "area",
-    "average_precision",
-    "boxes_to_array",
-    "centerness",
-    "classify_to_localize",
-    "detections_from_snapshot",
-    "fcos_assign_original",
-    "fcos_classify_to_localize",
-    "fcos_localize_to_classify",
-    "generate_anchors",
-    "generate_points",
-    "ground_truth_from_scene",
-    "iou",
-    "level_scale_ranges",
-    "localize_to_classify",
-    "misalignment_rate",
-    "mutual_guidance_assign",
-    "nms",
-    "pairwise_iou",
-    "run_trajectory",
-    "static_assign",
-    "synth_point_predictions",
-    "synth_predictions",
-    "synth_scene",
-]
+# the public names are those bound above: every name that is neither private nor a submodule
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

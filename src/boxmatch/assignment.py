@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import _fields, _row_best, _unit_interval
+from .geometry import _argument, _fields, _row_best, _unit_interval
 
 NEGATIVE = -1
 IGNORED = -2
@@ -223,9 +223,12 @@ def ranked_selection(
     except that an object left with no positive takes its best-ranked free
     anchor, or else its best-ranked anchor whose owner keeps another positive.
     With ``scores`` and ``sigma`` (given together), an entry v ranks as
-    ``amplified_iou(v, score, sigma)``.
+    ``amplified_iou(v, score, sigma)``. Budgets other than m integers >= 0 are
+    refused with a ValueError.
     """
     n, m = score_matrix.shape
+    n_pos = _argument("n_pos", partial(_counts, m), n_pos)
+    n_ignored = _argument("n_ignored", partial(_counts, m), n_ignored)
     runs, bounds = _runs(score_matrix, candidate_mask)
     pool = np.ones((1, m), dtype=bool) if candidate_mask is None else candidate_mask  # (1, m): all
 
@@ -269,6 +272,14 @@ def ranked_selection(
         _claim_one(labels, j, rank(j)[0], m)
 
     return DynamicLabels(labels=labels, premerge_positive_counts=premerge, warnings=warnings)
+
+
+def _counts(m: int, value) -> list[int]:
+    """``value`` as a list once, as one array, it holds m integers >= 0."""
+    counts = np.asarray(value)
+    if counts.shape != (m,) or m and (counts.dtype.kind not in "iu" or counts.min() < 0):
+        raise ValueError(f"must have shape ({m},), an integer dtype, no value < 0; got {value!r}")
+    return counts.tolist()
 
 
 def _runs(matrix: np.ndarray, mask: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

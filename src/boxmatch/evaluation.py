@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (Box, _as_box_array, _fields, _integral, _unit_interval, boxes_to_array,
-                       broadcast_iou)
+from .geometry import (Box, _as_box_array, _bounded, _fields, _integral, _unit_interval,
+                       boxes_to_array, broadcast_iou)
 
 COCO_IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -36,9 +36,7 @@ class Detection:
     image_id: object = 0
 
     def __post_init__(self):
-        _fields(self, class_id=_integral)
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score must lie in [0, 1], got {self.score}")
+        _fields(self, class_id=_integral, score=_bounded(float, 0, 1))
 
 
 def _image_index(image_ids: Iterable, images: tuple = ()) -> tuple[tuple, np.ndarray]:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .assignment import (
     _positives,
     _rescue,
 )
-from .geometry import Box, boxes_to_array
+from .geometry import Box, BoxesLike, _argument, _as_box_array, _bounded
 
 
 def centerness(point: tuple[float, float], gt: Box) -> float:
@@ -102,7 +102,7 @@ def _central(points: PointSet, gt: np.ndarray, radius: float) -> np.ndarray:
 
 def fcos_assign_original(
     points: PointSet,
-    objects: Sequence[Box],
+    objects: BoxesLike,
     center_sampling_radius: Optional[float] = None,
 ) -> Assignment:
     """Original per-pixel assignment: in-box, level-matched points are positive.
@@ -119,15 +119,16 @@ def fcos_assign_original(
 
 
 def _original(
-    points: PointSet, objects: Sequence[Box], center_sampling_radius: Optional[float]
+    points: PointSet, objects: BoxesLike, center_sampling_radius: Optional[float]
 ) -> _Baseline:
-    """The original strategy as the point baseline; its pool ignores the
-    center sampling, which only restricts the original positives."""
-    gt = boxes_to_array(objects)
+    """The point baseline and the point functions' one input check; its pool ignores
+    the center sampling, which only restricts the original positives."""
+    gt = _as_box_array(objects)
     in_box, pool = _membership(points, gt)
     candidate = pool
     if center_sampling_radius is not None:
-        candidate = pool & _central(points, gt, center_sampling_radius)
+        radius = _argument("center_sampling_radius", _bounded(float, 0), center_sampling_radius)
+        candidate = pool & _central(points, gt, radius)
     m = gt.shape[0]
 
     areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
@@ -149,7 +150,7 @@ def _original(
 
 def fcos_localize_to_classify(
     points: PointSet,
-    objects: Sequence[Box],
+    objects: BoxesLike,
     iou_regressed: MatrixLike,
     center_sampling_radius: Optional[float] = None,
 ) -> DynamicLabels:
@@ -166,7 +167,7 @@ def fcos_localize_to_classify(
 
 def fcos_classify_to_localize(
     points: PointSet,
-    objects: Sequence[Box],
+    objects: BoxesLike,
     classif_scores: MatrixLike,
     sigma: float = 2.0,
     center_sampling_radius: Optional[float] = None,

@@ -1,5 +1,5 @@
 """Axis-aligned box arithmetic: areas, IoU and the pairwise IoU matrix, a plain
-(n, m) array; and the number rule that every config type checks its fields with.
+(n, m) array; and the number rules that config fields and function arguments are checked by.
 
 Boxes are (x_min, y_min, x_max, y_max) in continuous pixel coordinates with
 area (x_max - x_min) * (y_max - y_min). Degenerate boxes are rejected at
@@ -189,15 +189,19 @@ def _span(kind):
     return rule
 
 
+def _argument(name: str, kind, value, what: str = "argument"):
+    """``value`` checked by its ``kind``: ``int``, ``float`` or another rule,
+    whose result is returned, or ``(kind,)`` for a tuple of such items. A refused
+    value is a ValueError: "bad argument 'name': ...", with ``what`` for "argument"."""
+    each = isinstance(kind, tuple)
+    rule = _RULES.get(kind[0], kind[0]) if each else _RULES.get(kind, kind)
+    try:
+        return tuple(map(rule, value)) if each else rule(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"bad {what} {name!r}: {exc}") from exc
+
+
 def _fields(obj, **kinds) -> None:
-    """Store each named field of the dataclass ``obj`` checked by its kind: ``int``,
-    ``float`` or another rule, whose result is stored, or ``(kind,)`` for a tuple
-    of such items. A refused value is a ValueError naming the field."""
+    """Store each named field of the dataclass ``obj`` checked as ``_argument`` checks it."""
     for name, kind in kinds.items():
-        each = isinstance(kind, tuple)
-        rule = _RULES.get(kind[0], kind[0]) if each else _RULES.get(kind, kind)
-        try:
-            value = getattr(obj, name)
-            object.__setattr__(obj, name, tuple(map(rule, value)) if each else rule(value))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"bad field {name!r}: {exc}") from exc
+        object.__setattr__(obj, name, _argument(name, kind, getattr(obj, name), "field"))

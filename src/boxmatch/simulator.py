@@ -23,7 +23,7 @@ from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
-from .geometry import _best_overlap, _bounded, _fields, _integral, _row_best, _span
+from .geometry import _argument, _best_overlap, _bounded, _fields, _integral, _row_best, _span
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -193,6 +193,7 @@ def synth_predictions(
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"progress t must lie in [0, 1], got {t}")
+    seed = _argument("seed", _bounded(int, 0), seed)
     rng = np.random.default_rng([seed, int(round(t * 1_000_000_000))])
     anchors = anchor_set.array
     gt = boxes_to_array(scene.boxes)

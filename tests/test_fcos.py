@@ -515,3 +515,45 @@ def test_point_functions_do_no_dead_work(name):
             mock.patch.object(fcos, "_centerness_matrix", wraps=fcos._centerness_matrix) as quality:
         call(points, boxes, matrix)
     assert (membership.call_count, quality.call_count) == (1, centerness_runs)
+
+
+# the three public point functions, each called as (points, objects, matrix, radius)
+POINT_FUNCTIONS = {
+    "original": lambda points, objects, matrix, radius: fcos_assign_original(
+        points, objects, radius),
+    "l2c": lambda points, objects, matrix, radius: fcos_localize_to_classify(
+        points, objects, matrix, radius),
+    "c2l": lambda points, objects, matrix, radius: fcos_classify_to_localize(
+        points, objects, matrix, center_sampling_radius=radius),
+}
+
+
+def outcome(result):
+    """Labels, counts and warnings of an Assignment or a DynamicLabels."""
+    if hasattr(result, "to_json_dict"):
+        return result.to_json_dict()
+    return result.labels.tolist(), result.premerge_positive_counts, result.warnings
+
+
+class TestPointInputs:
+    """The point functions check their objects and radius at one boundary."""
+
+    @pytest.mark.parametrize("radius", [np.nan, -1.0, np.inf, "a", True])
+    @pytest.mark.parametrize("name", POINT_FUNCTIONS)
+    def test_a_bad_radius_is_refused(self, name, radius):
+        points = generate_points(SINGLE_32)
+        matrix = np.full((len(points), 1), 0.5)
+        with pytest.raises(ValueError, match="bad argument 'center_sampling_radius'"):
+            POINT_FUNCTIONS[name](points, [SIX_POINT_BOX], matrix, radius)
+
+    @settings(max_examples=50)
+    @given(point_inputs(), st.sampled_from([None, 0.0, 1.5]))
+    def test_array_objects_label_as_boxes_do(self, inputs, radius):
+        points, boxes, regressed, scores = inputs
+        array = boxes_to_array(boxes)
+        for call in POINT_FUNCTIONS.values():
+            assert outcome(call(points, array, scores, radius)) == outcome(
+                call(points, boxes, scores, radius))
+        for row in POINT_STRATEGIES.values():
+            assert [outcome(r) for r in row(points, array, regressed, scores)] == [
+                outcome(r) for r in row(points, boxes, regressed, scores)]

@@ -134,6 +134,25 @@ class TestRankedSelection:
         result = check_against_oracle([[0.9, 0.4], [0.8, 0.2]], [2, 1], [0, 0])
         assert result.labels.tolist() == [1, 0]
 
+    @pytest.mark.parametrize("m, n_pos, n_ign, name", [
+        (1, [-1], [0], "n_pos"),
+        (1, [1], [-2], "n_ignored"),
+        (2, [1.5, 1], [0, 0], "n_pos"),
+        (2, [True, False], [0, 0], "n_pos"),
+        (2, ["1", 1], [0, 0], "n_pos"),
+        (2, [1], [0, 0], "n_pos"),
+        (2, [1, 1, 1], [0, 0], "n_pos"),
+        (2, [1, 1], [[0, 0]], "n_ignored"),
+    ])
+    def test_bad_budgets_are_refused(self, m, n_pos, n_ign, name):
+        with pytest.raises(ValueError, match=f"bad argument '{name}'"):
+            ranked_selection(np.full((3, m), 0.5), n_pos, n_ign)
+
+    def test_budgets_may_be_arrays_of_any_integer_dtype(self):
+        values = [[0.9, 0.4], [0.8, 0.2]]
+        budgets = np.asarray([2, 1], dtype=np.uint8), np.zeros(2, dtype=np.int32)
+        assert ranked_selection(np.asarray(values), *budgets).labels.tolist() == [1, 0]
+
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=40), st.floats(0, 1),
            st.floats(1.0001, 10))
     @example([0.0, 0.5, 1.0], 1.0, 2.0)

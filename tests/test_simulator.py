@@ -416,6 +416,15 @@ class TestPointPredictions:
         assert digests == self.PINNED[config, t]
 
 
+@pytest.mark.parametrize("seed", [1.5, -1, True, "1"])
+@pytest.mark.parametrize("predict, grid", [(synth_predictions, ANCHORS),
+                                           (synth_point_predictions, POINTS)],
+                         ids=["anchors", "points"])
+def test_a_bad_seed_is_refused(predict, grid, seed):
+    with pytest.raises(ValueError, match="bad argument 'seed'"):
+        predict(synth_scene(SceneSpec(seed=1)), grid, TrajectoryConfig(), 0.5, seed=seed)
+
+
 class TestDetectionsFromSnapshot:
     # SHA-256 of the detections' (boxes, class ids, scores) at t=0.8 on the
     # misaligned snapshot, unsuppressed and suppressed by mutual labels

@@ -1,9 +1,15 @@
-"""Source-text rules of the library and its tools: every line of
-``src/boxmatch`` and ``tools`` fits in 100 characters."""
+"""Source rules of the library and its tools: every line of ``src/boxmatch``
+and ``tools`` fits in 100 characters, and the package's public names are those
+its submodules define, listed once."""
 
+import importlib
+import pkgutil
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import boxmatch
 
 MAX_LINE = 100
 ROOT = Path(__file__).parents[1]
@@ -20,3 +26,34 @@ def test_no_line_is_longer_than_100_characters(path):
     long = [f"{path.name}:{no}: {len(line)}" for no, line in enumerate(lines, 1)
             if len(line) > MAX_LINE]
     assert long == []
+
+
+def test_the_public_names_are_sorted_and_neither_private_nor_modules():
+    names = boxmatch.__all__
+    assert names == sorted(names)
+    assert [name for name in names if name.startswith("_")] == []
+    assert [name for name in names if isinstance(getattr(boxmatch, name), ModuleType)] == []
+
+
+def test_a_star_import_binds_exactly_the_public_names():
+    namespace = {}
+    exec("from boxmatch import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(boxmatch.__all__)
+
+
+def test_each_public_name_is_defined_in_a_submodule():
+    """Each name is the very object a ``boxmatch`` submodule holds under it; a
+    function or class must be that of the submodule its ``__module__`` names,
+    so an imported helper such as ``ModuleType``, or the ``annotations`` that
+    ``from __future__ import annotations`` binds in every submodule, fails."""
+    submodules = [importlib.import_module(f"boxmatch.{info.name}")
+                  for info in pkgutil.iter_modules(boxmatch.__path__)]
+    strays = []
+    for name in boxmatch.__all__:
+        value = getattr(boxmatch, name)
+        home = getattr(value, "__module__", None)
+        homes = [module for module in submodules if home in (None, module.__name__)]
+        if not any(getattr(module, name, None) is value for module in homes):
+            strays.append(name)
+    assert strays == []
