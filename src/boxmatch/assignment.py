@@ -275,7 +275,7 @@ def ranked_selection(
 
 
 def _counts(m: int, value) -> list[int]:
-    """``value`` as a list once, as one array, it holds m integers >= 0."""
+    """``value`` as a list, once it holds m integers >= 0, checked as one array."""
     counts = np.asarray(value)
     if counts.shape != (m,) or m and (counts.dtype.kind not in "iu" or counts.min() < 0):
         raise ValueError(f"must have shape ({m},), an integer dtype, no value < 0; got {value!r}")
