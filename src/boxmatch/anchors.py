@@ -30,7 +30,7 @@ class LevelSpec:
 
     def __post_init__(self):
         _fields(self, stride=_bounded(int, 1), scales=(float,), aspect_ratios=(float,))
-        for name, values in (("scales", self.scales), ("aspect ratios", self.aspect_ratios)):
+        for name, values in (("scales", self.scales), ("aspect_ratios", self.aspect_ratios)):
             if not values or min(values) <= 0:
                 raise ValueError(f"{name} must be non-empty and positive, got {values}")
 
@@ -136,11 +136,12 @@ def level_scale_ranges(spec: AnchorGridSpec) -> tuple[tuple[float, float], ...]:
     Level boundaries come from consecutive level scales: level l's upper bound
     is the smallest scale of level l+1; the first lower bound is 0 and the last
     upper bound is infinite. An object belongs to the level whose range
-    contains max(width, height).
+    contains max(width, height); the levels' smallest scales must not decrease.
     """
-    lowers = [0.0] + [min(level.scales) for level in spec.levels[1:]]
-    uppers = lowers[1:] + [math.inf]
-    return tuple(zip(lowers, uppers))
+    smallest = [min(level.scales) for level in spec.levels]
+    if smallest != sorted(smallest):
+        raise ValueError(f"the levels' smallest scales must not decrease, got {smallest}")
+    return tuple(zip([0.0] + smallest[1:], smallest[1:] + [math.inf]))
 
 
 def generate_points(spec: AnchorGridSpec) -> PointSet:

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Callable
-
 import numpy as np
 
 from .evaluation import Detections, _image_index
-from .geometry import Box, _integer, _number
+from .geometry import Box, _argument, _bounded, _number
 from .simulator import Scene
 
 
@@ -23,17 +21,18 @@ class AnnotationError(Exception):
     """Raised when an annotation or detection file fails to parse."""
 
 
-def _require(record, key: str, where: str, cast: Callable):
-    """``cast(record[key])``; AnnotationError naming the record ``where`` when
-    it is not a JSON object, lacks the key, or the cast fails."""
+def _require(record, key: str, where: str, kind):
+    """``record[key]`` checked as ``_argument`` checks a field of ``kind``; AnnotationError
+    naming the record ``where`` when it is not a JSON object, lacks the key, or the value
+    is refused."""
     if not isinstance(record, dict):
         raise AnnotationError(f"{where}: expected an object, got {record!r}")
     if key not in record:
         raise AnnotationError(f"{where}: missing required field {key!r} in {record!r}")
     try:
-        return cast(record[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AnnotationError(f"{where}: bad field {key!r}: {exc}") from exc
+        return _argument(key, kind, record[key], "field")
+    except ValueError as exc:
+        raise AnnotationError(f"{where}: {exc}") from exc
 
 
 def _image_id(value):
@@ -81,12 +80,10 @@ def load_annotations(path) -> tuple[list[tuple[object, Scene]], dict[int, str]]:
     for k, record in enumerate(_section(data, "images", path)):
         where = f"{path}: images[{k}]"
         image_id = _require(record, "id", where, _image_id)
-        width = _require(record, "width", where, _integer)
-        height = _require(record, "height", where, _integer)
+        width = _require(record, "width", where, _bounded(int, 1))
+        height = _require(record, "height", where, _bounded(int, 1))
         if image_id in images:
             raise AnnotationError(f"{where}: duplicate image id {image_id!r}")
-        if width <= 0 or height <= 0:
-            raise AnnotationError(f"{where}: image dimensions must be positive")
         images[image_id] = (width, height, [], [])
     if not images:
         raise AnnotationError(f"{path}: no images")
@@ -98,12 +95,12 @@ def load_annotations(path) -> tuple[list[tuple[object, Scene]], dict[int, str]]:
             raise AnnotationError(f"{where}: unknown image id {image_id!r}")
         _, _, boxes, class_ids = images[image_id]
         boxes.append(Box(*_require(record, "bbox", where, _corners)))
-        class_ids.append(_require(record, "category_id", where, _integer))
+        class_ids.append(_require(record, "category_id", where, int))
 
     categories = {}
     for k, record in enumerate(_section(data, "categories", path)):
         where = f"{path}: categories[{k}]"
-        categories[_require(record, "id", where, _integer)] = str(record.get("name", ""))
+        categories[_require(record, "id", where, int)] = str(record.get("name", ""))
     scenes = [(i, Scene(w, h, tuple(b), tuple(c))) for i, (w, h, b, c) in images.items()]
     return scenes, categories
 
@@ -115,11 +112,8 @@ def load_detections(path, known_image_ids) -> Detections:
         where = f"{path}: detections[{k}]"
         image_ids.append(_require(record, "image_id", where, _image_id))
         boxes.append(_require(record, "bbox", where, _corners))
-        score = float(_require(record, "score", where, _number))
-        if not 0.0 <= score <= 1.0:
-            raise AnnotationError(f"{where}: score must lie in [0, 1], got {score}")
-        scores.append(score)
-        classes.append(_require(record, "category_id", where, _integer))
+        scores.append(float(_require(record, "score", where, _bounded(float, 0, 1))))
+        classes.append(_require(record, "category_id", where, int))
 
     unknown = sorted(set(image_ids) - set(known_image_ids), key=repr)
     if unknown:

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .geometry import _argument, _fields, _row_best, _unit_interval
+from .geometry import _argument, _bounded, _fields, _row_best, _unit_interval
 
 NEGATIVE = -1
 IGNORED = -2
@@ -46,11 +46,8 @@ class MatchingConfig:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
-        _fields(self, t_pos=float, t_neg=float, sigma=float)
-        if not (0.0 <= self.t_neg <= self.t_pos <= 1.0):
-            raise ValueError(
-                f"need 0 <= t_neg <= t_pos <= 1, got t_pos={self.t_pos}, t_neg={self.t_neg}"
-            )
+        _fields(self, sigma=float, t_neg=_bounded(float, 0, 1))
+        _fields(self, t_pos=_bounded(float, self.t_neg, 1))
 
 
 @dataclass
@@ -117,13 +114,13 @@ def matrix_values(matrix: MatrixLike) -> np.ndarray:
     return _unit_interval(arr, "matrix values")
 
 
-def _checked(*matrices: MatrixLike, shape: Optional[tuple] = None) -> list[np.ndarray]:
-    """matrix_values of each input; all inputs must share one shape, ``shape`` if given."""
-    values = [matrix_values(m) for m in matrices]
+def _checked(shape: Optional[tuple] = None, **matrices: MatrixLike) -> list[np.ndarray]:
+    """matrix_values of each named argument; all must share one shape, ``shape`` if given."""
+    values = [_argument(name, matrix_values, m) for name, m in matrices.items()]
     shape = shape or values[0].shape
-    for other in values:
-        if other.shape != shape:
-            raise ValueError(f"matrix shapes differ: {shape} vs {other.shape}")
+    for name, arr in zip(matrices, values):
+        if arr.shape != shape:
+            raise ValueError(f"bad argument {name!r}: matrix shapes differ: {shape} vs {arr.shape}")
     return values
 
 
@@ -144,8 +141,8 @@ def amplified_iou(iou_value, score, sigma):
     exponent stays positive for every score in [0, 1].
     """
     _check_sigma(sigma)
-    iou_arr = _unit_interval(np.asarray(iou_value, dtype=np.float64), "iou values")
-    score_arr = _unit_interval(np.asarray(score, dtype=np.float64), "classification scores")
+    iou_arr = _unit_interval(np.asarray(iou_value, dtype=np.float64), "iou_value")
+    score_arr = _unit_interval(np.asarray(score, dtype=np.float64), "score")
     out = np.power(iou_arr, (sigma - score_arr) / sigma) + 0.0  # (-0.0) ** 1.0 is -0.0
     if np.ndim(iou_value) == 0 and np.ndim(score) == 0 and np.ndim(sigma) == 0:
         return float(out)
@@ -174,7 +171,7 @@ def static_assign(iou_anchor: MatrixLike, cfg: Optional[MatchingConfig] = None) 
     takes its highest-overlap anchor among those not positive elsewhere. An
     image without objects (an (n, 0) matrix) gets all-NEGATIVE labels.
     """
-    return _static(matrix_values(iou_anchor), cfg or MatchingConfig()).result
+    return _static(_checked(iou_anchor=iou_anchor)[0], cfg or MatchingConfig()).result
 
 
 def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
@@ -275,10 +272,11 @@ def ranked_selection(
 
 
 def _counts(m: int, value) -> list[int]:
-    """``value`` as a list, once it holds m integers >= 0, checked as one array."""
+    """``value`` as a list once it holds m integers >= 0, none a boolean (numpy reads one as 1)."""
     counts = np.asarray(value)
-    if counts.shape != (m,) or m and (counts.dtype.kind not in "iu" or counts.min() < 0):
-        raise ValueError(f"must have shape ({m},), an integer dtype, no value < 0; got {value!r}")
+    if counts.shape != (m,) or m and (counts.dtype.kind not in "iu" or counts.min() < 0
+                                      or not {bool, np.bool_}.isdisjoint(map(type, value))):
+        raise ValueError(f"must have shape ({m},), integers >= 0, no boolean; got {value!r}")
     return counts.tolist()
 
 
@@ -374,7 +372,7 @@ def localize_to_classify(
     (n_pos, n_ignored); each object then takes its n_pos highest
     ``iou_regressed`` anchors as positive and the next n_ignored as ignored.
     """
-    anchor, regressed = _checked(iou_anchor, iou_regressed)
+    anchor, regressed = _checked(iou_anchor=iou_anchor, iou_regressed=iou_regressed)
     return _guide(_static(anchor, cfg or MatchingConfig()), regressed, None, None, True, False)[1]
 
 
@@ -391,7 +389,7 @@ def classify_to_localize(
     band for the localization task.
     """
     cfg = cfg or MatchingConfig()
-    anchor, scores = _checked(iou_anchor, classif_scores)
+    anchor, scores = _checked(iou_anchor=iou_anchor, classif_scores=classif_scores)
     return _guide(_static(anchor, cfg), None, scores, cfg.sigma, False, True)[1]
 
 
@@ -419,7 +417,8 @@ GUIDED_TASKS = {
 
 def _anchor_row(l2c, c2l, iou_anchor, iou_regressed, classif_scores, cfg=None):
     cfg = cfg or MatchingConfig()
-    anchor, regressed, scores = _checked(iou_anchor, iou_regressed, classif_scores)
+    anchor, regressed, scores = _checked(
+        iou_anchor=iou_anchor, iou_regressed=iou_regressed, classif_scores=classif_scores)
     base = _static(anchor, cfg)
     return base.result, _guide(base, regressed, scores, cfg.sigma, l2c, c2l)[0]
 

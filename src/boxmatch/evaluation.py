@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (Box, _as_box_array, _bounded, _fields, _integral, _unit_interval,
-                       boxes_to_array, broadcast_iou)
+from .geometry import (Box, _argument, _as_box_array, _bounded, _box, _fields, _hashable,
+                       _integral, _unit_interval, boxes_to_array, broadcast_iou)
 
 COCO_IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -36,7 +36,7 @@ class Detection:
     image_id: object = 0
 
     def __post_init__(self):
-        _fields(self, class_id=_integral, score=_bounded(float, 0, 1))
+        _fields(self, box=_box, class_id=_integral, score=_bounded(float, 0, 1), image_id=_hashable)
 
 
 def _image_index(image_ids: Iterable, images: tuple = ()) -> tuple[tuple, np.ndarray]:
@@ -61,11 +61,11 @@ class Detections(Sequence):
 
     # a plain class: a frozen dataclass adds about 0.7 ms to every import
     def __init__(self, boxes, scores, class_ids, images: tuple, image_index):
-        classes, images = np.asarray(class_ids), tuple(images)
+        classes, images = np.asarray(class_ids), _argument("images", (_hashable,), images)
         if classes.size and classes.dtype.kind not in "iu":
-            raise ValueError(f"class ids must be integers, got dtype {classes.dtype}")
+            raise ValueError(f"class_ids must be integers, got dtype {classes.dtype}")
         arrays = {
-            "boxes": _as_box_array(np.asarray(boxes, dtype=np.float64)),
+            "boxes": _argument("boxes", _as_box_array, np.asarray(boxes, dtype=np.float64)),
             "scores": _unit_interval(np.asarray(scores, dtype=np.float64), "scores"),
             "class_ids": classes.astype(np.int64),
             "image_index": np.asarray(image_index, dtype=np.intp),
@@ -76,7 +76,7 @@ class Detections(Sequence):
             raise ValueError(f"detection arrays must share one length, got shapes {shapes}")
         in_range = n == 0 or 0 <= index.min() <= index.max() < len(images)
         if not in_range or len(set(images)) < len(images):
-            raise ValueError(f"image index must point into distinct image ids {images}")
+            raise ValueError(f"image_index must point into distinct images {images}")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr.view())
             getattr(self, name).flags.writeable = False
@@ -151,7 +151,7 @@ class GroundTruth:
     image_id: object = 0
 
     def __post_init__(self):
-        _fields(self, class_id=_integral)
+        _fields(self, box=_box, class_id=_integral, image_id=_hashable)
 
 
 @dataclass
@@ -211,7 +211,7 @@ def nms(dets: Sequence[Detection], iou_threshold: float) -> Detections:
     Ties break on input index. The kept batch is ordered by descending score,
     then input index, and its rows are the input's row objects.
     """
-    _unit_interval(np.asarray(iou_threshold, dtype=np.float64), "IoU threshold")
+    _argument("iou_threshold", _bounded(float, 0, 1), iou_threshold)
     dets = _batch(dets)
     keys = dets.class_ids * len(dets.images) + dets.image_index
     order = np.lexsort((-dets.scores, keys))
@@ -307,11 +307,11 @@ def average_precision(
     medium / large COCO area ranges.
     """
     if not ground_truth:
-        raise ValueError("ground truth must be non-empty")
-    thresholds = tuple(float(t) for t in iou_thresholds)
+        raise ValueError("bad argument 'ground_truth': must be non-empty")
+    rule = (_bounded(float, 0, 1),)
+    thresholds = tuple(map(float, _argument("iou_thresholds", rule, iou_thresholds)))
     if not thresholds:
-        raise ValueError("IoU thresholds must not be empty")
-    _unit_interval(np.asarray(thresholds), "IoU thresholds")
+        raise ValueError("bad argument 'iou_thresholds': must not be empty")
     dets = _batch(dets)
     det_keys, gt_boxes, gt_classes, gt_keys = _keyed(dets, ground_truth)
 
@@ -371,8 +371,8 @@ def misalignment_rate(
     ``loc_threshold``. The rate is over confident detections only; it is 0.0
     when there are none.
     """
-    _unit_interval(np.asarray([loc_threshold, score_threshold], dtype=np.float64),
-                   "loc_threshold and score_threshold")
+    _argument("loc_threshold", _bounded(float, 0, 1), loc_threshold)
+    _argument("score_threshold", _bounded(float, 0, 1), score_threshold)
     dets = _batch(dets)
     det_keys, gt_boxes, _, gt_keys = _keyed(dets, ground_truth)
     confident = np.flatnonzero(dets.scores >= score_threshold)

@@ -123,7 +123,7 @@ def _original(
 ) -> _Baseline:
     """The point baseline and the point functions' one input check; its pool ignores
     the center sampling, which only restricts the original positives."""
-    gt = _as_box_array(objects)
+    gt = _argument("objects", _as_box_array, objects)
     in_box, pool = _membership(points, gt)
     candidate = pool
     if center_sampling_radius is not None:
@@ -161,7 +161,7 @@ def fcos_localize_to_classify(
     for points.
     """
     base = _original(points, objects, center_sampling_radius)
-    (regressed,) = _checked(iou_regressed, shape=(len(points), len(objects)))
+    (regressed,) = _checked((len(points), len(objects)), iou_regressed=iou_regressed)
     return _guide(base, regressed, None, None, True, False)[1]
 
 
@@ -176,14 +176,16 @@ def fcos_classify_to_localize(
     points, where centerness is raised to (sigma - score) / sigma; it is
     computed only over the in-box, level-matched points the ranking reads."""
     _check_sigma(sigma)
+    sigma = _argument("sigma", float, sigma)  # a scalar: an array of them would broadcast
     base = _original(points, objects, center_sampling_radius)
-    (scores,) = _checked(classif_scores, shape=(len(points), len(objects)))
+    (scores,) = _checked((len(points), len(objects)), classif_scores=classif_scores)
     return _guide(base, None, scores, sigma, False, True)[1]
 
 
 def _point_row(l2c, c2l, points, objects, iou_regressed, classif_scores, cfg=None):
     base = _original(points, objects, None)
-    regressed, scores = _checked(iou_regressed, classif_scores, shape=(len(points), len(objects)))
+    shape = (len(points), len(objects))
+    regressed, scores = _checked(shape, iou_regressed=iou_regressed, classif_scores=classif_scores)
     sigma = (cfg or MatchingConfig()).sigma
     return base.result, _guide(base, regressed, scores, sigma, l2c, c2l)[0]
 

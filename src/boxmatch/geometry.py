@@ -1,5 +1,5 @@
 """Axis-aligned box arithmetic: areas, IoU and the pairwise IoU matrix, a plain
-(n, m) array; and the number rules that config fields and function arguments are checked by.
+(n, m) array; and the rules that config fields and function arguments are checked by.
 
 Boxes are (x_min, y_min, x_max, y_max) in continuous pixel coordinates with
 area (x_max - x_min) * (y_max - y_min). Degenerate boxes are rejected at
@@ -31,9 +31,9 @@ class Box:
     def __post_init__(self):
         coords = (self.x_min, self.y_min, self.x_max, self.y_max)
         if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"box coordinates must be finite, got {coords}")
+            raise ValueError(f"box fields x_min, y_min, x_max, y_max must be finite, got {coords}")
         if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise ValueError(f"box must have strictly positive extent, got {coords}")
+            raise ValueError(f"box must have x_min < x_max and y_min < y_max, got {coords}")
 
     @property
     def width(self) -> float:
@@ -77,18 +77,17 @@ def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
 
 
 def _as_box_array(boxes: BoxesLike) -> np.ndarray:
-    if isinstance(boxes, np.ndarray):
-        arr = np.asarray(boxes, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 4:
-            raise ValueError(f"box array must have shape (N, 4), got {arr.shape}")
-        if arr.size and not (
-            np.isfinite(arr).all()
-            and np.all(arr[:, 2] > arr[:, 0])
-            and np.all(arr[:, 3] > arr[:, 1])
-        ):
-            raise ValueError("box array contains non-finite or zero-extent boxes")
-        return arr
-    return boxes_to_array(boxes)
+    """The rule for boxes: a checked (N, 4) array, or a sequence of ``Box``, as (N, 4) float64."""
+    if not isinstance(boxes, np.ndarray):
+        return boxes_to_array(map(_box, boxes))
+    arr = np.asarray(boxes, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 4:
+        raise ValueError(f"box array must have shape (N, 4), got {arr.shape}")
+    if arr.size and not (
+        np.isfinite(arr).all() and np.all(arr[:, 2] > arr[:, 0]) and np.all(arr[:, 3] > arr[:, 1])
+    ):
+        raise ValueError("box array contains non-finite or zero-extent boxes")
+    return arr
 
 
 def broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -109,7 +108,7 @@ def broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
     """IoU between every box in `a` and every box in `b`; shape (len(a), len(b))."""
-    a, b = _as_box_array(a), _as_box_array(b)
+    a, b = _argument("a", _as_box_array, a), _argument("b", _as_box_array, b)
     return _by_row_blocks(a, b, lambda block: (block,), np.empty((len(a), len(b))))[0]
 
 
@@ -163,6 +162,19 @@ def _number(value):
     """``value`` once it is a finite real number; numpy scalars count, booleans do not."""
     if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {value!r}")
+    return value
+
+
+def _box(value) -> Box:
+    """``value`` once it is a ``Box``; a tuple of coordinates is none."""
+    if not isinstance(value, Box):
+        raise ValueError(f"must be a Box, got {value!r}")
+    return value
+
+
+def _hashable(value):
+    """``value`` once ``hash`` takes it, as an image id must: it keys a dict."""
+    hash(value)
     return value
 
 

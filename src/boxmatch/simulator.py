@@ -21,9 +21,9 @@ import numpy as np
 from . import assignment, fcos
 from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
-from .evaluation import Detections, GroundTruth
-from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou
-from .geometry import _argument, _best_overlap, _bounded, _fields, _integral, _row_best, _span
+from .evaluation import Detections, GroundTruth, _unchecked
+from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou, _argument, _bounded
+from .geometry import _best_overlap, _box, _fields, _hashable, _integral, _row_best, _span
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -61,7 +61,7 @@ class SceneSpec:
         _fields(self, count_range=_span(int), size_range=_span(float), seed=_bounded(int, 0))
         if self.size_range[1] > min(self.image_width, self.image_height):
             raise ValueError(
-                f"object size {self.size_range[1]} does not fit a "
+                f"bad field 'size_range': object size {self.size_range[1]} does not fit a "
                 f"{self.image_width}x{self.image_height} image"
             )
         if self.max_pairwise_iou is not None:
@@ -78,10 +78,11 @@ class Scene:
     class_ids: tuple[int, ...]
 
     def __post_init__(self):
+        _fields(self, image_width=_bounded(int, 1), image_height=_bounded(int, 1))
+        # an id is a label, not a size: unlike a config count, 1.0 is no class id
+        _fields(self, boxes=(_box,), class_ids=(_integral,))
         if len(self.class_ids) != len(self.boxes):
             raise ValueError(f"class_ids has length {len(self.class_ids)}, boxes {len(self.boxes)}")
-        # an id is a label, not a size: unlike a config count, 1.0 is no class id
-        _fields(self, class_ids=(_integral,))
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,10 @@ class TrajectoryConfig:
     def __post_init__(self):
         _fields(self, steps=_bounded(int, 1), noise=_bounded(float, 0))
         _fields(self, misalignment_fraction=_bounded(float, 0, 1))
-        for name in (self.localization_gain, self.score_gain):
-            if name not in GAIN_CURVES:
-                raise ValueError(
-                    f"unknown gain curve {name!r}; choose from {sorted(GAIN_CURVES)}"
-                )
+        for name in ("localization_gain", "score_gain"):
+            if getattr(self, name) not in GAIN_CURVES:
+                raise ValueError(f"bad field {name!r}: must be one of {sorted(GAIN_CURVES)}, "
+                                 f"got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -166,10 +166,8 @@ def synth_scene(spec: SceneSpec) -> Scene:
 
 
 def ground_truth_from_scene(scene: Scene, image_id: object = 0) -> list[GroundTruth]:
-    return [
-        GroundTruth(box=b, class_id=c, image_id=image_id)
-        for b, c in zip(scene.boxes, scene.class_ids)
-    ]
+    image_id = _argument("image_id", _hashable, image_id)  # the scene checked the rest
+    return [_unchecked(GroundTruth, *row, image_id) for row in zip(scene.boxes, scene.class_ids)]
 
 
 def synth_predictions(
@@ -191,9 +189,7 @@ def synth_predictions(
     ``pairwise_iou(anchors, objects)``, which does not depend on t. Without
     objects, the snapshot is a copy of the anchors and (anchors, 0) matrices.
     """
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"progress t must lie in [0, 1], got {t}")
-    seed = _argument("seed", _bounded(int, 0), seed)
+    t, seed = _argument("t", _bounded(float, 0, 1), t), _argument("seed", _bounded(int, 0), seed)
     rng = np.random.default_rng([seed, int(round(t * 1_000_000_000))])
     anchors = anchor_set.array
     gt = boxes_to_array(scene.boxes)
@@ -307,7 +303,7 @@ def _trajectories(
     for strategy in strategies:
         if strategy not in choices:
             raise ValueError(f"strategy {strategy!r} does not label {kind}; choose from {choices}")
-    matching = matching or MatchingConfig()
+    matching, seed = matching or MatchingConfig(), _argument("seed", _bounded(int, 0), seed)
     _, base, predict = _baseline(scene, grid, matching)
     base = base._replace(quality=cache(base.quality))  # it does not depend on t
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
@@ -340,10 +336,11 @@ def detections_from_snapshot(
     network trained to score them as background. A scene without objects
     gives an empty batch.
     """
-    scores = snapshot.classif_scores
+    scores, image_id = snapshot.classif_scores, _argument("image_id", _hashable, image_id)
     shape = None if classification_labels is None else np.shape(classification_labels)
     if shape not in (None, scores.shape[:1]):
-        raise ValueError(f"label shape {shape} differs from the score rows' {scores.shape[:1]}")
+        raise ValueError(f"bad argument 'classification_labels': label shape {shape} differs "
+                         f"from the score rows' {scores.shape[:1]}")
     if not scene.boxes:  # no object, no class: nothing to detect
         return Detections(np.zeros((0, 4)), (), (), (image_id,), ())
     if classification_labels is not None:

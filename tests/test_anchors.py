@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +111,23 @@ class TestGeneratePoints:
         for size in (1, 63.9, 64, 200, 256, 1e6):
             hits = [lo <= size < hi for lo, hi in ranges]
             assert sum(hits) == 1
+
+    def test_smallest_scales_that_decrease_are_refused(self):
+        # ranges ((0, 128), (128, 32), (32, inf)): a 40-px object would sit on levels 0 and 2
+        spec = AnchorGridSpec(64, 64, (
+            LevelSpec(8, (64.0,)), LevelSpec(16, (128.0, 256.0)), LevelSpec(32, (32.0,))
+        ))
+        message = "the levels' smallest scales must not decrease, got [64.0, 128.0, 32.0]"
+        for call in (level_scale_ranges, generate_points):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call(spec)
+        assert len(generate_anchors(spec)) == 64 + 16 * 2 + 4
+
+    def test_equal_smallest_scales_leave_a_level_empty(self):
+        spec = AnchorGridSpec(64, 64, (
+            LevelSpec(8, (32.0,)), LevelSpec(16, (64.0,)), LevelSpec(32, (64.0, 128.0))
+        ))
+        assert level_scale_ranges(spec) == ((0.0, 64.0), (64.0, 64.0), (64.0, math.inf))
 
     def test_points_carry_level_metadata(self):
         pset = generate_points(AnchorGridSpec())

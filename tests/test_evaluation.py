@@ -525,17 +525,17 @@ class TestThresholdsAreChecked:
 
     @pytest.mark.parametrize("threshold", [np.nan, -0.1, 1.5, np.inf])
     def test_nms(self, threshold):
-        with pytest.raises(ValueError, match="IoU threshold"):
+        with pytest.raises(ValueError, match="bad argument 'iou_threshold'"):
             nms(self.DETS, threshold)
 
     @pytest.mark.parametrize("thresholds", [(np.nan,), (0.5, 1.2), (-0.5,), ()])
     def test_average_precision(self, thresholds):
-        with pytest.raises(ValueError, match="IoU thresholds"):
+        with pytest.raises(ValueError, match="bad argument 'iou_thresholds'"):
             average_precision(self.DETS, [gt(0, 0, 10, 10)], iou_thresholds=thresholds)
 
     @pytest.mark.parametrize("loc, score", [(np.nan, 0.5), (0.75, np.nan), (1.5, 0.5), (0.75, -1)])
     def test_misalignment_rate(self, loc, score):
-        with pytest.raises(ValueError, match="loc_threshold and score_threshold"):
+        with pytest.raises(ValueError, match="bad argument '(loc|score)_threshold'"):
             misalignment_rate(self.DETS, [gt(0, 0, 10, 10)], loc, score)
 
     def test_unit_interval_ends_are_valid(self):
