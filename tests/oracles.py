@@ -3,7 +3,7 @@
 These deliberately avoid the library's vectorized code paths: the
 rasterization oracle counts pixels, the NMS oracle is a direct O(n^2) loop,
 the AP oracle walks the precision/recall curve literally, and the FCOS
-oracle labels points one at a time.
+oracles label points one at a time or test every (point, object) pair at once.
 """
 
 import math
@@ -274,6 +274,64 @@ def brute_force_fcos_original(points, boxes, radius=None):
         else:
             warnings.append(f"object {j}: no point available for the positive fallback")
     return labels, warnings
+
+
+def brute_force_point_pool(points, gt, radius=None):
+    """Reference point baseline by dense (P, M) comparisons of every point with
+    every box of the (M, 4) array ``gt``.
+
+    The pool holds the pairs whose point lies in the box half-open and on a level
+    whose size range holds the box's longer side; with ``radius``, a candidate must
+    also lie within radius * stride of the box center on both axes, by
+    ``|x - c| <= radius * stride``. Each point goes to its candidate box of smallest
+    area (argmin: ties to the lower index); each object left without a point then
+    falls back as ``brute_force_fcos_original`` describes.
+
+    Returns (labels, warnings, pool, centerness): labels use -1 for negative, and
+    centerness is that of the pool entries, 0 elsewhere.
+    """
+    xy, m = points.xy, gt.shape[0]
+    in_box = (
+        (xy[:, 0:1] >= gt[None, :, 0])
+        & (xy[:, 0:1] < gt[None, :, 2])
+        & (xy[:, 1:2] >= gt[None, :, 1])
+        & (xy[:, 1:2] < gt[None, :, 3])
+    )
+    max_side = np.maximum(gt[:, 2] - gt[:, 0], gt[:, 3] - gt[:, 1])
+    lowers = np.asarray([r[0] for r in points.scale_ranges])[points.point_levels]
+    uppers = np.asarray([r[1] for r in points.scale_ranges])[points.point_levels]
+    pool = in_box & (max_side >= lowers[:, None]) & (max_side < uppers[:, None])
+    candidate = pool
+    if radius is not None:
+        cx, cy = 0.5 * (gt[:, 0] + gt[:, 2]), 0.5 * (gt[:, 1] + gt[:, 3])
+        reach = radius * points.point_strides[:, None]
+        central = (np.abs(xy[:, 0:1] - cx) <= reach) & (np.abs(xy[:, 1:2] - cy) <= reach)
+        candidate = pool & central
+
+    areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
+    winner = np.argmin(np.where(candidate, areas, np.inf), axis=1) if m else -1
+    labels = np.where(candidate.any(axis=1), winner, -1)
+
+    warnings = []
+    for j in range(m):
+        if np.any(labels == j):
+            continue
+        dist = ((xy - 0.5 * (gt[j, :2] + gt[j, 2:])) ** 2).sum(axis=1)
+        ranked = np.lexsort((dist, 2 - in_box[:, j] - pool[:, j]))
+        free = ranked[labels[ranked] < 0]
+        counts = np.bincount(labels[labels >= 0], minlength=m)
+        shared = [i for i in ranked if labels[i] >= 0 and counts[labels[i]] >= 2]
+        if free.size or shared:
+            labels[free[0] if free.size else shared[0]] = j
+        else:
+            warnings.append(f"object {j}: no point available for the positive fallback")
+
+    left, right = xy[:, 0:1] - gt[:, 0], gt[:, 2] - xy[:, 0:1]
+    top, bottom = xy[:, 1:2] - gt[:, 1], gt[:, 3] - xy[:, 1:2]
+    lr = np.minimum(left, right) / np.maximum(left, right)
+    tb = np.minimum(top, bottom) / np.maximum(top, bottom)
+    centerness = np.where(pool, np.sqrt(np.clip(lr * tb, 0.0, None)), 0.0)
+    return labels, warnings, pool, centerness
 
 
 def brute_force_guided(values, regressed, scores, sigma, l2c, c2l, t_pos=0.5, t_neg=0.4):

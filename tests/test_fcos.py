@@ -17,7 +17,7 @@ from boxmatch.fcos import (
 )
 from boxmatch.geometry import Box, boxes_to_array
 from boxmatch.simulator import SceneSpec, synth_scene
-from oracles import brute_force_fcos_original
+from oracles import brute_force_fcos_original, brute_force_point_pool
 
 SINGLE_COARSE = AnchorGridSpec(320, 320, (LevelSpec(160, (64.0,), (1.0,)),))
 SINGLE_32 = AnchorGridSpec(320, 320, (LevelSpec(32, (64.0,), (1.0,)),))
@@ -326,6 +326,73 @@ class TestOriginalOracle:
             labels, warnings = brute_force_fcos_original(FOUR_POINTS, boxes)
             assert result.classification_labels.tolist() == labels
             assert result.warnings == warnings
+
+
+@st.composite
+def grid_layouts(draw):
+    """(points, boxes, radius): 1-3 levels with drawn strides and smallest scales
+    (equal scales leave a level's size range empty) on an image of 1-4 cells of the
+    coarsest stride per side; 0-7 boxes whose edges mostly lie on the lattice of
+    cell centres, some past the image, often two of equal area; and a radius that
+    often puts a cell centre at exactly radius * stride from a box center."""
+    strides = draw(st.lists(st.sampled_from([4, 8, 16, 32]), min_size=1, max_size=3, unique=True))
+    strides.sort()
+    scales = sorted(draw(st.lists(
+        st.sampled_from([6.0, 8.0, 16.0, 24.0, 40.0, 64.0]),
+        min_size=len(strides), max_size=len(strides))))
+    width, height = (strides[-1] * draw(st.integers(1, 4)) for _ in range(2))
+    levels = tuple(LevelSpec(stride, (scale,)) for stride, scale in zip(strides, scales))
+    points = generate_points(AnchorGridSpec(width, height, levels))
+    step = strides[0] / 2  # every level's centres are odd multiples of its stride / 2
+
+    def coordinates(limit):
+        lattice = st.integers(-4, int(limit / step) + 4).map(lambda k: k * step)
+        edge = st.one_of(lattice, st.floats(-step, limit + step))
+        return sorted(draw(st.lists(edge, min_size=2, max_size=2, unique=True)))
+
+    boxes = []
+    for _ in range(draw(st.integers(0, 6))):
+        (x0, x1), (y0, y1) = coordinates(width), coordinates(height)
+        boxes.append(Box(x0, y0, x1, y1))
+    if boxes and draw(st.booleans()):  # an equal area on shared cells, before or after
+        x0, y0, x1, y1 = boxes[0].as_tuple()
+        x0, y0, x1, y1 = draw(st.sampled_from(  # shifted by a step, or transposed
+            [(x0 + step, y0, x1 + step, y1), (x0, y0, x0 + y1 - y0, y0 + x1 - x0)]))
+        if x0 < x1 and y0 < y1:  # a sliver's rounding may leave no box
+            boxes.insert(draw(st.integers(0, len(boxes))), Box(x0, y0, x1, y1))
+    radius = draw(st.sampled_from([None, 0.0, 0.3, 0.5, 1.0, 1.5, 2.5]))
+    return points, boxes, radius
+
+
+class TestPointPoolOracle:
+    """The baseline's grid rectangles against the dense (points x objects) tests."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid_layouts())
+    def test_baseline_matches_the_dense_pool(self, layout):
+        points, boxes, radius = layout
+        base = fcos._original(points, boxes, radius)
+        labels, warnings, pool, centerness = brute_force_point_pool(
+            points, boxes_to_array(boxes), radius)
+        assert base.result.classification_labels.dtype == labels.dtype
+        assert base.result.classification_labels.tolist() == labels.tolist()
+        assert base.result.per_object_counts == positives(labels, len(boxes))
+        assert base.result.warnings == warnings
+        assert base.pool.shape == pool.shape and np.array_equal(base.pool, pool)
+        assert base.quality().tobytes() == centerness.tobytes()
+
+    def test_center_sampling_compares_the_distance_to_the_reach(self):
+        # |4 - 6.4| is 2.4000000000000004 and 0.3 * 8 is 2.4, so the (4, 4) point is
+        # not central to the small box, although 6.4 - 0.3 * 8 rounds to 4.0; it goes
+        # to the large box, centred on it, and the small one falls back to the next
+        # point of its pool
+        points = generate_points(AnchorGridSpec(32, 32, (LevelSpec(8, (16.0,)),)))
+        boxes = [Box(-20, -20, 28, 28), Box(0, 0, 12.8, 8)]
+        result = fcos_assign_original(points, boxes, center_sampling_radius=0.3)
+        assert result.classification_labels[:2].tolist() == [0, 1]
+        assert result.per_object_counts == [1, 1]
+        labels, warnings, _, _ = brute_force_point_pool(points, boxes_to_array(boxes), 0.3)
+        assert result.classification_labels.tolist() == labels.tolist()
 
 
 TWO_LEVELS = generate_points(
