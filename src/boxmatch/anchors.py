@@ -83,8 +83,9 @@ class AnchorSet:
 
 @dataclass
 class PointSet:
-    """Packed point arrays in AnchorSet ordering: (P, 2) centers, each
-    point's level index and stride, and each level's object-size range."""
+    """Packed point arrays in AnchorSet ordering: (P, 2) centers, each point's
+    level index and stride, and each level's object-size range. A level's
+    points are the row-major grid of its cell centers, as ``fcos`` reads them."""
 
     level_offsets: tuple[tuple[int, int], ...]
     xy: np.ndarray

@@ -2,12 +2,13 @@
 
 A point belongs to a box under the half-open convention
 (x_min <= x < x_max, y_min <= y < y_max), and to the detection level whose
-object-size range contains max(box width, box height). The original strategy
-marks every in-box, level-matched point positive (optionally restricted to a
-central region); points inside several matching boxes go to the smallest-area
-box. It is the point baseline of the guidance engine in ``assignment``: its
-positive counts are the budgets, the in-box, level-matched points the pool,
-and centerness on the pool the quality that classify-to-localize amplifies.
+object-size range contains max(box width, box height). As a level's points are
+the row-major grid of its cell centres, an object's pool, its in-box,
+level-matched points, is one rectangle of cells per object and level. The
+original strategy marks the pools positive (optionally only their central
+region); a point in several pools goes to the smallest-area box. It is the point
+baseline of the guidance engine in ``assignment``: its positive counts are the
+budgets, and centerness on the pools the quality that classify-to-localize amplifies.
 
 Every point fallback goes through ``assignment._rescue``; an object no
 fallback can serve gets the warning "object j: no point available for the
@@ -72,32 +73,32 @@ def _centerness_matrix(xy: np.ndarray, gt: np.ndarray, pool: np.ndarray) -> np.n
     return values
 
 
-def _membership(points: PointSet, gt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return the (in_box, pool) masks of shape (P, M); the pool holds the
-    in-box, level-matched points that every point strategy ranks over."""
-    xy = points.xy
-    in_box = (
-        (xy[:, 0:1] >= gt[None, :, 0])
-        & (xy[:, 0:1] < gt[None, :, 2])
-        & (xy[:, 1:2] >= gt[None, :, 1])
-        & (xy[:, 1:2] < gt[None, :, 3])
-    )
-    max_side = np.maximum(gt[:, 2] - gt[:, 0], gt[:, 3] - gt[:, 1])
-    lowers = np.asarray([r[0] for r in points.scale_ranges])[points.point_levels]
-    uppers = np.asarray([r[1] for r in points.scale_ranges])[points.point_levels]
-    level_ok = (max_side[None, :] >= lowers[:, None]) & (max_side[None, :] < uppers[:, None])
-    return in_box, in_box & level_ok
-
-
-def _central(points: PointSet, gt: np.ndarray, radius: float) -> np.ndarray:
-    """(P, M) mask of points within radius * stride of each box center."""
-    xy = points.xy
-    cx = 0.5 * (gt[:, 0] + gt[:, 2])
-    cy = 0.5 * (gt[:, 1] + gt[:, 3])
-    reach = radius * points.point_strides[:, None]
-    return (np.abs(xy[:, 0:1] - cx[None, :]) <= reach) & (
-        np.abs(xy[:, 1:2] - cy[None, :]) <= reach
-    )
+def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
+    """The (P, M) mask of the pools, which the rankings read, and the labels that paint
+    each pool in turn (with ``radius``, only its cells within radius * stride of the box
+    centre on both axes), the largest box first, then the higher index: the smallest wins."""
+    sides = gt[:, 2:] - gt[:, :2]
+    order = np.lexsort((-np.arange(len(gt)), -sides.prod(axis=1)))
+    longer = sides.max(axis=1)[order]
+    labels, pool = np.full(len(points), NEGATIVE), np.zeros((len(points), len(gt)), dtype=bool)
+    for (begin, end), (lower, upper) in zip(points.level_offsets, points.scale_ranges):
+        xy = points.xy[begin:end]  # row-major: the first row ends where y first changes
+        cx = xy[: np.searchsorted(xy[:, 1], xy[0, 1], "right"), 0]
+        cy = xy[:: cx.size, 1]
+        grid = pool[begin:end].reshape(cy.size, cx.size, len(gt))
+        painted = labels[begin:end].reshape(cy.size, cx.size)
+        js = order[(longer >= lower) & (longer < upper)]
+        xs = np.searchsorted(cx, gt[js][:, [0, 2]]).tolist()  # x_min <= x < x_max: x0:x1
+        ys = np.searchsorted(cy, gt[js][:, [1, 3]]).tolist()
+        for j, (x0, x1), (y0, y1) in zip(js.tolist(), xs, ys):
+            rows, cols, near = slice(y0, y1), slice(x0, x1), ...
+            if radius is not None:  # |x - c| <= r * stride, as one mask per axis
+                reach = radius * points.point_strides[begin]
+                near = np.ix_(np.abs(cy[rows] - 0.5 * (gt[j, 1] + gt[j, 3])) <= reach,
+                              np.abs(cx[cols] - 0.5 * (gt[j, 0] + gt[j, 2])) <= reach)
+            grid[rows, cols, j] = True
+            painted[rows, cols][near] = j
+    return labels, pool
 
 
 def fcos_assign_original(
@@ -118,28 +119,19 @@ def fcos_assign_original(
     return _original(points, objects, center_sampling_radius).result
 
 
-def _original(
-    points: PointSet, objects: BoxesLike, center_sampling_radius: Optional[float]
-) -> _Baseline:
+def _original(points: PointSet, objects: BoxesLike, radius: Optional[float]) -> _Baseline:
     """The point baseline and the point functions' one input check; its pool ignores
     the center sampling, which only restricts the original positives."""
     gt = _argument("objects", _as_box_array, objects)
-    in_box, pool = _membership(points, gt)
-    candidate = pool
-    if center_sampling_radius is not None:
-        radius = _argument("center_sampling_radius", _bounded(float, 0), center_sampling_radius)
-        candidate = pool & _central(points, gt, radius)
-    m = gt.shape[0]
-
-    areas = (gt[:, 2] - gt[:, 0]) * (gt[:, 3] - gt[:, 1])
-    # argmin rejects the empty rows of an image without objects
-    winner = np.argmin(np.where(candidate, areas[None, :], np.inf), axis=1) if m else NEGATIVE
-    labels = np.where(candidate.any(axis=1), winner, NEGATIVE)
+    if radius is not None:
+        radius = _argument("center_sampling_radius", _bounded(float, 0), radius)
+    (labels, pool), m = _pool(points, gt, radius), gt.shape[0]
 
     warnings: list[str] = []
     for j in np.flatnonzero(_positives(labels, m) == 0):
         dist = ((points.xy - 0.5 * (gt[j, :2] + gt[j, 2:])) ** 2).sum(axis=1)
-        tier = 2 - in_box[:, j] - pool[:, j]  # 0 pool, 1 in-box only, 2 outside
+        in_box = np.all((points.xy >= gt[j, :2]) & (points.xy < gt[j, 2:]), axis=1)
+        tier = 2 - in_box - pool[:, j]  # 0 pool, 1 in-box only, 2 outside
         _rescue(labels, j, np.lexsort((dist, tier)), m, warnings, "point")
 
     counts = _positives(labels, m).tolist()

@@ -460,7 +460,7 @@ class TestPointStrategyProperties:
     def test_budgets_are_conserved(self, inputs):
         points, boxes = inputs[:2]
         budgets = fcos_assign_original(points, boxes).per_object_counts
-        pool_sizes = fcos._membership(points, boxes_to_array(boxes))[1].sum(axis=0)
+        pool_sizes = fcos._pool(points, boxes_to_array(boxes))[1].sum(axis=0)
         m = len(boxes)
         for strategy, guided_tasks in (("fcos", 0), ("fcos-mutual", 2)):
             base, result, premerge = run_point_row(strategy, *inputs)
@@ -496,7 +496,7 @@ class TestPointStrategyProperties:
         points, boxes, regressed, scores, perm = case
         gt = boxes_to_array(boxes)
         # no two objects tie on a shared pool point's amplified centerness
-        pool = fcos._membership(points, gt)[1]
+        pool = fcos._pool(points, gt)[1]
         amplified = amplified_iou(fcos._centerness_matrix(points.xy, gt, pool), scores, 2.0)
         pooled = np.sort(np.where(pool, amplified, -1.0 - np.arange(len(boxes))), axis=1)
         assume(np.all(np.diff(pooled, axis=1) != 0))
@@ -536,7 +536,7 @@ class TestPoolCenterness:
     def test_pool_entries_equal_dense_and_the_rest_is_zero(self, inputs):
         points, boxes = inputs[:2]
         gt = boxes_to_array(boxes)
-        pool = fcos._membership(points, gt)[1]
+        pool = fcos._pool(points, gt)[1]
         pooled = fcos._centerness_matrix(points.xy, gt, pool)
         dense = dense_centerness(points.xy, gt, pool)
         assert pooled[pool].tobytes() == dense[pool].tobytes()
@@ -578,10 +578,10 @@ def test_point_functions_do_no_dead_work(name):
     call, centerness_runs = POINT_CALLS[name]
     points, boxes = generate_points(SINGLE_32), [SIX_POINT_BOX, Box(150, 150, 260, 250)]
     matrix = np.full((len(points), len(boxes)), 0.5)
-    with mock.patch.object(fcos, "_membership", wraps=fcos._membership) as membership, \
+    with mock.patch.object(fcos, "_pool", wraps=fcos._pool) as pools, \
             mock.patch.object(fcos, "_centerness_matrix", wraps=fcos._centerness_matrix) as quality:
         call(points, boxes, matrix)
-    assert (membership.call_count, quality.call_count) == (1, centerness_runs)
+    assert (pools.call_count, quality.call_count) == (1, centerness_runs)
 
 
 # the three public point functions, each called as (points, objects, matrix, radius)
