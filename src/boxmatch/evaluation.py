@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import (Box, _argument, _as_box_array, _bounded, _box, _fields, _hashable,
-                       _integral, _unit_interval, boxes_to_array, broadcast_iou)
+from .geometry import (Box, _argument, _as_box_array, _bounded, _fields, _hashable,
+                       _instance, _integral, _unit_interval, boxes_to_array, broadcast_iou)
 
 COCO_IOU_THRESHOLDS = tuple(round(0.50 + 0.05 * i, 2) for i in range(10))
 _RECALL_POINTS = np.linspace(0.0, 1.0, 101)
@@ -36,7 +36,8 @@ class Detection:
     image_id: object = 0
 
     def __post_init__(self):
-        _fields(self, box=_box, class_id=_integral, score=_bounded(float, 0, 1), image_id=_hashable)
+        _fields(self, box=_instance(Box), class_id=_integral, score=_bounded(float, 0, 1),
+                image_id=_hashable)
 
 
 def _image_index(image_ids: Iterable, images: tuple = ()) -> tuple[tuple, np.ndarray]:
@@ -137,6 +138,8 @@ def _batch(dets: Sequence[Detection]) -> Detections:
     """``dets`` if it is a batch, else a batch whose rows are its objects."""
     if isinstance(dets, Detections):
         return dets
+    if not {Detection}.issuperset(map(type, dets)):  # the rule takes a subclass too
+        _argument("dets", (_instance(Detection),), dets)
     images, index = _image_index(d.image_id for d in dets)
     scores, classes = [d.score for d in dets], [d.class_id for d in dets]
     batch = Detections(boxes_to_array(d.box for d in dets), scores, classes, images, index)
@@ -151,7 +154,7 @@ class GroundTruth:
     image_id: object = 0
 
     def __post_init__(self):
-        _fields(self, box=_box, class_id=_integral, image_id=_hashable)
+        _fields(self, box=_instance(Box), class_id=_integral, image_id=_hashable)
 
 
 @dataclass
@@ -265,6 +268,8 @@ def _keyed(dets: Detections, ground_truth: Sequence[GroundTruth]):
     """Detection keys, then ground-truth boxes (N, 4), class ids and keys.
     A key numbers a (class, image) group: class id * image count + image
     position, with images in ``dets.images`` order, then first seen."""
+    if not {GroundTruth}.issuperset(map(type, ground_truth)):
+        _argument("ground_truth", (_instance(GroundTruth),), ground_truth)
     images, index = _image_index((g.image_id for g in ground_truth), dets.images)
     classes = np.fromiter((g.class_id for g in ground_truth), np.int64, len(ground_truth))
     return (

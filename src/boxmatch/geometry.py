@@ -29,11 +29,11 @@ class Box:
     y_max: float
 
     def __post_init__(self):
-        coords = (self.x_min, self.y_min, self.x_max, self.y_max)
-        if not all(math.isfinite(c) for c in coords):
-            raise ValueError(f"box fields x_min, y_min, x_max, y_max must be finite, got {coords}")
-        if self.x_max <= self.x_min or self.y_max <= self.y_min:
-            raise ValueError(f"box must have x_min < x_max and y_min < y_max, got {coords}")
+        box = x0, y0, x1, y1 = (self.x_min, self.y_min, self.x_max, self.y_max)
+        if not (type(x0) is type(y0) is type(x1) is type(y1) is float and math.isfinite(sum(box))):
+            _fields(self, x_min=float, y_min=float, x_max=float, y_max=float)  # else the rules
+        if x1 <= x0 or y1 <= y0:
+            raise ValueError(f"box must have x_min < x_max and y_min < y_max, got {box}")
 
     @property
     def width(self) -> float:
@@ -79,7 +79,7 @@ def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
 def _as_box_array(boxes: BoxesLike) -> np.ndarray:
     """The rule for boxes: a checked (N, 4) array, or a sequence of ``Box``, as (N, 4) float64."""
     if not isinstance(boxes, np.ndarray):
-        return boxes_to_array(map(_box, boxes))
+        return boxes_to_array(map(_instance(Box), boxes))
     arr = np.asarray(boxes, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError(f"box array must have shape (N, 4), got {arr.shape}")
@@ -165,11 +165,13 @@ def _number(value):
     return value
 
 
-def _box(value) -> Box:
-    """``value`` once it is a ``Box``; a tuple of coordinates is none."""
-    if not isinstance(value, Box):
-        raise ValueError(f"must be a Box, got {value!r}")
-    return value
+def _instance(kind: type):
+    """The rule for an instance of ``kind``; a tuple of its fields is none."""
+    def rule(value):
+        if not isinstance(value, kind):
+            raise ValueError(f"must be a {kind.__name__}, got {value!r}")
+        return value
+    return rule
 
 
 def _hashable(value):

@@ -23,7 +23,7 @@ from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth, _unchecked
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou, _argument, _bounded
-from .geometry import _best_overlap, _box, _fields, _hashable, _integral, _row_best, _span
+from .geometry import _best_overlap, _fields, _instance, _hashable, _integral, _row_best, _span
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -80,7 +80,7 @@ class Scene:
     def __post_init__(self):
         _fields(self, image_width=_bounded(int, 1), image_height=_bounded(int, 1))
         # an id is a label, not a size: unlike a config count, 1.0 is no class id
-        _fields(self, boxes=(_box,), class_ids=(_integral,))
+        _fields(self, boxes=(_instance(Box),), class_ids=(_integral,))
         if len(self.class_ids) != len(self.boxes):
             raise ValueError(f"class_ids has length {len(self.class_ids)}, boxes {len(self.boxes)}")
 

@@ -129,14 +129,17 @@ CONTRACT = {
         ("iou_thresholds", 0.5),  # repro: "'float' object is not iterable"
         ("iou_thresholds", ()), ("iou_thresholds", (NAN,)), ("iou_thresholds", (0.5, 1.2)),
         ("ground_truth", []),
+        ("ground_truth", [BOX]), ("dets", TUPLE_BOXES),  # repro: both were AttributeErrors
     ]),
     "misalignment_rate": (bm.misalignment_rate, {"dets": DETS, "ground_truth": GTS}, [
         ("loc_threshold", True), ("loc_threshold", NAN), ("score_threshold", -1),
         ("score_threshold", "a"),
+        ("ground_truth", [BOX]), ("dets", TUPLE_BOXES),  # repro: both were AttributeErrors
     ]),
     "nms": (bm.nms, {"dets": DETS, "iou_threshold": 0.5}, [
         ("iou_threshold", [0.5, 0.6]),  # repro: kept 1 of 2 detections
         ("iou_threshold", True), ("iou_threshold", NAN), ("iou_threshold", 1.5),
+        ("dets", TUPLE_BOXES),  # repro: "'tuple' object has no attribute 'image_id'"
     ]),
     # fcos
     "centerness": (bm.centerness, {"point": (12.0, 12.0), "gt": BOX}, [("point", (4.0, 4.0))]),
@@ -160,6 +163,8 @@ CONTRACT = {
     # geometry
     "Box": (bm.Box, {"x_min": 0, "y_min": 0, "x_max": 1, "y_max": 1}, [
         ("x_min", NAN), ("y_max", math.inf), ("x_max", 0), ("y_max", -1),
+        ("x_min", "a"),  # repro: "must be real number, not str"
+        ("x_max", True),  # repro: constructed, as x_max = 1
     ]),
     "area": (bm.area, {"box": BOX}, []),  # takes a Box, unchecked
     "boxes_to_array": (bm.boxes_to_array, {"boxes": [BOX]}, []),  # takes Boxes, unchecked
