@@ -204,7 +204,8 @@ def test_criterion_7_oracles():
     result = bm.average_precision(dets, gts)
     assert result.ap50 == 1.0
     assert result.ap75 == 0.0
-    report(7, "nms matches reference on 1000 cases; iou matches rasterization on 500; AP50=1, AP75=0")
+    report(7, "nms matches reference on 1000 cases; iou matches rasterization on 500; "
+              "AP50=1, AP75=0")
 
 
 def test_criterion_8_misalignment_direction():

@@ -690,7 +690,8 @@ class TestRunConfig:
     def test_sigma_flag_is_checked_with_the_matching_section(self, tmp_path, capsys):
         argv = ["assign", "--synthetic", "--sigma", "1", "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        assert "invalid configuration: matching: sigma must be > 1, got 1.0" in capsys.readouterr().err
+        error = capsys.readouterr().err
+        assert "invalid configuration: matching: sigma must be > 1, got 1.0" in error
 
 
 # name -> a config whose one section breaks the number rule, a field's range or the
@@ -980,17 +981,22 @@ GOLDEN_SHA256 = {
     "c2l": {
         "scene-0000.c2l.json": "cb736e5ae8e5474b53f5f6aa62165cca2016198c687195bcf107262427e6931e",
         "scene-0000.diff.json": "f03e59d18d9dd65c80e1eef901aabfe56ea9e4aefe74b73b07df0ef565e4b437",
-        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.static.json":
+            "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
         "scene-0000.svg": "432f9a5b3dac0703e336d63dfbf99c8916a9165f38a447624c14875eceabef93",
     },
     "config": {
         "scene-0000.diff.json": "3f5e7b50497856038bd4745b302adae7a02f7b3381d306284ec22fefa12c101b",
-        "scene-0000.mutual.json": "f7325cfdeb47c24a0ab9c37380b5904543fe4e9c836ca3e09bb403a4a17736af",
-        "scene-0000.static.json": "217ce36f9fe1e07cbdf1e50b7b0d1219e55a25b14e26d5ea8675bb3a5e73d65e",
+        "scene-0000.mutual.json":
+            "f7325cfdeb47c24a0ab9c37380b5904543fe4e9c836ca3e09bb403a4a17736af",
+        "scene-0000.static.json":
+            "217ce36f9fe1e07cbdf1e50b7b0d1219e55a25b14e26d5ea8675bb3a5e73d65e",
         "scene-0000.svg": "59b0d1c5ba0c4a16060146aeeabb0cb52059e8307c16449cc45914cc685d93e2",
         "scene-0001.diff.json": "f374e6784ae674a756110590fe31f053f331d5bf68285f8017b77013f22b77dc",
-        "scene-0001.mutual.json": "0c3c574fb2fac12d17bb7b8711f8e70603be605834d47ccf475882082b5ada7e",
-        "scene-0001.static.json": "ac7de10997d57381bfe7c4b3378f6780697a57f31f9da10e3462582dcb8eb7b8",
+        "scene-0001.mutual.json":
+            "0c3c574fb2fac12d17bb7b8711f8e70603be605834d47ccf475882082b5ada7e",
+        "scene-0001.static.json":
+            "ac7de10997d57381bfe7c4b3378f6780697a57f31f9da10e3462582dcb8eb7b8",
         "scene-0001.svg": "01592002392d3412510a6b6eb66fe027a441c909efa480a32ead6476890239a2",
     },
     "evaluate": {
@@ -1003,20 +1009,24 @@ GOLDEN_SHA256 = {
     },
     "fcos-mutual": {
         "scene-0000.diff.json": "5fe07678049ca6aeca196483765fa2a56ce997b6e5d6324711533b3179a79806",
-        "scene-0000.fcos-mutual.json": "b644db7c0426b6ba87e2595b9e7118d3be8be3dd9a2f34c78ad7e928e381e393",
+        "scene-0000.fcos-mutual.json":
+            "b644db7c0426b6ba87e2595b9e7118d3be8be3dd9a2f34c78ad7e928e381e393",
         "scene-0000.fcos.json": "3851f99af8957c38ed6a22a09ebb30b6708e504b451b98d73e278cd70a3230b1",
         "scene-0000.svg": "18b57a82301ad8c78783718c9e13863530e93ab2ab9ce1a2b5c785f47bec4d91",
     },
     "l2c": {
         "scene-0000.diff.json": "d7d7241a6d7e800c087cd9ed9b24085a1aa9b5832bdea196cdc72be36ab5b906",
         "scene-0000.l2c.json": "3c5ae02144a201f64a49e7e6b0184dd7cc6b27f1db96777bc875bf8cdff75a81",
-        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.static.json":
+            "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
         "scene-0000.svg": "c53250ef52df6e7479800f6116fd95cfa16efcd2dd0cb7a5b50ce48ab479f5dd",
     },
     "mutual": {
         "scene-0000.diff.json": "6b91871eb159cfd072676eb5a40f13e32e99108d86aa3d34201d485352b3a41d",
-        "scene-0000.mutual.json": "08fecb2c50fe087d97374577ef03a7366c5592081a6da2a851a0ca6cf41bb5ec",
-        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.mutual.json":
+            "08fecb2c50fe087d97374577ef03a7366c5592081a6da2a851a0ca6cf41bb5ec",
+        "scene-0000.static.json":
+            "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
         "scene-0000.svg": "a767f23c785fa314103ef7c29bb7636e738860cf8cd86a065831b07dd115634a",
     },
     "simulate": {
@@ -1024,7 +1034,8 @@ GOLDEN_SHA256 = {
     },
     "static": {
         "scene-0000.diff.json": "beaef0467ae4e0aab6d0aeb1cacd580ece3f37f91d431570ad0017ec2b97b9f3",
-        "scene-0000.static.json": "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
+        "scene-0000.static.json":
+            "c95f483d47b43da4277a4a2b72b345f86b8805b71fc41c2df2c1f29614ae978a",
         "scene-0000.svg": "dd67a1c38b0b5cfd43b7122ab92e147a001b50046925b19c978b2ec4890d42ca",
     },
 }

@@ -147,7 +147,8 @@ class TestAveragePrecision:
             gts = []
             for _ in range(int(rng.integers(1, 5))):
                 x, y = rng.uniform(0, 30, 2)
-                gts.append(GroundTruth(Box(x, y, x + rng.uniform(4, 25), y + rng.uniform(4, 25)), 0, 0))
+                w, h = rng.uniform(4, 25), rng.uniform(4, 25)
+                gts.append(GroundTruth(Box(x, y, x + w, y + h), 0, 0))
             dets = [d for d in random_detections(rng, 12, classes=1)]
             for threshold in (0.5, 0.75):
                 mine = average_precision(dets, gts, iou_thresholds=[threshold])

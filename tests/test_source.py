@@ -1,6 +1,6 @@
-"""Source rules of the library and its tools: every line of ``src/boxmatch``
-and ``tools`` fits in 100 characters, and the package's public names are those
-its submodules define, listed once."""
+"""Source rules of the library, its tools and its tests: every line of
+``src/boxmatch``, ``tools`` and ``tests`` fits in 100 characters, and the
+package's public names are those its submodules define, listed once."""
 
 import importlib
 import pkgutil
@@ -13,7 +13,8 @@ import boxmatch
 
 MAX_LINE = 100
 ROOT = Path(__file__).parents[1]
-SOURCES = sorted((ROOT / "src" / "boxmatch").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
+SOURCES = [path for folder in (ROOT / "src" / "boxmatch", ROOT / "tools", ROOT / "tests")
+           for path in sorted(folder.glob("*.py"))]
 
 
 def test_the_package_has_sources():
