@@ -3,7 +3,7 @@
 A point belongs to a box under the half-open convention
 (x_min <= x < x_max, y_min <= y < y_max), and to the detection level whose
 object-size range contains max(box width, box height). As a level's points are
-the row-major grid of its cell centres, an object's pool, its in-box,
+the row-major grid of its cell centers, an object's pool, its in-box,
 level-matched points, is one rectangle of cells per object and level. The
 original strategy marks the pools positive (optionally only their central
 region); a point in several pools goes to the smallest-area box. It is the point
@@ -76,7 +76,7 @@ def _centerness_matrix(xy: np.ndarray, gt: np.ndarray, pool: np.ndarray) -> np.n
 def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
     """The (P, M) mask of the pools, which the rankings read, and the labels that paint
     each pool in turn (with ``radius``, only its cells within radius * stride of the box
-    centre on both axes), the largest box first, then the higher index: the smallest wins."""
+    center on both axes), the largest box first, then the higher index: the smallest wins."""
     sides = gt[:, 2:] - gt[:, :2]
     order = np.lexsort((-np.arange(len(gt)), -sides.prod(axis=1)))
     longer = sides.max(axis=1)[order]
@@ -85,7 +85,7 @@ def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
         xy = points.xy[begin:end]  # row-major: the first row ends where y first changes
         cx = xy[: np.searchsorted(xy[:, 1], xy[0, 1], "right"), 0]
         cy = xy[:: cx.size, 1]
-        grid = pool[begin:end].reshape(cy.size, cx.size, len(gt))
+        in_pool = pool[begin:end].reshape(cy.size, cx.size, len(gt))
         painted = labels[begin:end].reshape(cy.size, cx.size)
         js = order[(longer >= lower) & (longer < upper)]
         xs = np.searchsorted(cx, gt[js][:, [0, 2]]).tolist()  # x_min <= x < x_max: x0:x1
@@ -96,7 +96,7 @@ def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
                 reach = radius * points.point_strides[begin]
                 near = np.ix_(np.abs(cy[rows] - 0.5 * (gt[j, 1] + gt[j, 3])) <= reach,
                               np.abs(cx[cols] - 0.5 * (gt[j, 0] + gt[j, 2])) <= reach)
-            grid[rows, cols, j] = True
+            in_pool[rows, cols, j] = True
             painted[rows, cols][near] = j
     return labels, pool
 

@@ -31,7 +31,7 @@ class Box:
     def __post_init__(self):
         box = x0, y0, x1, y1 = (self.x_min, self.y_min, self.x_max, self.y_max)
         if not (type(x0) is type(y0) is type(x1) is type(y1) is float and math.isfinite(sum(box))):
-            _fields(self, x_min=float, y_min=float, x_max=float, y_max=float)  # else the rules
+            _fields(self, x_min=float, y_min=float, x_max=float, y_max=float)  # by the rule set
         if x1 <= x0 or y1 <= y0:
             raise ValueError(f"box must have x_min < x_max and y_min < y_max, got {box}")
 

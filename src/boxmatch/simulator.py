@@ -23,7 +23,7 @@ from .anchors import AnchorSet, PointSet
 from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth, _unchecked
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou, _argument, _bounded
-from .geometry import _best_overlap, _fields, _instance, _hashable, _integral, _row_best, _span
+from .geometry import _best_overlap, _fields, _hashable, _instance, _integral, _row_best, _span
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,

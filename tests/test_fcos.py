@@ -333,8 +333,8 @@ def grid_layouts(draw):
     """(points, boxes, radius): 1-3 levels with drawn strides and smallest scales
     (equal scales leave a level's size range empty) on an image of 1-4 cells of the
     coarsest stride per side; 0-7 boxes whose edges mostly lie on the lattice of
-    cell centres, some past the image, often two of equal area; and a radius that
-    often puts a cell centre at exactly radius * stride from a box center."""
+    cell centers, some past the image, often two of equal area; and a radius that
+    often puts a cell center at exactly radius * stride from a box center."""
     strides = draw(st.lists(st.sampled_from([4, 8, 16, 32]), min_size=1, max_size=3, unique=True))
     strides.sort()
     scales = sorted(draw(st.lists(
@@ -343,7 +343,7 @@ def grid_layouts(draw):
     width, height = (strides[-1] * draw(st.integers(1, 4)) for _ in range(2))
     levels = tuple(LevelSpec(stride, (scale,)) for stride, scale in zip(strides, scales))
     points = generate_points(AnchorGridSpec(width, height, levels))
-    step = strides[0] / 2  # every level's centres are odd multiples of its stride / 2
+    step = strides[0] / 2  # every level's centers are odd multiples of its stride / 2
 
     def coordinates(limit):
         lattice = st.integers(-4, int(limit / step) + 4).map(lambda k: k * step)
@@ -384,7 +384,7 @@ class TestPointPoolOracle:
     def test_center_sampling_compares_the_distance_to_the_reach(self):
         # |4 - 6.4| is 2.4000000000000004 and 0.3 * 8 is 2.4, so the (4, 4) point is
         # not central to the small box, although 6.4 - 0.3 * 8 rounds to 4.0; it goes
-        # to the large box, centred on it, and the small one falls back to the next
+        # to the large box, centered on it, and the small one falls back to the next
         # point of its pool
         points = generate_points(AnchorGridSpec(32, 32, (LevelSpec(8, (16.0,)),)))
         boxes = [Box(-20, -20, 28, 28), Box(0, 0, 12.8, 8)]
