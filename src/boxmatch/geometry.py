@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-# rows per pairwise IoU block: its temporaries, not the matrix's, fit in L2 at 50 objects
+# rows per IoU block, chosen by timing: at 50 objects 4096 beat 2048, 8192 and the whole matrix
 _BLOCK_ROWS = 4096
 
 
@@ -56,24 +56,32 @@ BoxesLike = Union[np.ndarray, Sequence[Box]]
 
 def area(box: Box) -> float:
     """Area of a box in square pixels."""
+    box = _argument("box", _instance(Box), box)
     return box.width * box.height
 
 
 def iou(a: Box, b: Box) -> float:
     """Intersection over union of two boxes; 0.0 when disjoint."""
-    iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    # box invariants guarantee union > 0, no epsilon needed
-    return inter / (area(a) + area(b) - inter)
+    try:  # costs nothing unless an argument is no Box, which the rule then names
+        iw = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
+        ih = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
+        if iw <= 0.0 or ih <= 0.0:
+            return 0.0
+        inter = iw * ih
+        # box invariants guarantee union > 0, no epsilon needed
+        return inter / (a.width * a.height + b.width * b.height - inter)
+    except AttributeError:
+        _argument("a", _instance(Box), a), _argument("b", _instance(Box), b)
+        raise
 
 
 def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
     """Pack boxes into an (N, 4) float64 array of (x_min, y_min, x_max, y_max)."""
-    arr = np.asarray([b.as_tuple() for b in boxes], dtype=np.float64)
-    return arr.reshape(-1, 4)
+    try:  # as in iou: the rule runs only once an item has failed
+        return np.asarray([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
+    except AttributeError:
+        _argument("boxes", (_instance(Box),), boxes)
+        raise
 
 
 def _as_box_array(boxes: BoxesLike) -> np.ndarray:
@@ -109,30 +117,31 @@ def broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
     """IoU between every box in `a` and every box in `b`; shape (len(a), len(b))."""
     a, b = _argument("a", _as_box_array, a), _argument("b", _as_box_array, b)
-    return _by_row_blocks(a, b, lambda block: (block,), np.empty((len(a), len(b))))[0]
+    out = np.empty((len(a), len(b)))
+    for start in range(0, len(a), _BLOCK_ROWS):  # one object-major block alive at a time
+        rows = slice(start, start + _BLOCK_ROWS)
+        out[rows] = broadcast_iou(b[:, None], a[rows]).T  # a's rows innermost: long loops
+    return out
 
 
-def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_row_best`` of ``pairwise_iou(a, b)`` without the matrix; ``b`` must hold a box."""
-    return _by_row_blocks(a, b, _row_best, np.empty(len(a), dtype=np.intp), np.empty(len(a)))
+    best, best_iou = np.zeros(len(a), dtype=np.intp), np.empty(len(a))
+    for start in range(0, len(a), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
+        block, pick, top = broadcast_iou(b[:, None], a[rows]), best[rows], best_iou[rows]
+        top[:] = block[0]
+        for j in range(1, len(b)):  # a running max; strict > keeps ties on the lower object
+            np.copyto(pick, j, where=block[j] > top)
+            np.maximum(top, block[j], out=top)
+        del block  # the block goes before the next one is built
+    return best, best_iou
 
 
 def _row_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's (argmax, max) of a 2-D array with a column, ties to the lower column."""
     best = np.argmax(values, axis=1)
     return best, values[np.arange(values.shape[0]), best]
-
-
-def _by_row_blocks(a: np.ndarray, b: np.ndarray, reduce, *outs: np.ndarray) -> tuple:
-    """``outs``, each filled row block by row block with its part of ``reduce``
-    of the block's IoU matrix against ``b``; one block is alive at a time."""
-    for start in range(0, len(a), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        # a's rows innermost: long contiguous loops (the block is a transposed view)
-        for out, part in zip(outs, reduce(broadcast_iou(b[:, None], a[rows]).T)):
-            out[rows] = part
-        del part  # the block goes before the next one is built
-    return outs
 
 
 def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:

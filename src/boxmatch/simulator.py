@@ -182,12 +182,12 @@ def synth_predictions(
 
     At t=0 the regressed boxes equal the anchor boxes exactly and all scores
     are ~0. As t grows, boxes interpolate toward each anchor's best-overlap
-    object and scores toward the regressed overlap. Except for injected
-    misaligned anchors, regressed overlap with the target object never drops
-    below the anchor's overlap; the injected fraction is small, so at least
-    90% of anchors keep that property. ``_iou_anchor`` reuses a caller's
+    object and scores toward the regressed overlap. The target overlap, read
+    from the regressed IoU matrix, cannot fall along that line; where rounding
+    lowers it, the anchor keeps its anchor box. Only injected misaligned
+    anchors, a small share, fall below. ``_iou_anchor`` reuses a caller's
     ``pairwise_iou(anchors, objects)``, which does not depend on t. Without
-    objects, the snapshot is a copy of the anchors and (anchors, 0) matrices.
+    objects, the snapshot copies the anchors, with (anchors, 0) matrices.
     """
     t, seed = _argument("t", _bounded(float, 0, 1), t), _argument("seed", _bounded(int, 0), seed)
     rng = np.random.default_rng([seed, int(round(t * 1_000_000_000))])
@@ -214,18 +214,17 @@ def synth_predictions(
             drifted[chosen[:half]] = True
             dampened[chosen[half:]] = True
 
-    targets = gt[best]
-    width = targets[:, 2] - targets[:, 0]
-    effective = targets.copy()
-    effective[drifted, ::2] += (_DRIFT_SHIFT * width[drifted])[:, None]
-    regressed = (1.0 - weights[:, None]) * anchors + weights[:, None] * effective
+    effective = gt.T[:, best]  # (4, n): each anchor's target, shifted where drifted
+    effective[::2, drifted] += _DRIFT_SHIFT * (effective[2, drifted] - effective[0, drifted])
+    regressed = np.empty((n, 4))  # filled through its (4, n) view: long loops over anchors
+    np.add((1.0 - weights) * anchors.T, weights * effective, out=regressed.T)
 
-    # jitter must not push an anchor below its starting overlap
-    against_target = broadcast_iou(regressed, targets)
-    degraded = (against_target < best_iou) & ~drifted
-    regressed[degraded] = anchors[degraded]
-
+    # no anchor may end below its starting overlap; only rounding can put one there
     iou_regressed = pairwise_iou(regressed, gt)
+    degraded = (iou_regressed[np.arange(n), best] < best_iou) & ~drifted
+    if degraded.any():  # only the reset rows are computed again
+        regressed[degraded] = anchors[degraded]
+        iou_regressed[degraded] = broadcast_iou(regressed[degraded, None], gt)
     score_gain = GAIN_CURVES[cfg.score_gain](t)
     scores = score_gain * iou_regressed
     scores[drifted, best[drifted]] = score_gain * 0.95

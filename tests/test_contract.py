@@ -166,9 +166,17 @@ CONTRACT = {
         ("x_min", "a"),  # repro: "must be real number, not str"
         ("x_max", True),  # repro: constructed, as x_max = 1
     ]),
-    "area": (bm.area, {"box": BOX}, []),  # takes a Box, unchecked
-    "boxes_to_array": (bm.boxes_to_array, {"boxes": [BOX]}, []),  # takes Boxes, unchecked
-    "iou": (bm.iou, {"a": BOX, "b": BOX}, []),  # takes Boxes, unchecked
+    "area": (bm.area, {"box": BOX}, [
+        ("box", TUPLE_BOXES[0]),  # repro: "'tuple' object has no attribute 'width'"
+    ]),
+    "boxes_to_array": (bm.boxes_to_array, {"boxes": [BOX]}, [
+        ("boxes", TUPLE_BOXES),  # repro: "... no attribute 'as_tuple'"
+        ("boxes", [BOX, None]),
+    ]),
+    "iou": (bm.iou, {"a": BOX, "b": BOX}, [
+        ("a", TUPLE_BOXES[0]),  # repro: "'tuple' object has no attribute 'x_max'"
+        ("b", TUPLE_BOXES[0]), ("b", "box"),
+    ]),
     "pairwise_iou": (bm.pairwise_iou, {"a": [BOX], "b": [BOX]}, [
         ("a", TUPLE_BOXES), ("b", TUPLE_BOXES),  # repro: both were AttributeErrors
         ("a", np.zeros((2, 3))), ("b", np.array([[0.0, 0.0, 1.0, NAN]])),

@@ -185,20 +185,26 @@ class TestBlockedIoU:
         assert matrix.shape == (n, m) and matrix.flags.c_contiguous
         assert matrix.tobytes() == broadcast_iou(a[:, None], b).tobytes()
 
-    @pytest.mark.parametrize("n", [2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1])
-    def test_best_overlap_equals_argmax_and_max(self, n):
-        rng = np.random.default_rng(n)
-        a, b = random_boxes(rng, n), random_boxes(rng, 20)
-        b[10] = b[3]  # object 10 ties object 3 on every row: the lower index wins
+    # one object runs no step of the running max; two tie on every row; the
+    # 20-object cases keep their plain ids
+    @pytest.mark.parametrize("n, m", [
+        pytest.param(n, m, id=str(n) if m == 20 else f"{n}-objects{m}")
+        for m in (20, 1, 2) for n in (2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1)
+    ])
+    def test_best_overlap_equals_argmax_and_max(self, n, m):
+        rng = np.random.default_rng(n if m == 20 else [n, m])
+        a, b = random_boxes(rng, n), random_boxes(rng, m)
+        low, twin = {1: (0, 0), 2: (0, 1), 20: (3, 10)}[m]
+        b[twin] = b[low]  # the twin ties object low on every row: the lower index wins
         a[0] = (1000, 1000, 1001, 1001)  # overlaps nothing: an all-zero row
-        a[-1] = b[3]
+        a[-1] = b[low]
         best, best_iou = _best_overlap(a, b)
         matrix = broadcast_iou(a[:, None], b)
         assert best.tolist() == np.argmax(matrix, axis=1).tolist()
         assert best_iou.tobytes() == matrix.max(axis=1).tobytes()
         assert (best[0], best_iou[0]) == (0, 0.0)
-        assert (best[-1], best_iou[-1]) == (3, 1.0)
-        assert not np.any(best == 10)
+        assert (best[-1], best_iou[-1]) == (low, 1.0)
+        assert not np.any(best == twin) or twin == low
 
     @given(boxes(), boxes())
     def test_best_overlap_on_the_lattice(self, a, b):
@@ -307,6 +313,19 @@ def test_trajectory_computes_anchor_iou_once(monkeypatch):
     assert len(result.steps) == 5
     assert calls.count(True) == 1  # the anchor overlap; the rest are regressed boxes
     assert calls.count(False) == 5
+
+
+def test_predictions_compute_no_target_overlap_row_by_row(monkeypatch):
+    """Each anchor's overlap with its target is read from the regressed matrix;
+    at the default noise no anchor is reset, so no IoU row is computed again."""
+    grid = generate_anchors(AnchorGridSpec(64, 64, (LevelSpec(8, (16.0,), (1.0,)),)))
+    calls = []
+    real = simulator.broadcast_iou
+    monkeypatch.setattr(simulator, "broadcast_iou", lambda a, b: calls.append(a) or real(a, b))
+    scene = Scene(64, 64, (Box(10, 10, 30, 34), Box(36, 8, 60, 28)), (0, 1))
+    for t in (0.3, 0.6, 1.0):
+        synth_predictions(scene, grid, TrajectoryConfig(misalignment_fraction=0.3), t)
+    assert calls == []
 
 
 def test_predictions_build_no_anchor_overlap(monkeypatch):

@@ -224,6 +224,65 @@ class TestSynthPredictions:
             synth_predictions(scene, ANCHORS, TrajectoryConfig(), 1.5, seed=0)
 
 
+# a scene whose objects are the grid's own boxes: each sample starts at IoU 1
+# with its target, so a box that interpolation merely rounds has lost overlap
+ON_GRID = AnchorGridSpec(64, 64, (LevelSpec(8, (16.0,), (1.0, 2.0, 0.5)),))
+
+
+def on_grid_scene(boxes):
+    return Scene(64, 64, tuple(Box(*map(float, box)) for box in boxes), (0,) * len(boxes))
+
+
+def traced_prediction(monkeypatch, predict, grid, scene, cfg):
+    """``predict`` at t = 0.3, with the anchor boxes and the snapshot of its one
+    ``synth_predictions`` call, and the boxes of each call to ``broadcast_iou``:
+    the rows whose overlaps are computed again."""
+    built, recomputed = [], []
+    real_predict, real_iou = simulator.synth_predictions, simulator.broadcast_iou
+
+    def spy(scene, anchor_set, *args, **kwargs):
+        built.append((anchor_set.array, real_predict(scene, anchor_set, *args, **kwargs)))
+        return built[-1][1]
+
+    monkeypatch.setattr(simulator, "synth_predictions", spy)
+    monkeypatch.setattr(simulator, "broadcast_iou",
+                        lambda a, b: recomputed.append(a[:, 0]) or real_iou(a, b))
+    getattr(simulator, predict)(scene, grid, cfg, 0.3, seed=11)
+    (anchors, snapshot), = built
+    return anchors, snapshot, recomputed
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.3])
+@pytest.mark.parametrize("predict", ["synth_predictions", "synth_point_predictions"])
+def test_noisy_predictions_reset_the_anchors_that_lose_overlap(monkeypatch, predict, fraction):
+    """At noise 0.5, an anchor whose regressed box would overlap its target less
+    keeps its anchor box, and only its row of the matrix is computed again."""
+    if predict == "synth_predictions":
+        grid = generate_anchors(ON_GRID)
+        scene = on_grid_scene(grid.array)
+    else:  # a point regresses a square four strides wide
+        grid = generate_points(ON_GRID)
+        half = 2.0 * grid.point_strides[:, None]
+        scene = on_grid_scene(np.hstack([grid.xy - half, grid.xy + half]))
+    cfg = TrajectoryConfig(noise=0.5, misalignment_fraction=fraction)
+    anchors, snapshot, recomputed = traced_prediction(monkeypatch, predict, grid, scene, cfg)
+    regressed, gt, n = snapshot.regressed_boxes, boxes_to_array(scene.boxes), len(anchors)
+    assert regressed.shape == (n, 4) and regressed.flags.c_contiguous
+    assert snapshot.iou_regressed.tobytes() == pairwise_iou(regressed, gt).tobytes()
+    iou_anchor = pairwise_iou(anchors, gt)
+    rows, best = np.arange(n), np.argmax(iou_anchor, axis=1)
+    below = snapshot.iou_regressed[rows, best] < iou_anchor[rows, best]
+    # only a drifted anchor, scored gain * 0.95 on its object, falls below its anchor overlap
+    gain = GAIN_CURVES[cfg.score_gain](0.3)
+    assert np.all(snapshot.classif_scores[below, best[below]] == gain * 0.95)
+    assert not below.any() or (fraction and predict == "synth_predictions")
+    # each reset row is its own anchor box again; the anchor boxes are distinct
+    (reset,) = recomputed
+    kept = {box.tobytes() for box in anchors[np.all(regressed == anchors, axis=1)]}
+    assert len({box.tobytes() for box in anchors}) == n
+    assert len(reset) >= 1 and all(box.tobytes() in kept for box in reset)
+
+
 class TestTrajectoryConfig:
     def test_curve_names_validated(self):
         with pytest.raises(ValueError):

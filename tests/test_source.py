@@ -1,7 +1,9 @@
 """Source rules of the library, its tools and its tests: every line of
-``src/boxmatch``, ``tools`` and ``tests`` fits in 100 characters, and the
-package's public names are those its submodules define, listed once."""
+``src/boxmatch``, ``tools`` and ``tests`` fits in 100 characters, no library
+module but ``__init__`` imports a name it never uses, and the package's public
+names are those its submodules define, listed once."""
 
+import ast
 import importlib
 import pkgutil
 from pathlib import Path
@@ -27,6 +29,21 @@ def test_no_line_is_longer_than_100_characters(path):
     long = [f"{path.name}:{no}: {len(line)}" for no, line in enumerate(lines, 1)
             if len(line) > MAX_LINE]
     assert long == []
+
+
+MODULES = [path for path in SOURCES if path.parent.name == "boxmatch" and path.stem != "__init__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_module_imports_a_name_it_never_uses(path):
+    """A name bound by an import is read somewhere in the module; ``__init__``
+    imports to re-export, and ``from __future__`` binds nothing to read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__" for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(imported - read) == []
 
 
 def test_the_public_names_are_sorted_and_neither_private_nor_modules():
