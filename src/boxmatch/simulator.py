@@ -203,25 +203,23 @@ def synth_predictions(
     jitter = cfg.noise * rng.uniform(-1.0, 1.0, size=n) * 4.0 * w_base * (1.0 - w_base)
     weights = np.clip(w_base + jitter, 0.0, 1.0)
 
-    drifted = np.zeros(n, dtype=bool)
-    dampened = np.zeros(n, dtype=bool)
+    drifted = dampened = np.zeros(0, dtype=np.intp)  # injected anchors, by index
     if cfg.misalignment_fraction > 0.0:
         pool = np.flatnonzero(best_iou >= _INJECTION_IOU_FLOOR)
         k = math.ceil(cfg.misalignment_fraction * pool.size)  # the fraction is at most 1
         if k:
             chosen = rng.choice(pool, size=k, replace=False)
-            half = (k + 1) // 2
-            drifted[chosen[:half]] = True
-            dampened[chosen[half:]] = True
+            drifted, dampened = np.split(chosen, [(k + 1) // 2])
 
-    effective = gt.T[:, best]  # (4, n): each anchor's target, shifted where drifted
+    effective = gt.T.take(best, axis=1)  # (4, n): each anchor's target, shifted where drifted
     effective[::2, drifted] += _DRIFT_SHIFT * (effective[2, drifted] - effective[0, drifted])
     regressed = np.empty((n, 4))  # filled through its (4, n) view: long loops over anchors
-    np.add((1.0 - weights) * anchors.T, weights * effective, out=regressed.T)
+    np.add((1.0 - weights) * np.ascontiguousarray(anchors.T), weights * effective, out=regressed.T)
 
-    # no anchor may end below its starting overlap; only rounding can put one there
     iou_regressed = pairwise_iou(regressed, gt)
-    degraded = (iou_regressed[np.arange(n), best] < best_iou) & ~drifted
+    # the target overlaps, by flat index: only rounding can put one below its start
+    degraded = iou_regressed.take(np.arange(0, iou_regressed.size, len(gt)) + best) < best_iou
+    degraded[drifted] = False
     if degraded.any():  # only the reset rows are computed again
         regressed[degraded] = anchors[degraded]
         iou_regressed[degraded] = broadcast_iou(regressed[degraded, None], gt)
