@@ -37,7 +37,7 @@ MODULES = [path for path in SOURCES if path.parent.name == "boxmatch" and path.s
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_module_imports_a_name_it_never_uses(path):
     """A name bound by an import is read somewhere in the module; ``__init__``
-    imports to re-export, and ``from __future__`` binds nothing to read."""
+    imports to re-export, and a ``from __future__`` import is a directive."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = {(alias.asname or alias.name).split(".")[0]
                 for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
