@@ -103,10 +103,10 @@ class DynamicLabels:
 
 def matrix_values(matrix: MatrixLike) -> np.ndarray:
     """The one checked entry for overlap and score matrices: a 2-D array-like,
-    such as a ``pairwise_iou`` result, as a float64 array once every value is
-    finite and in [0, 1]; ValueError otherwise."""
+    such as a ``pairwise_iou`` result, as an object-major float64 array once every
+    value is finite and in [0, 1]; ValueError otherwise. A row-major one is copied."""
     try:
-        arr = np.asarray(matrix, dtype=np.float64)
+        arr = np.asarray(matrix, dtype=np.float64, order="F")
     except (TypeError, ValueError) as exc:  # ragged rows, or items that are no numbers
         raise ValueError(f"expected a 2-D matrix of numbers: {exc}") from exc
     if arr.ndim != 2:
@@ -286,7 +286,7 @@ def _runs(matrix: np.ndarray, mask: Optional[np.ndarray]) -> tuple[np.ndarray, n
     order, and the m + 1 bounds of the runs."""
     n, m = matrix.shape
     hit = matrix > 0 if mask is None else (matrix > 0) & mask
-    runs = np.flatnonzero(np.ascontiguousarray(hit.T))
+    runs = np.flatnonzero(hit.T)  # a view of an object-major mask, a copy of another
     return runs, np.searchsorted(runs, np.arange(m + 1) * n)
 
 

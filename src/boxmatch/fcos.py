@@ -61,31 +61,31 @@ def centerness(point: tuple[float, float], gt: Box) -> float:
 
 
 def _centerness_matrix(xy: np.ndarray, gt: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """(P, M) centerness on the ``pool`` entries and 0 elsewhere; half-open
-    membership puts a pool point on a box's left or top edge at exactly 0."""
-    p, j = np.nonzero(pool)
+    """(P, M) centerness on the ``pool`` entries and 0 elsewhere, object-major;
+    half-open membership puts a pool point on a box's left or top edge at exactly 0."""
+    j, p = np.nonzero(pool.T)
     left, right = xy[p, 0] - gt[j, 0], gt[j, 2] - xy[p, 0]
     top, bottom = xy[p, 1] - gt[j, 1], gt[j, 3] - xy[p, 1]
     lr = np.minimum(left, right) / np.maximum(left, right)
     tb = np.minimum(top, bottom) / np.maximum(top, bottom)
-    values = np.zeros(pool.shape)
-    values[p, j] = np.sqrt(lr * tb)
-    return values
+    values = np.zeros(pool.T.shape)
+    values[j, p] = np.sqrt(lr * tb)
+    return values.T
 
 
 def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
-    """The (P, M) mask of the pools, which the rankings read, and the labels that paint
+    """The pools' object-major (P, M) mask, which the rankings read, and the labels that paint
     each pool in turn (with ``radius``, only its cells within radius * stride of the box
     center on both axes), the largest box first, then the higher index: the smallest wins."""
     sides = gt[:, 2:] - gt[:, :2]
     order = np.lexsort((-np.arange(len(gt)), -sides.prod(axis=1)))
     longer = sides.max(axis=1)[order]
-    labels, pool = np.full(len(points), NEGATIVE), np.zeros((len(points), len(gt)), dtype=bool)
+    labels, pool = np.full(len(points), NEGATIVE), np.zeros((len(gt), len(points)), dtype=bool)
     for (begin, end), (lower, upper) in zip(points.level_offsets, points.scale_ranges):
         xy = points.xy[begin:end]  # row-major: the first row ends where y first changes
         cx = xy[: np.searchsorted(xy[:, 1], xy[0, 1], "right"), 0]
         cy = xy[:: cx.size, 1]
-        in_pool = pool[begin:end].reshape(cy.size, cx.size, len(gt))
+        in_pool = pool[:, begin:end].reshape(len(gt), cy.size, cx.size)  # a view
         painted = labels[begin:end].reshape(cy.size, cx.size)
         js = order[(longer >= lower) & (longer < upper)]
         xs = np.searchsorted(cx, gt[js][:, [0, 2]]).tolist()  # x_min <= x < x_max: x0:x1
@@ -96,9 +96,9 @@ def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
                 reach = radius * points.point_strides[begin]
                 near = np.ix_(np.abs(cy[rows] - 0.5 * (gt[j, 1] + gt[j, 3])) <= reach,
                               np.abs(cx[cols] - 0.5 * (gt[j, 0] + gt[j, 2])) <= reach)
-            in_pool[rows, cols, j] = True
+            in_pool[j, rows, cols] = True
             painted[rows, cols][near] = j
-    return labels, pool
+    return labels, pool.T
 
 
 def fcos_assign_original(

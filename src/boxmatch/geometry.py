@@ -1,5 +1,6 @@
-"""Axis-aligned box arithmetic: areas, IoU and the pairwise IoU matrix, a plain
-(n, m) array; and the rules that config fields and function arguments are checked by.
+"""Axis-aligned box arithmetic: areas, IoU and the pairwise IoU matrix; and the rules that
+config fields and function arguments are checked by. Each (samples, objects) matrix the library
+returns is object-major, the transpose of a C-contiguous array: it is read one object at a time.
 
 Boxes are (x_min, y_min, x_max, y_max) in continuous pixel coordinates with
 area (x_max - x_min) * (y_max - y_min). Degenerate boxes are rejected at
@@ -115,33 +116,33 @@ def broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
-    """IoU between every box in `a` and every box in `b`; shape (len(a), len(b))."""
+    """IoU of every box in `a` with every box in `b`, shape (len(a), len(b)), object-major."""
     a, b = _argument("a", _as_box_array, a), _argument("b", _as_box_array, b)
-    out = np.empty((len(a), len(b)))
+    out = np.empty((len(b), len(a)))
     for start in range(0, len(a), _BLOCK_ROWS):  # one object-major block alive at a time
         rows = slice(start, start + _BLOCK_ROWS)
-        out[rows] = broadcast_iou(b[:, None], a[rows]).T  # a's rows innermost: long loops
-    return out
+        out[:, rows] = broadcast_iou(b[:, None], a[rows])  # a's rows innermost: long loops
+    return out.T
 
 
 def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_row_best`` of ``pairwise_iou(a, b)`` without the matrix; ``b`` must hold a box."""
-    best, best_iou = np.zeros(len(a), dtype=np.intp), np.empty(len(a))
-    for start in range(0, len(a), _BLOCK_ROWS):
+    best, best_iou = np.empty(len(a), dtype=np.intp), np.empty(len(a))
+    for start in range(0, len(a), _BLOCK_ROWS):  # each block goes before the next is built
         rows = slice(start, start + _BLOCK_ROWS)
-        block, pick, top = broadcast_iou(b[:, None], a[rows]), best[rows], best_iou[rows]
-        top[:] = block[0]
-        for j in range(1, len(b)):  # a running max; strict > keeps ties on the lower object
-            np.copyto(pick, j, where=block[j] > top)
-            np.maximum(top, block[j], out=top)
-        del block  # the block goes before the next one is built
+        best[rows], best_iou[rows] = _row_best(broadcast_iou(b[:, None], a[rows]).T)
     return best, best_iou
 
 
 def _row_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's (argmax, max) of a 2-D array with a column, ties to the lower column."""
-    best = np.argmax(values, axis=1)
-    return best, values[np.arange(values.shape[0]), best]
+    """Each row's (argmax, max) of a 2-D array with a column: a running max over the columns,
+    an object-major array's contiguous rows, whose strict > keeps the first maximum's bits."""
+    best, top = np.zeros(len(values), dtype=np.intp), values[:, 0].copy()
+    for j, column in enumerate(values.T[1:], 1):
+        above = column > top
+        np.copyto(best, j, where=above)
+        np.copyto(top, column, where=above)
+    return best, top
 
 
 def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:

@@ -217,8 +217,8 @@ def synth_predictions(
     np.add((1.0 - weights) * np.ascontiguousarray(anchors.T), weights * effective, out=regressed.T)
 
     iou_regressed = pairwise_iou(regressed, gt)
-    # the target overlaps, by flat index: only rounding can put one below its start
-    degraded = iou_regressed.take(np.arange(0, iou_regressed.size, len(gt)) + best) < best_iou
+    # the target overlaps, by flat object-major index: only rounding puts one below its start
+    degraded = iou_regressed.T.take(best * n + np.arange(n)) < best_iou
     degraded[drifted] = False
     if degraded.any():  # only the reset rows are computed again
         regressed[degraded] = anchors[degraded]
@@ -245,10 +245,11 @@ def synth_point_predictions(
     draws in the same order; points take no misalignment injection. Returns
     (iou_regressed, scores), both of shape (points, objects).
     """
-    half = (point_set.point_strides * 4.0)[:, None] / 2.0
-    proxies = np.concatenate([point_set.xy - half, point_set.xy + half], axis=1)
+    half, proxies = point_set.point_strides * 4.0 / 2.0, np.empty((4, len(point_set)))
+    np.subtract(point_set.xy.T, half, out=proxies[:2])  # (4, P): long loops over points
+    np.add(point_set.xy.T, half, out=proxies[2:])
     cfg = replace(cfg, misalignment_fraction=0.0)
-    snapshot = synth_predictions(scene, AnchorSet(point_set.level_offsets, proxies), cfg, t, seed)
+    snapshot = synth_predictions(scene, AnchorSet(point_set.level_offsets, proxies.T), cfg, t, seed)
     return snapshot.iou_regressed, snapshot.classif_scores
 
 
@@ -346,7 +347,5 @@ def detections_from_snapshot(
     best, values = _row_best(scores)
     keep = np.flatnonzero(values >= _SCORE_THRESHOLD)
     classes = np.asarray(scene.class_ids, dtype=np.int64)[best[keep]]
-    return Detections(
-        snapshot.regressed_boxes[keep], values[keep], classes, (image_id,),
-        np.zeros(keep.size, dtype=np.intp),
-    )
+    return Detections(snapshot.regressed_boxes[keep], values[keep], classes, (image_id,),
+                      np.zeros(keep.size, dtype=np.intp))

@@ -6,18 +6,21 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from boxmatch import assignment, geometry, simulator
-from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors
+from boxmatch import assignment, fcos, geometry, simulator
+from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.assignment import (
     NEGATIVE,
     amplified_iou,
     classify_to_localize,
     localize_to_classify,
+    matrix_values,
     ranked_selection,
     static_assign,
 )
-from boxmatch.geometry import Box, _best_overlap, boxes_to_array, broadcast_iou, iou, pairwise_iou
-from boxmatch.simulator import Scene, TrajectoryConfig, run_trajectory, synth_predictions
+from boxmatch.geometry import Box, _best_overlap, _row_best, boxes_to_array, broadcast_iou, iou
+from boxmatch.geometry import pairwise_iou
+from boxmatch.simulator import Scene, SceneSpec, TrajectoryConfig, run_trajectory
+from boxmatch.simulator import synth_point_predictions, synth_predictions, synth_scene
 from oracles import brute_force_ranked_selection, brute_force_static_assign
 
 # integer corners make touching, nested and identical boxes common
@@ -37,7 +40,7 @@ class TestBroadcastIoU:
     def test_pairwise_equals_scalar_iou_exactly(self, a, b):
         matrix = pairwise_iou(boxes_to_array(a), boxes_to_array(b))
         assert matrix.shape == (len(a), len(b))
-        assert matrix.flags.c_contiguous
+        assert matrix.T.flags.c_contiguous
         for i, box_a in enumerate(a):
             for j, box_b in enumerate(b):
                 assert matrix[i, j] == iou(box_a, box_b)
@@ -182,7 +185,7 @@ class TestBlockedIoU:
         rng = np.random.default_rng([n, m])
         a, b = random_boxes(rng, n), random_boxes(rng, m)
         matrix = pairwise_iou(a, b)
-        assert matrix.shape == (n, m) and matrix.flags.c_contiguous
+        assert matrix.shape == (n, m) and matrix.T.flags.c_contiguous
         assert matrix.tobytes() == broadcast_iou(a[:, None], b).tobytes()
 
     # one object runs no step of the running max; two tie on every row; the
@@ -338,3 +341,58 @@ def test_predictions_build_no_anchor_overlap(monkeypatch):
     scene = Scene(64, 64, (Box(10, 10, 30, 34), Box(36, 8, 60, 28)), (0, 1))
     synth_predictions(scene, grid, TrajectoryConfig(misalignment_fraction=0.3), 0.6)
     assert calls == [False]  # the regressed boxes only
+
+
+# few distinct values: ties, all-zero rows and signed zeros are common
+ENTRY = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1)
+
+
+@st.composite
+def reduced_matrices(draw):
+    n, m = draw(st.integers(0, 12)), draw(st.integers(1, 6))
+    return np.array(draw(st.lists(ENTRY, min_size=n * m, max_size=n * m))).reshape(n, m)
+
+
+class TestRowBest:
+    """``_row_best`` is the one row reduction: a running max that must equal
+    ``argmax`` and a gather, indices and value bits, on either layout."""
+
+    @given(reduced_matrices(), st.booleans())
+    @example(np.array([[0.5], [-0.0], [0.0]]), True)  # one column: no step of the max
+    @example(np.full((4, 3), 0.5), True)  # ties on every row go to column 0
+    @example(np.zeros((3, 4)), False)  # all-zero rows
+    @example(np.array([[-0.0, 0.0, 0.5], [0.0, -0.0, -0.0], [-0.0, 0.0, 0.0]]), True)
+    def test_equals_argmax_and_a_gather(self, matrix, object_major):
+        values = np.asfortranarray(matrix) if object_major else np.ascontiguousarray(matrix)
+        best, top = _row_best(values)
+        expected = np.argmax(matrix, axis=1)
+        assert best.tobytes() == expected.tobytes()
+        assert top.tobytes() == matrix[np.arange(len(matrix)), expected].tobytes()
+
+
+def object_major(matrix) -> bool:
+    """A (samples, objects) matrix stored as the transpose of a C-contiguous array."""
+    return matrix.ndim == 2 and matrix.T.flags.c_contiguous
+
+
+def test_every_matrix_the_library_hands_out_is_object_major():
+    spec = AnchorGridSpec(128, 128, (LevelSpec(8, (32.0,), (1.0, 2.0)), LevelSpec(16, (64.0,))))
+    anchors, points = generate_anchors(spec), generate_points(spec)
+    scene = synth_scene(SceneSpec(128, 128, (3, 3), (16.0, 64.0), None, seed=4))
+    gt, cfg = boxes_to_array(scene.boxes), TrajectoryConfig(misalignment_fraction=0.3)
+    snapshot = synth_predictions(scene, anchors, cfg, 0.6, seed=2)
+    base = fcos._original(points, scene.boxes, None)
+    nested = [[0.0, 0.5], [1.0, 0.25], [0.5, 0.5]]
+    handed_out = {
+        "pairwise_iou": pairwise_iou(anchors.array, gt),
+        "iou_regressed": snapshot.iou_regressed,
+        "classif_scores": snapshot.classif_scores,
+        **dict(zip(["point iou_regressed", "point scores"],
+                   synth_point_predictions(scene, points, cfg, 0.6, seed=2))),
+        "point pool": base.pool,
+        "centerness": base.quality(),
+        "matrix_values of a list": matrix_values(nested),
+        "matrix_values of a row-major array": matrix_values(np.array(nested)),
+    }
+    assert [name for name, matrix in handed_out.items() if not object_major(matrix)] == []
+    assert all(matrix.shape[1] == 3 for matrix in list(handed_out.values())[:-2])

@@ -2,7 +2,8 @@
 grid. The kernels build no (samples, objects) matrix they only reduce or
 mask, so each peak stays within a few of the matrices the call returns; the
 guided anchor strategies rank each object's positive entries, not a dense
-matrix, and stay below one matrix.
+matrix, and read the object-major hit mask without a transposed copy: they
+stay below 0.35 of one matrix.
 numpy reports its array buffers to tracemalloc, so the peaks are
 deterministic for fixed inputs."""
 
@@ -83,4 +84,4 @@ def test_anchor_guided_peak(grids, name):
     iou = pairwise_iou(anchors.array, boxes_to_array(SCENE.boxes))
     snap = synth_predictions(SCENE, anchors, CONFIG, 0.8, seed=3)
     peak = traced_peak(lambda: ANCHOR_GUIDED[name](iou, snap))
-    assert peak <= 0.75 * len(anchors) * MATRIX_BYTES
+    assert peak <= 0.35 * len(anchors) * MATRIX_BYTES

@@ -533,6 +533,21 @@ class TestDetectionsFromSnapshot:
             )
         assert set(dets.class_ids.tolist()) <= set(MISALIGNED_SCENE.class_ids)
 
+    # the scores as the simulator returns them, and with some rows suppressed
+    @pytest.mark.parametrize("suppressed", [False, True])
+    def test_a_row_major_copy_of_the_scores_gives_the_same_batch(self, suppressed):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        row_major = replace(snapshot, classif_scores=snapshot.classif_scores.copy(order="C"))
+        assert snapshot.classif_scores.T.flags.c_contiguous
+        assert row_major.classif_scores.flags.c_contiguous
+        iou_anchor = pairwise_iou(ANCHORS.array, boxes_to_array(MISALIGNED_SCENE.boxes))
+        labels = static_assign(iou_anchor).classification_labels if suppressed else None
+        batches = [detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, s, labels)
+                   for s in (snapshot, row_major)]
+        arrays = [[b.boxes, b.scores, b.class_ids, b.image_index] for b in batches]
+        assert len(batches[0]) > 0
+        assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
+
     def test_every_row_suppressed_gives_an_empty_batch(self):
         snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.0, seed=11)
         labels = np.full(len(ANCHORS.array), -1)

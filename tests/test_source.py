@@ -1,7 +1,8 @@
 """Source rules of the library, its tools and its tests: every line of
 ``src/boxmatch``, ``tools`` and ``tests`` fits in 100 characters, no library
-module but ``__init__`` imports a name it never uses, and the package's public
-names are those its submodules define, listed once."""
+module but ``__init__`` imports a name it never uses, no library module calls
+``argmax``, and the package's public names are those its submodules define,
+listed once."""
 
 import ast
 import importlib
@@ -31,7 +32,8 @@ def test_no_line_is_longer_than_100_characters(path):
     assert long == []
 
 
-MODULES = [path for path in SOURCES if path.parent.name == "boxmatch" and path.stem != "__init__"]
+LIBRARY = [path for path in SOURCES if path.parent.name == "boxmatch"]
+MODULES = [path for path in LIBRARY if path.stem != "__init__"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
@@ -44,6 +46,17 @@ def test_no_module_imports_a_name_it_never_uses(path):
                 and getattr(node, "module", None) != "__future__" for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == []
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[path.name for path in LIBRARY])
+def test_no_module_calls_argmax(path):
+    """``geometry._row_best`` is the one row reduction: a running max over the
+    contiguous rows of an object-major matrix, where an ``argmax`` along its
+    20-50-wide rows would read strided memory."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "argmax" in getattr(node.func, "attr", getattr(node.func, "id", ""))]
+    assert calls == []
 
 
 def test_the_public_names_are_sorted_and_neither_private_nor_modules():
