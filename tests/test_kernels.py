@@ -17,10 +17,24 @@ from boxmatch.assignment import (
     ranked_selection,
     static_assign,
 )
-from boxmatch.geometry import Box, _best_overlap, _row_best, boxes_to_array, broadcast_iou, iou
-from boxmatch.geometry import pairwise_iou
-from boxmatch.simulator import Scene, SceneSpec, TrajectoryConfig, run_trajectory
-from boxmatch.simulator import synth_point_predictions, synth_predictions, synth_scene
+from boxmatch.geometry import (
+    Box,
+    _best_overlap,
+    _row_best,
+    boxes_to_array,
+    broadcast_iou,
+    iou,
+    pairwise_iou,
+)
+from boxmatch.simulator import (
+    Scene,
+    SceneSpec,
+    TrajectoryConfig,
+    run_trajectory,
+    synth_point_predictions,
+    synth_predictions,
+    synth_scene,
+)
 from oracles import brute_force_ranked_selection, brute_force_static_assign
 
 # integer corners make touching, nested and identical boxes common
@@ -395,4 +409,5 @@ def test_every_matrix_the_library_hands_out_is_object_major():
         "matrix_values of a row-major array": matrix_values(np.array(nested)),
     }
     assert [name for name, matrix in handed_out.items() if not object_major(matrix)] == []
+    # a one-column matrix is C- and F-contiguous at once: three objects make the check bite
     assert all(matrix.shape[1] == 3 for matrix in list(handed_out.values())[:-2])
