@@ -103,10 +103,10 @@ class DynamicLabels:
 
 def matrix_values(matrix: MatrixLike) -> np.ndarray:
     """The one checked entry for overlap and score matrices: a 2-D array-like,
-    such as a ``pairwise_iou`` result, as an object-major float64 array once every
-    value is finite and in [0, 1]; ValueError otherwise. A row-major one is copied."""
+    such as a ``pairwise_iou`` result, as a float64 array once every value is
+    finite and in [0, 1]; ValueError otherwise."""
     try:
-        arr = np.asarray(matrix, dtype=np.float64, order="F")
+        arr = np.asarray(matrix, dtype=np.float64)
     except (TypeError, ValueError) as exc:  # ragged rows, or items that are no numbers
         raise ValueError(f"expected a 2-D matrix of numbers: {exc}") from exc
     if arr.ndim != 2:

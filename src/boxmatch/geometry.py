@@ -135,8 +135,8 @@ def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _row_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's (argmax, max) of a 2-D array with a column: a running max over the columns,
-    an object-major array's contiguous rows, whose strict > keeps the first maximum's bits."""
+    """Each row's (argmax, max) of a 2-D array with a column, by a running max over the columns
+    whose strict > keeps the first maximum's bits and, unlike argmax, skips NaN past column 0."""
     best, top = np.zeros(len(values), dtype=np.intp), values[:, 0].copy()
     for j, column in enumerate(values.T[1:], 1):
         above = column > top

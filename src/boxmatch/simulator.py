@@ -347,5 +347,7 @@ def detections_from_snapshot(
     best, values = _row_best(scores)
     keep = np.flatnonzero(values >= _SCORE_THRESHOLD)
     classes = np.asarray(scene.class_ids, dtype=np.int64)[best[keep]]
-    return Detections(snapshot.regressed_boxes[keep], values[keep], classes, (image_id,),
-                      np.zeros(keep.size, dtype=np.intp))
+    return Detections(
+        snapshot.regressed_boxes[keep], values[keep], classes, (image_id,),
+        np.zeros(keep.size, dtype=np.intp),
+    )

@@ -396,7 +396,6 @@ def test_every_matrix_the_library_hands_out_is_object_major():
     gt, cfg = boxes_to_array(scene.boxes), TrajectoryConfig(misalignment_fraction=0.3)
     snapshot = synth_predictions(scene, anchors, cfg, 0.6, seed=2)
     base = fcos._original(points, scene.boxes, None)
-    nested = [[0.0, 0.5], [1.0, 0.25], [0.5, 0.5]]
     handed_out = {
         "pairwise_iou": pairwise_iou(anchors.array, gt),
         "iou_regressed": snapshot.iou_regressed,
@@ -405,9 +404,14 @@ def test_every_matrix_the_library_hands_out_is_object_major():
                    synth_point_predictions(scene, points, cfg, 0.6, seed=2))),
         "point pool": base.pool,
         "centerness": base.quality(),
-        "matrix_values of a list": matrix_values(nested),
-        "matrix_values of a row-major array": matrix_values(np.array(nested)),
     }
     assert [name for name, matrix in handed_out.items() if not object_major(matrix)] == []
     # a one-column matrix is C- and F-contiguous at once: three objects make the check bite
-    assert all(matrix.shape[1] == 3 for matrix in list(handed_out.values())[:-2])
+    assert all(matrix.shape[1] == 3 for matrix in handed_out.values())
+
+
+# the input check copies neither a caller's row-major matrix nor an object-major one
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matrix_values_keeps_a_float_matrix_in_its_own_layout(order):
+    matrix = np.array([[0.0, 0.5, 1.0], [1.0, 0.25, 0.5]], order=order)
+    assert matrix_values(matrix) is matrix

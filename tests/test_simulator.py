@@ -548,6 +548,18 @@ class TestDetectionsFromSnapshot:
         assert len(batches[0]) > 0
         assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
 
+    def test_a_nan_score_past_the_first_column_is_skipped(self):
+        # the scores of an unchecked snapshot: argmax would pick each NaN, the running max
+        # skips one past column 0 and keeps one in column 0, which then fails the threshold
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        scores = np.zeros_like(snapshot.classif_scores)
+        scores[:3, :3] = [[0.5, np.nan, 0.0], [0.5, np.nan, 0.7], [np.nan, 0.9, 0.0]]
+        dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS,
+                                        replace(snapshot, classif_scores=scores))
+        assert dets.scores.tolist() == [0.5, 0.7]
+        assert dets.class_ids.tolist() == [MISALIGNED_SCENE.class_ids[j] for j in (0, 2)]
+        assert dets.boxes.tobytes() == snapshot.regressed_boxes[:2].tobytes()
+
     def test_every_row_suppressed_gives_an_empty_batch(self):
         snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.0, seed=11)
         labels = np.full(len(ANCHORS.array), -1)
