@@ -150,13 +150,13 @@ def amplified_iou(iou_value, score, sigma):
 
 
 class _Baseline(NamedTuple):
-    """An unguided result and its grid's inputs to ``_guide``: budgets, the
-    candidate pool (None: every sample), the c2l quality on demand, the noun."""
+    """An unguided result and its grid's inputs to ``_guide``: budgets, the candidate
+    pool table (None: every sample), the c2l quality on demand, the noun."""
 
     result: Assignment
     n_pos: list[int]
     n_ignored: list[int]
-    pool: Optional[np.ndarray]
+    pool: Optional[tuple[np.ndarray, np.ndarray]]
     quality: Callable[[], np.ndarray]
     noun: str
 
@@ -205,18 +205,19 @@ def ranked_selection(
     score_matrix: np.ndarray,
     n_pos: Sequence[int],
     n_ignored: Sequence[int],
-    candidate_mask: Optional[np.ndarray] = None,
+    pool: Optional[tuple[np.ndarray, np.ndarray]] = None,
     scores: Optional[np.ndarray] = None,
     sigma: Optional[float] = None,
 ) -> DynamicLabels:
     """Per-object top-k labeling with deterministic merge across objects.
 
-    For each object, anchors are ranked by its score column (descending, ties
-    to the lower anchor index, so zeros rank last in index order) over the
-    candidate pool; the first ``n_pos`` become positive claims and the next
-    ``n_ignored`` ignored claims. Positive beats ignored beats negative. An
-    anchor claimed positive by several objects goes to the highest-scoring
-    claim (ties to the lower object index). Displaced claims are not refilled,
+    For each object, anchors are ranked by its score column (descending, ties to the
+    lower anchor index, so zeros rank last in index order) over every anchor, or over
+    its run of ``pool``, a table in ``_runs``'s format whose runs hold each object's
+    candidates, zeros included. The first ``n_pos`` become positive claims and the next
+    ``n_ignored`` ignored claims. Positive beats ignored beats negative. An anchor
+    claimed positive by several objects goes to the highest-scoring claim (ties to the
+    lower object index). Displaced claims are not refilled,
     except that an object left with no positive takes its best-ranked free
     anchor, or else its best-ranked anchor whose owner keeps another positive.
     With ``scores`` and ``sigma`` (given together), an entry v ranks as
@@ -226,15 +227,14 @@ def ranked_selection(
     n, m = score_matrix.shape
     n_pos = _argument("n_pos", partial(_counts, m), n_pos)
     n_ignored = _argument("n_ignored", partial(_counts, m), n_ignored)
-    runs, bounds = _runs(score_matrix, candidate_mask)
-    pool = np.ones((1, m), dtype=bool) if candidate_mask is None else candidate_mask  # (1, m): all
+    runs, bounds = _runs(score_matrix) if pool is None else pool  # a pool run holds its zeros
 
     def rank(j: int, k: Optional[int] = None):
         samples, column = runs[bounds[j] : bounds[j + 1]] - j * n, score_matrix[:, j]
         values = column[samples]
         if scores is not None:  # amplify the run entries only: zeros stay zeros
             values = np.power(values, (sigma - scores[:, j][samples]) / sigma)
-        return _ranking(samples, values, k, column, pool[:, j])
+        return _ranking(samples, values, k, column if pool is None else None)
 
     picks = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # positive claims and their scores
     ignored_any = np.zeros(n, dtype=bool)
@@ -242,7 +242,7 @@ def ranked_selection(
     warnings: list[str] = []
 
     for j in range(m):
-        size = n if candidate_mask is None else np.count_nonzero(candidate_mask[:, j])
+        size = n if pool is None else bounds[j + 1] - bounds[j]
         k_pos = min(int(n_pos[j]), size)
         k_ign = min(int(n_ignored[j]), size - k_pos)
         if k_pos < n_pos[j] or k_ign < n_ignored[j]:
@@ -280,13 +280,12 @@ def _counts(m: int, value) -> list[int]:
     return counts.tolist()
 
 
-def _runs(matrix: np.ndarray, mask: Optional[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+def _runs(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The flat indices j * n + i of the positive entries (i, j) of an (n, m) ``matrix``
-    (within ``mask``) in object-major order, each column's rows one run in index
-    order, and the m + 1 bounds of the runs."""
+    in object-major order, each column's rows one run in index order, and the m + 1
+    bounds of the runs."""
     n, m = matrix.shape
-    hit = matrix > 0 if mask is None else (matrix > 0) & mask
-    runs = np.flatnonzero(hit.T)  # a view of an object-major mask, a copy of another
+    runs = np.flatnonzero((matrix > 0).T)  # a view of an object-major mask, a copy of another
     return runs, np.searchsorted(runs, np.arange(m + 1) * n)
 
 
@@ -294,10 +293,10 @@ def _positives(labels: np.ndarray, n_objects: int) -> np.ndarray:
     return np.bincount(labels[labels >= 0], minlength=n_objects)
 
 
-def _ranking(samples: np.ndarray, scores: np.ndarray, k: Optional[int], column, pool):
+def _ranking(samples: np.ndarray, scores: np.ndarray, k: Optional[int], column, pool=True):
     """The first k (all if k is None) of ``samples``, given in index order, ranked by
-    ``scores``, descending, ties to the lower index, then of the ``pool`` members
-    whose ``column`` entry is 0, in index order; returns them and their scores."""
+    ``scores``, descending, ties to the lower index, then of the ``pool`` members whose
+    ``column`` entry is 0, in index order (None: none); returns them and their scores."""
     if k and k < samples.size:  # the k-th best score, then its ties in index order
         kth = np.partition(scores, samples.size - k)[samples.size - k]
         keep = scores > kth
@@ -305,7 +304,7 @@ def _ranking(samples: np.ndarray, scores: np.ndarray, k: Optional[int], column, 
         samples, scores = samples[keep], scores[keep]
     order = np.argsort(-scores, kind="stable")[:k]
     samples, scores = samples[order], scores[order]
-    if k is not None and k <= samples.size:
+    if column is None or k is not None and k <= samples.size:
         return samples, scores
     tail = np.flatnonzero((column <= 0) & pool)[: k and k - samples.size]
     return np.concatenate([samples, tail]), np.concatenate([scores, np.zeros(tail.size)])

@@ -17,7 +17,6 @@ positive fallback". An image without objects is all NEGATIVE.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 from typing import Optional
 
@@ -38,7 +37,7 @@ from .assignment import (
     _positives,
     _rescue,
 )
-from .geometry import Box, BoxesLike, _argument, _as_box_array, _bounded
+from .geometry import Box, BoxesLike, _argument, _as_box_array, _bounded, _instance
 
 
 def centerness(point: tuple[float, float], gt: Box) -> float:
@@ -48,44 +47,42 @@ def centerness(point: tuple[float, float], gt: Box) -> float:
     sqrt((min(l,r)/max(l,r)) * (min(t,b)/max(t,b))). Raises ValueError for a
     point on or outside the boundary, where the value would degenerate to 0.
     """
-    x, y = point
-    left = x - gt.x_min
-    right = gt.x_max - x
-    top = y - gt.y_min
-    bottom = gt.y_max - y
-    if min(left, right, top, bottom) <= 0.0:
+    gt, (x, y) = _argument("gt", _instance(Box), gt), _argument("point", (float,), point)
+    if not (gt.x_min < x < gt.x_max and gt.y_min < y < gt.y_max):
         raise ValueError(f"point {point} is not strictly inside {gt.as_tuple()}")
-    return math.sqrt(
-        (min(left, right) / max(left, right)) * (min(top, bottom) / max(top, bottom))
-    )
+    return float(_centerness(np.array([[x, y]], dtype=np.float64), np.array([gt.as_tuple()]))[0])
 
 
-def _centerness_matrix(xy: np.ndarray, gt: np.ndarray, pool: np.ndarray) -> np.ndarray:
-    """(P, M) centerness on the ``pool`` entries and 0 elsewhere, object-major;
-    half-open membership puts a pool point on a box's left or top edge at exactly 0."""
-    j, p = np.nonzero(pool.T)
-    left, right = xy[p, 0] - gt[j, 0], gt[j, 2] - xy[p, 0]
-    top, bottom = xy[p, 1] - gt[j, 1], gt[j, 3] - xy[p, 1]
-    lr = np.minimum(left, right) / np.maximum(left, right)
-    tb = np.minimum(top, bottom) / np.maximum(top, bottom)
-    values = np.zeros(pool.T.shape)
-    values[j, p] = np.sqrt(lr * tb)
+def _centerness(xy: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """Centerness of each (k, 2) float point ``xy`` in its row of the (k, 4) boxes ``gt``."""
+    near, far = xy - gt[:, :2], gt[:, 2:] - xy  # (left, top), (right, bottom)
+    ratio = np.minimum(near, far) / np.maximum(near, far)
+    return np.sqrt(ratio[:, 0] * ratio[:, 1])
+
+
+def _centerness_matrix(xy: np.ndarray, gt: np.ndarray, runs: np.ndarray) -> np.ndarray:
+    """(P, M) centerness on the entries j * P + p of a pool table's ``runs`` and 0 elsewhere,
+    object-major; half-open membership puts a point on a box's left or top edge at exactly 0."""
+    j, p = np.divmod(runs, len(xy))
+    values = np.zeros((len(gt), len(xy)))
+    np.put(values, runs, _centerness(xy[p], gt[j]))
     return values.T
 
 
 def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
-    """The pools' object-major (P, M) mask, which the rankings read, and the labels that paint
-    each pool in turn (with ``radius``, only its cells within radius * stride of the box
-    center on both axes), the largest box first, then the higher index: the smallest wins."""
+    """The labels that paint each pool in turn (with ``radius``, only its cells within
+    radius * stride of the box center on both axes), the largest box first, then the higher
+    index: the smallest wins; and the pools, which the rankings read, as a table in the
+    format of ``assignment._runs``: each object's run holds its cells, zeros included."""
     sides = gt[:, 2:] - gt[:, :2]
     order = np.lexsort((-np.arange(len(gt)), -sides.prod(axis=1)))
     longer = sides.max(axis=1)[order]
-    labels, pool = np.full(len(points), NEGATIVE), np.zeros((len(gt), len(points)), dtype=bool)
+    labels, parts = np.full(len(points), NEGATIVE), [[] for _ in gt]  # flat cells j * P + p
     for (begin, end), (lower, upper) in zip(points.level_offsets, points.scale_ranges):
         xy = points.xy[begin:end]  # row-major: the first row ends where y first changes
         cx = xy[: np.searchsorted(xy[:, 1], xy[0, 1], "right"), 0]
         cy = xy[:: cx.size, 1]
-        in_pool = pool[:, begin:end].reshape(len(gt), cy.size, cx.size)  # a view
+        cells = np.arange(begin, end).reshape(cy.size, cx.size)
         painted = labels[begin:end].reshape(cy.size, cx.size)
         js = order[(longer >= lower) & (longer < upper)]
         xs = np.searchsorted(cx, gt[js][:, [0, 2]]).tolist()  # x_min <= x < x_max: x0:x1
@@ -96,9 +93,10 @@ def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
                 reach = radius * points.point_strides[begin]
                 near = np.ix_(np.abs(cy[rows] - 0.5 * (gt[j, 1] + gt[j, 3])) <= reach,
                               np.abs(cx[cols] - 0.5 * (gt[j, 0] + gt[j, 2])) <= reach)
-            in_pool[j, rows, cols] = True
+            parts[j].append(cells[rows, cols].ravel() + j * len(points))
             painted[rows, cols][near] = j
-    return labels, pool.T
+    runs = np.concatenate([np.zeros(0, dtype=np.intp), *sum(parts, [])])
+    return labels, (runs, np.searchsorted(runs, np.arange(len(gt) + 1) * len(points)))
 
 
 def fcos_assign_original(
@@ -122,22 +120,24 @@ def fcos_assign_original(
 def _original(points: PointSet, objects: BoxesLike, radius: Optional[float]) -> _Baseline:
     """The point baseline and the point functions' one input check; its pool ignores
     the center sampling, which only restricts the original positives."""
+    points = _argument("points", _instance(PointSet), points)
     gt = _argument("objects", _as_box_array, objects)
     if radius is not None:
         radius = _argument("center_sampling_radius", _bounded(float, 0), radius)
-    (labels, pool), m = _pool(points, gt, radius), gt.shape[0]
+    (labels, (runs, bounds)), m = _pool(points, gt, radius), gt.shape[0]
 
     warnings: list[str] = []
     for j in np.flatnonzero(_positives(labels, m) == 0):
         dist = ((points.xy - 0.5 * (gt[j, :2] + gt[j, 2:])) ** 2).sum(axis=1)
         in_box = np.all((points.xy >= gt[j, :2]) & (points.xy < gt[j, 2:]), axis=1)
-        tier = 2 - in_box - pool[:, j]  # 0 pool, 1 in-box only, 2 outside
+        tier = 2 - in_box  # 0 pool, 1 in-box only, 2 outside
+        tier[runs[bounds[j] : bounds[j + 1]] - j * len(points)] = 0
         _rescue(labels, j, np.lexsort((dist, tier)), m, warnings, "point")
 
     counts = _positives(labels, m).tolist()
     result = Assignment(labels, labels.copy(), counts, warnings, mode="points")
-    quality = partial(_centerness_matrix, points.xy, gt, pool)
-    return _Baseline(result, counts, [0] * m, pool, quality, "point")
+    quality = partial(_centerness_matrix, points.xy, gt, runs)
+    return _Baseline(result, counts, [0] * m, (runs, bounds), quality, "point")
 
 
 def fcos_localize_to_classify(

@@ -80,9 +80,9 @@ def boxes_to_array(boxes: Iterable[Box]) -> np.ndarray:
     """Pack boxes into an (N, 4) float64 array of (x_min, y_min, x_max, y_max)."""
     try:  # as in iou: the rule runs only once an item has failed
         return np.asarray([b.as_tuple() for b in boxes], dtype=np.float64).reshape(-1, 4)
-    except AttributeError:
+    except AttributeError as exc:  # the rule passes on a spent iterator: name the argument anyway
         _argument("boxes", (_instance(Box),), boxes)
-        raise
+        raise ValueError(f"bad argument 'boxes': an item is no Box ({exc})") from exc
 
 
 def _as_box_array(boxes: BoxesLike) -> np.ndarray:

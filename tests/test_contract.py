@@ -142,21 +142,28 @@ CONTRACT = {
         ("dets", TUPLE_BOXES),  # repro: "'tuple' object has no attribute 'image_id'"
     ]),
     # fcos
-    "centerness": (bm.centerness, {"point": (12.0, 12.0), "gt": BOX}, [("point", (4.0, 4.0))]),
+    "centerness": (bm.centerness, {"point": (12.0, 12.0), "gt": BOX}, [
+        ("point", (4.0, 4.0)),
+        ("gt", TUPLE_BOXES[0]),  # repro: "'tuple' object has no attribute 'x_min'"
+        ("point", (NAN, 12.0)),  # repro: returned nan
+    ]),
     "fcos_assign_original": (bm.fcos_assign_original, {"points": POINTS, "objects": [BOX]}, [
+        ("points", ANCHORS),  # repro: "'AnchorSet' object has no attribute 'scale_ranges'"
         ("objects", TUPLE_BOXES),  # repro: "'tuple' object has no attribute 'as_tuple'"
         ("objects", np.zeros((1, 3))), ("objects", np.array([[0.0, 0.0, 0.0, 1.0]])), *RADII,
     ]),
     "fcos_localize_to_classify": (
         bm.fcos_localize_to_classify,
         {"points": POINTS, "objects": [BOX], "iou_regressed": POINT_MATRIX},
-        [("objects", TUPLE_BOXES), *RADII]
+        [("points", ANCHORS),  # repro: an AttributeError
+         ("objects", TUPLE_BOXES), *RADII]
         + [("iou_regressed", bad) for bad in BAD_POINT_MATRICES],
     ),
     "fcos_classify_to_localize": (
         bm.fcos_classify_to_localize,
         {"points": POINTS, "objects": [BOX], "classif_scores": POINT_MATRIX},
-        [("sigma", np.array([2.0, 3.0])),  # repro: a numpy broadcast error
+        [("points", ANCHORS),  # repro: an AttributeError
+         ("sigma", np.array([2.0, 3.0])),  # repro: a numpy broadcast error
          ("sigma", 1.0), ("objects", TUPLE_BOXES), *RADII]
         + [("classif_scores", bad) for bad in BAD_POINT_MATRICES],
     ),

@@ -1,8 +1,9 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boxmatch import assignment, fcos
@@ -46,6 +47,21 @@ class TestCenterness:
         values = [centerness((5, eps), Box(0, 0, 10, 10)) for eps in (1.0, 0.1, 0.01)]
         assert values[0] > values[1] > values[2]
         assert values[2] < 0.05
+
+    # the scalar goes through the row-wise formula of the pool centerness: it keeps the
+    # bits of the scalar formula, on float and integer points alike
+    @given(st.tuples(st.integers(-50, 50), st.integers(-50, 50)) | st.tuples(
+        st.floats(-50, 50), st.floats(-50, 50)))
+    @example((5, 5))
+    @example((1, 9))
+    @example((0.1, 9.9))
+    def test_equals_the_scalar_formula(self, point):
+        box = Box(0, 0.5, 10, 10.25) if isinstance(point[0], float) else Box(-51, -51, 52, 51)
+        x, y = point
+        assume(box.x_min < x < box.x_max and box.y_min < y < box.y_max)
+        lr = min(x - box.x_min, box.x_max - x) / max(x - box.x_min, box.x_max - x)
+        tb = min(y - box.y_min, box.y_max - y) / max(y - box.y_min, box.y_max - y)
+        assert centerness(point, box) == math.sqrt(lr * tb)
 
     @pytest.mark.parametrize("point", [(0, 5), (10, 5), (5, 0), (11, 5), (-1, 5)])
     def test_boundary_and_outside_rejected(self, point):
@@ -364,6 +380,12 @@ def grid_layouts(draw):
     return points, boxes, radius
 
 
+def pool_table(pool):
+    """The run table of a dense (P, M) pool mask: the flat indices j * P + p of its
+    entries in object-major order and the M + 1 bounds of each object's run."""
+    return np.flatnonzero(pool.T), np.concatenate([[0], np.cumsum(pool.sum(axis=0))])
+
+
 class TestPointPoolOracle:
     """The baseline's grid rectangles against the dense (points x objects) tests."""
 
@@ -378,7 +400,8 @@ class TestPointPoolOracle:
         assert base.result.classification_labels.tolist() == labels.tolist()
         assert base.result.per_object_counts == positives(labels, len(boxes))
         assert base.result.warnings == warnings
-        assert base.pool.shape == pool.shape and np.array_equal(base.pool, pool)
+        runs, bounds = pool_table(pool)
+        assert base.pool[0].tolist() == runs.tolist() and base.pool[1].tolist() == bounds.tolist()
         assert base.quality().tobytes() == centerness.tobytes()
 
     def test_center_sampling_compares_the_distance_to_the_reach(self):
@@ -460,7 +483,7 @@ class TestPointStrategyProperties:
     def test_budgets_are_conserved(self, inputs):
         points, boxes = inputs[:2]
         budgets = fcos_assign_original(points, boxes).per_object_counts
-        pool_sizes = fcos._pool(points, boxes_to_array(boxes))[1].sum(axis=0)
+        pool_sizes = np.diff(fcos._pool(points, boxes_to_array(boxes))[1][1])
         m = len(boxes)
         for strategy, guided_tasks in (("fcos", 0), ("fcos-mutual", 2)):
             base, result, premerge = run_point_row(strategy, *inputs)
@@ -496,8 +519,11 @@ class TestPointStrategyProperties:
         points, boxes, regressed, scores, perm = case
         gt = boxes_to_array(boxes)
         # no two objects tie on a shared pool point's amplified centerness
-        pool = fcos._pool(points, gt)[1]
-        amplified = amplified_iou(fcos._centerness_matrix(points.xy, gt, pool), scores, 2.0)
+        runs = fcos._pool(points, gt)[1][0]
+        amplified = amplified_iou(fcos._centerness_matrix(points.xy, gt, runs), scores, 2.0)
+        pool = np.zeros(amplified.T.shape, dtype=bool)
+        pool.flat[runs] = True  # the (P, M) mask is pool.T
+        pool = pool.T
         pooled = np.sort(np.where(pool, amplified, -1.0 - np.arange(len(boxes))), axis=1)
         assume(np.all(np.diff(pooled, axis=1) != 0))
         permuted = ([boxes[j] for j in perm], regressed[:, perm], scores[:, perm])
@@ -517,7 +543,7 @@ class TestPointStrategyProperties:
             assert permuted_result.per_object_counts == [result.per_object_counts[j] for j in perm]
 
 
-def dense_centerness(xy, gt, pool):
+def dense_centerness(xy, gt, runs):
     """Centerness of every point against every box, pool or not; 0 for points
     not strictly inside."""
     left, right = xy[:, 0:1] - gt[:, 0], gt[:, 2] - xy[:, 0:1]
@@ -536,11 +562,11 @@ class TestPoolCenterness:
     def test_pool_entries_equal_dense_and_the_rest_is_zero(self, inputs):
         points, boxes = inputs[:2]
         gt = boxes_to_array(boxes)
-        pool = fcos._pool(points, gt)[1]
-        pooled = fcos._centerness_matrix(points.xy, gt, pool)
-        dense = dense_centerness(points.xy, gt, pool)
-        assert pooled[pool].tobytes() == dense[pool].tobytes()
-        assert not np.any(pooled[~pool])
+        runs = fcos._pool(points, gt)[1][0]
+        pooled = fcos._centerness_matrix(points.xy, gt, runs).T.ravel()  # flat: j * P + p
+        dense = dense_centerness(points.xy, gt, runs).T.ravel()
+        assert pooled[runs].tobytes() == dense[runs].tobytes()
+        assert not np.any(np.delete(pooled, runs))
 
     @settings(max_examples=50)
     @given(point_inputs())
@@ -573,15 +599,20 @@ POINT_CALLS = {
 }
 
 
+# a pool run holds its zeros: no point call builds runs of the positive entries, and
+# every ranking it makes is told of no zero tail
 @pytest.mark.parametrize("name", POINT_CALLS)
 def test_point_functions_do_no_dead_work(name):
     call, centerness_runs = POINT_CALLS[name]
     points, boxes = generate_points(SINGLE_32), [SIX_POINT_BOX, Box(150, 150, 260, 250)]
     matrix = np.full((len(points), len(boxes)), 0.5)
-    with mock.patch.object(fcos, "_pool", wraps=fcos._pool) as pools, \
-            mock.patch.object(fcos, "_centerness_matrix", wraps=fcos._centerness_matrix) as quality:
+    with (mock.patch.object(fcos, "_pool", wraps=fcos._pool) as pools,
+          mock.patch.object(fcos, "_centerness_matrix", wraps=fcos._centerness_matrix) as quality,
+          mock.patch.object(assignment, "_runs", wraps=assignment._runs) as runs,
+          mock.patch.object(assignment, "_ranking", wraps=assignment._ranking) as rankings):
         call(points, boxes, matrix)
-    assert (pools.call_count, quality.call_count) == (1, centerness_runs)
+    assert (pools.call_count, quality.call_count, runs.call_count) == (1, centerness_runs, 0)
+    assert all(ranking.args[3] is None for ranking in rankings.call_args_list)
 
 
 # the three public point functions, each called as (points, objects, matrix, radius)

@@ -159,3 +159,17 @@ def test_unit_interval_edges(values, accepted):
     else:
         with pytest.raises(ValueError, match="values must be finite and lie in \\[0, 1\\]"):
             _unit_interval(arr, "values")
+
+
+# a one-shot iterator whose bad item the packing has consumed: the rule, run again on
+# the spent iterator, finds nothing, and the error still names the argument; each case
+# builds a fresh iterator, since a shared one would be spent by its first use
+@pytest.mark.parametrize("spent", [
+    lambda: iter([(0, 0, 1, 1)]),
+    lambda: (box for box in [Box(0, 0, 1, 1), None]),
+    lambda: map(tuple, [Box(0, 0, 1, 1).as_tuple()]),
+], ids=["iter", "generator", "map"])
+def test_boxes_to_array_names_a_spent_iterator(spent):
+    with pytest.raises(ValueError, match="bad argument 'boxes'") as raised:
+        boxes_to_array(spent())
+    assert type(raised.value) is ValueError

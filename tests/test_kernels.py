@@ -98,8 +98,13 @@ def selection_cases(draw):
     return values, n_pos, n_ign, mask
 
 
+def table(mask):
+    """The pool table of a dense (n, m) candidate mask, or None for every sample."""
+    return None if mask is None else assignment._runs(np.asarray(mask))
+
+
 def check_against_oracle(values, n_pos, n_ign, mask=None):
-    result = ranked_selection(np.asarray(values, float), n_pos, n_ign, mask)
+    result = ranked_selection(np.asarray(values, float), n_pos, n_ign, table(mask))
     mask_rows = None if mask is None else np.asarray(mask).tolist()
     labels, premerge = brute_force_ranked_selection(values, n_pos, n_ign, mask_rows)
     assert result.labels.tolist() == labels
@@ -118,8 +123,8 @@ class TestRankedSelection:
         values, n_pos, n_ign, mask = case
         scores = np.asarray(data.draw(st.lists(SCORE, min_size=values.size,
                                                max_size=values.size))).reshape(values.shape)
-        runs = ranked_selection(values, n_pos, n_ign, mask, scores, sigma)
-        dense = ranked_selection(amplified_iou(values, scores, sigma), n_pos, n_ign, mask)
+        runs = ranked_selection(values, n_pos, n_ign, table(mask), scores, sigma)
+        dense = ranked_selection(amplified_iou(values, scores, sigma), n_pos, n_ign, table(mask))
         assert runs.labels.tolist() == dense.labels.tolist()
         assert runs.premerge_positive_counts == dense.premerge_positive_counts
         assert runs.warnings == dense.warnings
@@ -402,7 +407,6 @@ def test_every_matrix_the_library_hands_out_is_object_major():
         "classif_scores": snapshot.classif_scores,
         **dict(zip(["point iou_regressed", "point scores"],
                    synth_point_predictions(scene, points, cfg, 0.6, seed=2))),
-        "point pool": base.pool,
         "centerness": base.quality(),
     }
     assert [name for name, matrix in handed_out.items() if not object_major(matrix)] == []

@@ -3,7 +3,8 @@ grid. The kernels build no (samples, objects) matrix they only reduce or
 mask, so each peak stays within a few of the matrices the call returns; the
 guided anchor strategies rank each object's positive entries, not a dense
 matrix, and read the object-major hit mask without a transposed copy: they
-stay below 0.35 of one matrix.
+stay below 0.35 of one matrix. A point pool is a run table of its own cells,
+not a (points, objects) mask, so point localize-to-classify stays below 0.2.
 numpy reports its array buffers to tracemalloc, so the peaks are
 deterministic for fixed inputs."""
 
@@ -17,7 +18,7 @@ from boxmatch.assignment import (
     localize_to_classify,
     mutual_guidance_assign,
 )
-from boxmatch.fcos import fcos_classify_to_localize
+from boxmatch.fcos import fcos_classify_to_localize, fcos_localize_to_classify
 from boxmatch.geometry import boxes_to_array, pairwise_iou
 from boxmatch.simulator import (
     SceneSpec,
@@ -67,6 +68,13 @@ def test_point_classify_to_localize_peak(grids):
     scores = synth_point_predictions(SCENE, points, CONFIG, 0.8, seed=3)[1]
     peak = traced_peak(lambda: fcos_classify_to_localize(points, SCENE.boxes, scores))
     assert peak <= 2 * len(points) * MATRIX_BYTES
+
+
+def test_point_localize_to_classify_peak(grids):
+    points = grids[1]
+    regressed = synth_point_predictions(SCENE, points, CONFIG, 0.8, seed=3)[0]
+    peak = traced_peak(lambda: fcos_localize_to_classify(points, SCENE.boxes, regressed))
+    assert peak <= 0.2 * len(points) * MATRIX_BYTES
 
 
 ANCHOR_GUIDED = {
