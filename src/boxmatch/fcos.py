@@ -72,8 +72,8 @@ def _centerness_matrix(xy: np.ndarray, gt: np.ndarray, runs: np.ndarray) -> np.n
 def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
     """The labels that paint each pool in turn (with ``radius``, only its cells within
     radius * stride of the box center on both axes), the largest box first, then the higher
-    index: the smallest wins; and the pools, which the rankings read, as a table in the
-    format of ``assignment._runs``: each object's run holds its cells, zeros included."""
+    index: the smallest wins; and the pools, which the rankings read, as one table in the
+    format of ``assignment._runs`` whose run j holds every cell of object j's pool."""
     sides = gt[:, 2:] - gt[:, :2]
     order = np.lexsort((-np.arange(len(gt)), -sides.prod(axis=1)))
     longer = sides.max(axis=1)[order]

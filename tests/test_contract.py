@@ -148,24 +148,24 @@ CONTRACT = {
         ("point", (NAN, 12.0)),  # repro: returned nan
     ]),
     "fcos_assign_original": (bm.fcos_assign_original, {"points": POINTS, "objects": [BOX]}, [
-        ("points", ANCHORS),  # repro: "'AnchorSet' object has no attribute 'scale_ranges'"
         ("objects", TUPLE_BOXES),  # repro: "'tuple' object has no attribute 'as_tuple'"
         ("objects", np.zeros((1, 3))), ("objects", np.array([[0.0, 0.0, 0.0, 1.0]])), *RADII,
+        ("points", ANCHORS),  # repro: "'AnchorSet' object has no attribute 'scale_ranges'"
     ]),
     "fcos_localize_to_classify": (
         bm.fcos_localize_to_classify,
         {"points": POINTS, "objects": [BOX], "iou_regressed": POINT_MATRIX},
-        [("points", ANCHORS),  # repro: an AttributeError
-         ("objects", TUPLE_BOXES), *RADII]
-        + [("iou_regressed", bad) for bad in BAD_POINT_MATRICES],
+        [("objects", TUPLE_BOXES), *RADII]
+        + [("iou_regressed", bad) for bad in BAD_POINT_MATRICES]
+        + [("points", ANCHORS)],  # repro: an AttributeError
     ),
     "fcos_classify_to_localize": (
         bm.fcos_classify_to_localize,
         {"points": POINTS, "objects": [BOX], "classif_scores": POINT_MATRIX},
-        [("points", ANCHORS),  # repro: an AttributeError
-         ("sigma", np.array([2.0, 3.0])),  # repro: a numpy broadcast error
+        [("sigma", np.array([2.0, 3.0])),  # repro: a numpy broadcast error
          ("sigma", 1.0), ("objects", TUPLE_BOXES), *RADII]
-        + [("classif_scores", bad) for bad in BAD_POINT_MATRICES],
+        + [("classif_scores", bad) for bad in BAD_POINT_MATRICES]
+        + [("points", ANCHORS)],  # repro: an AttributeError
     ),
     # geometry
     "Box": (bm.Box, {"x_min": 0, "y_min": 0, "x_max": 1, "y_max": 1}, [
