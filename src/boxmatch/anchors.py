@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, pairwise
 
 import numpy as np
 
@@ -98,37 +99,33 @@ class PointSet:
 
 
 def _level_centers(spec: AnchorGridSpec, level: LevelSpec) -> tuple[np.ndarray, np.ndarray]:
-    cols = spec.image_width // level.stride
-    rows = spec.image_height // level.stride
-    cx = (np.arange(cols, dtype=np.float64) + 0.5) * level.stride
-    cy = (np.arange(rows, dtype=np.float64) + 0.5) * level.stride
-    return cx, cy
+    return tuple((np.arange(side // level.stride, dtype=np.float64) + 0.5) * level.stride
+                 for side in (spec.image_width, spec.image_height))
 
 
 def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
     """Generate the full anchor list for a grid spec.
 
     The total count is sum over levels of
-    (W/stride) * (H/stride) * len(scales) * len(aspect_ratios).
+    (W/stride) * (H/stride) * len(scales) * len(aspect_ratios). The (N, 4)
+    array is coordinate-major, the transpose of a C-contiguous (4, N) array.
     """
-    arrays, offsets, start = [], [], 0
-    for level in spec.levels:
+    sizes = [len(level.scales) * len(level.aspect_ratios) * (spec.image_width // level.stride)
+             * (spec.image_height // level.stride) for level in spec.levels]
+    offsets = tuple(pairwise(accumulate(sizes, initial=0)))
+    boxes = np.empty((4, offsets[-1][1]))  # each level writes its slice of it in place
+    for level, (begin, end) in zip(spec.levels, offsets):
         cx, cy = _level_centers(spec, level)
         # float64 shapes from any scale a level keeps (a numpy float32 one too)
         shapes = [(float(s), math.sqrt(r)) for s in level.scales for r in level.aspect_ratios]
         w = np.asarray([s * root for s, root in shapes])
         h = np.asarray([s / root for s, root in shapes])
-        # broadcast to (rows, cols, shapes); C-order reshape keeps the
+        # broadcast into (4, rows, cols, shapes); the C order of the view keeps the
         # row -> column -> (scale, ratio) ordering
         gx, gy = cx[None, :, None], cy[:, None, None]
-        level_boxes = np.stack(
-            np.broadcast_arrays(gx - w / 2, gy - h / 2, gx + w / 2, gy + h / 2),
-            axis=-1,
-        ).reshape(-1, 4)
-        arrays.append(level_boxes)
-        offsets.append((start, start + level_boxes.shape[0]))
-        start += level_boxes.shape[0]
-    return AnchorSet(level_offsets=tuple(offsets), array=np.concatenate(arrays, axis=0))
+        view = boxes[:, begin:end].reshape(4, cy.size, cx.size, w.size)
+        view[0], view[1], view[2], view[3] = gx - w / 2, gy - h / 2, gx + w / 2, gy + h / 2
+    return AnchorSet(level_offsets=offsets, array=boxes.T)
 
 
 def level_scale_ranges(spec: AnchorGridSpec) -> tuple[tuple[float, float], ...]:
@@ -147,16 +144,13 @@ def level_scale_ranges(spec: AnchorGridSpec) -> tuple[tuple[float, float], ...]:
 
 def generate_points(spec: AnchorGridSpec) -> PointSet:
     """Generate one point per grid cell per level, at cell centers."""
-    xy, offsets, start = [], [], 0
+    xy = []
     for level in spec.levels:
-        cx, cy = _level_centers(spec, level)
-        gx, gy = np.meshgrid(cx, cy)  # (rows, cols): row-major is rows, then columns
+        gx, gy = np.meshgrid(*_level_centers(spec, level))  # (rows, cols): rows, then columns
         xy.append(np.stack([gx.ravel(), gy.ravel()], axis=1))
-        offsets.append((start, start + gx.size))
-        start += gx.size
-    sizes = [end - begin for begin, end in offsets]
+    sizes = [len(part) for part in xy]
     return PointSet(
-        level_offsets=tuple(offsets),
+        level_offsets=tuple(pairwise(accumulate(sizes, initial=0))),
         xy=np.concatenate(xy, axis=0),
         point_levels=np.repeat(np.arange(len(sizes), dtype=np.int64), sizes),
         point_strides=np.repeat([float(level.stride) for level in spec.levels], sizes),

@@ -228,13 +228,17 @@ def ranked_selection(
     n_pos = _argument("n_pos", partial(_counts, m), n_pos)
     n_ignored = _argument("n_ignored", partial(_counts, m), n_ignored)
     runs, bounds = _runs(score_matrix) if pool is None else pool  # a pool run holds its zeros
+    entries = score_matrix.T.take(runs)  # every run entry, by its object-major flat index
+    if scores is not None:  # amplify the run entries only, in place: zeros stay zeros
+        exponent = scores.T.take(runs)
+        np.subtract(sigma, exponent, out=exponent)
+        np.power(entries, np.divide(exponent, sigma, out=exponent), out=entries)
+        del exponent  # no temporary outlives the gather
+    columns = score_matrix.T if pool is None else [None] * m  # the zero tail reads a column
 
     def rank(j: int, k: Optional[int] = None):
-        samples, column = runs[bounds[j] : bounds[j + 1]] - j * n, score_matrix[:, j]
-        values = column[samples]
-        if scores is not None:  # amplify the run entries only: zeros stay zeros
-            values = np.power(values, (sigma - scores[:, j][samples]) / sigma)
-        return _ranking(samples, values, k, column if pool is None else None)
+        run = slice(bounds[j], bounds[j + 1])
+        return _ranking(runs[run] - j * n, entries[run], k, columns[j])
 
     picks = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # positive claims and their scores
     ignored_any = np.zeros(n, dtype=bool)
@@ -297,12 +301,10 @@ def _ranking(samples: np.ndarray, scores: np.ndarray, k: Optional[int], column, 
     """The first k (all if k is None) of ``samples``, given in index order, ranked by
     ``scores``, descending, ties to the lower index, then of the ``pool`` members whose
     ``column`` entry is 0, in index order (None: none); returns them and their scores."""
-    if k and k < samples.size:  # the k-th best score, then its ties in index order
-        kth = np.partition(scores, samples.size - k)[samples.size - k]
-        keep = scores > kth
-        keep[np.flatnonzero(scores == kth)[: k - np.count_nonzero(keep)]] = True
+    if k and k < samples.size:  # the scores at or above the k-th best, in index order
+        keep = np.flatnonzero(scores >= np.partition(scores, samples.size - k)[samples.size - k])
         samples, scores = samples[keep], scores[keep]
-    order = np.argsort(-scores, kind="stable")[:k]
+    order = np.argsort(-scores, kind="stable")[:k]  # stable: ties to the lower index
     samples, scores = samples[order], scores[order]
     if column is None or k is not None and k <= samples.size:
         return samples, scores

@@ -47,10 +47,12 @@ def centerness(point: tuple[float, float], gt: Box) -> float:
     sqrt((min(l,r)/max(l,r)) * (min(t,b)/max(t,b))). Raises ValueError for a
     point on or outside the boundary, where the value would degenerate to 0.
     """
-    gt, (x, y) = _argument("gt", _instance(Box), gt), _argument("point", (float,), point)
-    if not (gt.x_min < x < gt.x_max and gt.y_min < y < gt.y_max):
+    gt, xy = _argument("gt", _instance(Box), gt), _argument("point", (float,), point)
+    if len(xy) != 2:
+        raise ValueError(f"bad argument 'point': must be a pair (x, y), got {point!r}")
+    if not (gt.x_min < xy[0] < gt.x_max and gt.y_min < xy[1] < gt.y_max):
         raise ValueError(f"point {point} is not strictly inside {gt.as_tuple()}")
-    return float(_centerness(np.array([[x, y]], dtype=np.float64), np.array([gt.as_tuple()]))[0])
+    return float(_centerness(np.array([xy], dtype=np.float64), np.array([gt.as_tuple()]))[0])
 
 
 def _centerness(xy: np.ndarray, gt: np.ndarray) -> np.ndarray:

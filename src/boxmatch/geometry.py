@@ -10,9 +10,10 @@ construction rather than clamped.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 from numbers import Integral, Real
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -99,18 +100,19 @@ def _as_box_array(boxes: BoxesLike) -> np.ndarray:
     return arr
 
 
-def broadcast_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Unchecked IoU of (..., 4) box arrays whose leading shapes broadcast:
-    ``a[:, None]`` against ``b`` is the pairwise matrix, equal shapes give the
-    row-wise IoU. Each float equals the scalar ``iou`` of its pair, bit for bit."""
-    iw = np.minimum(a[..., 2], b[..., 2])
-    iw -= np.maximum(a[..., 0], b[..., 0])
+def broadcast_iou(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Unchecked IoU of (..., 4) box arrays whose leading shapes broadcast, written into
+    ``out`` if given: ``a[:, None]`` against ``b`` is the pairwise matrix, equal shapes give
+    the row-wise IoU. Each float equals the scalar ``iou`` of its pair, bit for bit."""
+    low = np.maximum(a[..., 0], b[..., 0])  # one temporary serves both lower sides
+    iw = np.minimum(a[..., 2], b[..., 2], out=out)
+    iw -= low
     ih = np.minimum(a[..., 3], b[..., 3])
-    ih -= np.maximum(a[..., 1], b[..., 1])
+    ih -= np.maximum(a[..., 1], b[..., 1], out=low)
     inter = np.clip(iw, 0.0, None, out=iw)
     inter *= np.clip(ih, 0.0, None, out=ih)
-    union = (a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1])
-    union = union + (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1])
+    union = np.add((a[..., 2] - a[..., 0]) * (a[..., 3] - a[..., 1]),
+                   (b[..., 2] - b[..., 0]) * (b[..., 3] - b[..., 1]), out=ih)
     union -= inter
     return np.divide(inter, union, out=inter)
 
@@ -119,9 +121,9 @@ def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
     """IoU of every box in `a` with every box in `b`, shape (len(a), len(b)), object-major."""
     a, b = _argument("a", _as_box_array, a), _argument("b", _as_box_array, b)
     out = np.empty((len(b), len(a)))
-    for start in range(0, len(a), _BLOCK_ROWS):  # one object-major block alive at a time
-        rows = slice(start, start + _BLOCK_ROWS)
-        out[:, rows] = broadcast_iou(b[:, None], a[rows])  # a's rows innermost: long loops
+    for start in range(0, len(a), _BLOCK_ROWS):  # each block written in place, a's rows
+        rows = slice(start, start + _BLOCK_ROWS)  # innermost: long loops
+        broadcast_iou(b[:, None], a[rows], out=out[:, rows])
     return out.T
 
 
@@ -179,7 +181,7 @@ def _instance(kind: type):
     """The rule for an instance of ``kind``; a tuple of its fields is none."""
     def rule(value):
         if not isinstance(value, kind):
-            raise ValueError(f"must be a {kind.__name__}, got {value!r}")
+            raise ValueError(f"must be a {kind.__name__}, got {reprlib.repr(value)}")
         return value
     return rule
 

@@ -213,8 +213,8 @@ def synth_predictions(
 
     effective = gt.T.take(best, axis=1)  # (4, n): each anchor's target, shifted where drifted
     effective[::2, drifted] += _DRIFT_SHIFT * (effective[2, drifted] - effective[0, drifted])
-    regressed = np.empty((n, 4))  # filled through its (4, n) view: long loops over anchors
-    np.add((1.0 - weights) * np.ascontiguousarray(anchors.T), weights * effective, out=regressed.T)
+    # built (4, n), long loops over anchors, and handed out coordinate-major, as the anchors
+    regressed = ((1.0 - weights) * np.ascontiguousarray(anchors.T) + weights * effective).T
 
     iou_regressed = pairwise_iou(regressed, gt)
     # the target overlaps, by flat object-major index: only rounding puts one below its start

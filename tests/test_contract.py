@@ -146,6 +146,8 @@ CONTRACT = {
         ("point", (4.0, 4.0)),
         ("gt", TUPLE_BOXES[0]),  # repro: "'tuple' object has no attribute 'x_min'"
         ("point", (NAN, 12.0)),  # repro: returned nan
+        ("point", (1.0, 2.0, 3.0)),  # repro: "too many values to unpack (expected 2)"
+        ("point", (1.0,)),  # repro: "not enough values to unpack (expected 2, got 1)"
     ]),
     "fcos_assign_original": (bm.fcos_assign_original, {"points": POINTS, "objects": [BOX]}, [
         ("objects", TUPLE_BOXES),  # repro: "'tuple' object has no attribute 'as_tuple'"
@@ -263,6 +265,16 @@ def test_an_invalid_input_is_refused_by_name(name, argument, value, named):
         call(**{**valid, argument: value})
     assert type(raised.value) is ValueError
     assert named in str(raised.value)
+
+
+def test_a_refused_value_is_shown_in_brief():
+    """A message shows a short value whole and a long one, such as an anchor set, cut short."""
+    with pytest.raises(ValueError) as raised:
+        bm.fcos_assign_original(ANCHORS, [BOX])
+    assert str(raised.value).startswith("bad argument 'points': must be a PointSet, got AnchorSet(")
+    assert len(str(raised.value)) < 200
+    with pytest.raises(ValueError, match=r"^bad argument 'a': must be a Box, got \(0, 0, 1, 1\)$"):
+        bm.iou((0, 0, 1, 1), BOX)
 
 
 # The loaders: each bad field is refused with an AnnotationError naming its record and field.

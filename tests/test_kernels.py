@@ -98,6 +98,13 @@ def selection_cases(draw):
     return values, n_pos, n_ign, mask
 
 
+@st.composite
+def ranking_cases(draw):
+    """Scores of few distinct values, so tie runs are long, and a k from 1 to past their end."""
+    scores = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0]), max_size=30))
+    return scores, draw(st.integers(1, len(scores) + 2))
+
+
 def table(mask):
     """The pool table of a dense (n, m) candidate mask, or None for every sample."""
     return None if mask is None else assignment._runs(np.asarray(mask))
@@ -170,6 +177,22 @@ class TestRankedSelection:
         with pytest.raises(ValueError, match=f"bad argument '{name}'"):
             ranked_selection(np.full((3, m), 0.5), n_pos, n_ign)
 
+    # a tie run of 0.5 at ranks 3-5 (indices 1, 2, 5): k cuts before, inside, at and past it
+    @given(ranking_cases())
+    @example(([1.0, 0.5, 0.5, 1.0, 0.25, 0.5, 0.0], 2))
+    @example(([1.0, 0.5, 0.5, 1.0, 0.25, 0.5, 0.0], 3))
+    @example(([1.0, 0.5, 0.5, 1.0, 0.25, 0.5, 0.0], 4))
+    @example(([1.0, 0.5, 0.5, 1.0, 0.25, 0.5, 0.0], 5))
+    @example(([1.0, 0.5, 0.5, 1.0, 0.25, 0.5, 0.0], 6))
+    def test_ranking_is_the_sort_by_score_then_index(self, case):
+        """``_ranking``'s exact top-k equals a full sort, descending, ties to the lower index."""
+        scores, k = case
+        samples = np.arange(len(scores)) * 3 + 1  # in index order, as every run is
+        top, top_scores = assignment._ranking(samples, np.asarray(scores), k, None)
+        expected = sorted(range(len(scores)), key=lambda i: (-scores[i], i))[:k]
+        assert top.tolist() == samples[expected].tolist()
+        assert top_scores.tolist() == [scores[i] for i in expected]
+
     def test_budgets_may_be_arrays_of_any_integer_dtype(self):
         values = [[0.9, 0.4], [0.8, 0.2]]
         budgets = np.asarray([2, 1], dtype=np.uint8), np.zeros(2, dtype=np.int32)
@@ -206,6 +229,10 @@ class TestBlockedIoU:
         matrix = pairwise_iou(a, b)
         assert matrix.shape == (n, m) and matrix.T.flags.c_contiguous
         assert matrix.tobytes() == broadcast_iou(a[:, None], b).tobytes()
+        # a coordinate-major `a`, as generate_anchors builds it, gives the same bytes
+        coordinate_major = np.ascontiguousarray(a.T).T
+        assert coordinate_major.T.flags.c_contiguous
+        assert pairwise_iou(coordinate_major, b).tobytes() == matrix.tobytes()
 
     # one object runs no step of the running max; two tie on every row; the
     # 20-object cases keep their plain ids
@@ -412,6 +439,21 @@ def test_every_matrix_the_library_hands_out_is_object_major():
     assert [name for name, matrix in handed_out.items() if not object_major(matrix)] == []
     # a one-column matrix is C- and F-contiguous at once: three objects make the check bite
     assert all(matrix.shape[1] == 3 for matrix in handed_out.values())
+
+
+def test_every_box_array_the_library_builds_is_coordinate_major():
+    """The (N, 4) anchor and regressed box arrays are transposes of C-contiguous (4, N)
+    arrays: the IoU kernel reads each coordinate contiguously."""
+    spec = AnchorGridSpec(128, 128, (LevelSpec(8, (32.0,), (1.0, 2.0)), LevelSpec(16, (64.0,))))
+    anchors = generate_anchors(spec)
+    scene = synth_scene(SceneSpec(128, 128, (3, 3), (16.0, 64.0), None, seed=4))
+    cfg = TrajectoryConfig(misalignment_fraction=0.3)
+    built = {
+        "anchors": anchors.array,
+        "regressed_boxes": synth_predictions(scene, anchors, cfg, 0.6, seed=2).regressed_boxes,
+    }
+    assert [name for name, boxes in built.items() if not boxes.T.flags.c_contiguous] == []
+    assert all(boxes.shape == (len(anchors), 4) for boxes in built.values())
 
 
 # the input check copies neither a caller's row-major matrix nor an object-major one

@@ -54,7 +54,7 @@ def test_pairwise_iou_peak(grids):
     anchors = grids[0].array
     gt = boxes_to_array(SCENE.boxes)
     peak = traced_peak(lambda: pairwise_iou(anchors, gt))
-    assert peak <= 1.75 * len(anchors) * MATRIX_BYTES
+    assert peak <= 1.5 * len(anchors) * MATRIX_BYTES
 
 
 def test_synth_predictions_peak(grids):

@@ -267,7 +267,7 @@ def test_noisy_predictions_reset_the_anchors_that_lose_overlap(monkeypatch, pred
     cfg = TrajectoryConfig(noise=0.5, misalignment_fraction=fraction)
     anchors, snapshot, recomputed = traced_prediction(monkeypatch, predict, grid, scene, cfg)
     regressed, gt, n = snapshot.regressed_boxes, boxes_to_array(scene.boxes), len(anchors)
-    assert regressed.shape == (n, 4) and regressed.flags.c_contiguous
+    assert regressed.shape == (n, 4) and regressed.T.flags.c_contiguous
     assert snapshot.iou_regressed.tobytes() == pairwise_iou(regressed, gt).tobytes()
     iou_anchor = pairwise_iou(anchors, gt)
     rows, best = np.arange(n), np.argmax(iou_anchor, axis=1)
