@@ -99,8 +99,8 @@ class PointSet:
 
 
 def _level_centers(spec: AnchorGridSpec, level: LevelSpec) -> tuple[np.ndarray, np.ndarray]:
-    return tuple((np.arange(side // level.stride, dtype=np.float64) + 0.5) * level.stride
-                 for side in (spec.image_width, spec.image_height))
+    return ((np.arange(spec.image_width // level.stride, dtype=np.float64) + 0.5) * level.stride,
+            (np.arange(spec.image_height // level.stride, dtype=np.float64) + 0.5) * level.stride)
 
 
 def generate_anchors(spec: AnchorGridSpec) -> AnchorSet:
