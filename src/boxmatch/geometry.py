@@ -121,9 +121,9 @@ def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
     """IoU of every box in `a` with every box in `b`, shape (len(a), len(b)), object-major."""
     a, b = _argument("a", _as_box_array, a), _argument("b", _as_box_array, b)
     out = np.empty((len(b), len(a)))
-    for start in range(0, len(a), _BLOCK_ROWS):  # each block written in place, a's rows
-        rows = slice(start, start + _BLOCK_ROWS)  # innermost: long loops
-        broadcast_iou(b[:, None], a[rows], out=out[:, rows])
+    for start in range(0, len(a), _BLOCK_ROWS):  # a's rows innermost: long loops
+        rows = slice(start, start + _BLOCK_ROWS)
+        broadcast_iou(b[:, None], a[rows], out=out[:, rows])  # each block in place
     return out.T
 
 
