@@ -367,19 +367,64 @@ def brute_force_guided(values, regressed, scores, sigma, l2c, c2l, t_pos=0.5, t_
     if tasks:
         warnings = []
     for labels in tasks:
-        for j in [j for j in range(m) if j not in labels]:
-            original = [i for i in range(n) if static[i] == j]
-            free = [i for i in original if labels[i] < 0]
-            counts = [labels.count(k) for k in range(m)]
-            shared = [i for i in original if labels[i] >= 0 and counts[labels[i]] >= 2]
-            if free or shared:
-                labels[(free or shared)[0]] = j
-            else:
-                warnings.append(f"object {j}: no anchor available for the positive fallback")
+        rescue_from_baseline(labels, static, m, "anchor", warnings)
     localization = [-1 if label == -2 else label for label in static]
     return {
         "classification": tasks[0] if l2c else static,
         "localization": tasks[-1] if c2l else localization,
         "counts": list(zip(n_pos, n_ign)),
+        "warnings": warnings,
+    }
+
+
+def rescue_from_baseline(labels, baseline, m, noun, warnings):
+    """Give each object that the guided ``labels`` leave without a positive the first
+    of its ``baseline`` positives that is free, else the first whose owner holds two
+    or more; name it in ``warnings`` when there is none."""
+    for j in [j for j in range(m) if j not in labels]:
+        original = [i for i, label in enumerate(baseline) if label == j]
+        free = [i for i in original if labels[i] < 0]
+        counts = [labels.count(k) for k in range(m)]
+        shared = [i for i in original if labels[i] >= 0 and counts[labels[i]] >= 2]
+        if free or shared:
+            labels[(free or shared)[0]] = j
+        else:
+            warnings.append(f"object {j}: no {noun} available for the positive fallback")
+
+
+def brute_force_point_guided(points, gt, regressed, scores, sigma, l2c, c2l, radius=None):
+    """Reference point strategy row: the baseline of ``brute_force_point_pool``, then
+    the guided tasks that ``l2c`` and ``c2l`` name, each ranked over the pool by
+    ``brute_force_ranked_selection`` with the baseline's positive counts as budgets
+    and no ignored band, and followed by the rescue of every object the merge left
+    without a positive from its original positives.
+
+    l2c ranks ``regressed``; c2l ranks ``centerness ** ((sigma - score) / sigma)``.
+    Returns the dict of ``brute_force_guided``, with the positive counts as counts.
+    A guided row keeps only its tasks' warnings, l2c's first; each task names the
+    objects whose pool is smaller than their budget, then those it cannot rescue.
+    """
+    original, warnings, pool, centerness = brute_force_point_pool(points, gt, radius)
+    m, original = gt.shape[0], original.tolist()
+    n_pos = [original.count(j) for j in range(m)]
+    sizes = pool.sum(axis=0).tolist()
+    ranked = []
+    if l2c:
+        ranked.append(regressed)
+    if c2l:
+        ranked.append(np.power(centerness, (sigma - scores) / sigma))
+    if ranked:
+        warnings = []
+    tasks = []
+    for values in ranked:
+        labels = brute_force_ranked_selection(values.tolist(), n_pos, [0] * m, pool.tolist())[0]
+        warnings += [f"object {j}: only {sizes[j]} candidates for {n_pos[j]} positive"
+                     " + 0 ignored; clamped" for j in range(m) if sizes[j] < n_pos[j]]
+        rescue_from_baseline(labels, original, m, "point", warnings)
+        tasks.append(labels)
+    return {
+        "classification": tasks[0] if l2c else original,
+        "localization": tasks[-1] if c2l else original,
+        "counts": n_pos,
         "warnings": warnings,
     }

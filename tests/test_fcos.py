@@ -18,7 +18,7 @@ from boxmatch.fcos import (
 )
 from boxmatch.geometry import Box, boxes_to_array
 from boxmatch.simulator import SceneSpec, synth_scene
-from oracles import brute_force_fcos_original, brute_force_point_pool
+from oracles import brute_force_fcos_original, brute_force_point_guided, brute_force_point_pool
 
 SINGLE_COARSE = AnchorGridSpec(320, 320, (LevelSpec(160, (64.0,), (1.0,)),))
 SINGLE_32 = AnchorGridSpec(320, 320, (LevelSpec(32, (64.0,), (1.0,)),))
@@ -541,6 +541,54 @@ class TestPointStrategyProperties:
                 mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)
                 assert mapped.tolist() == getattr(result, task).tolist()
             assert permuted_result.per_object_counts == [result.per_object_counts[j] for j in perm]
+
+
+def check_point_guided(points, boxes, regressed, scores, radius=None):
+    """The two guided point functions, and the fcos-mutual row without a radius,
+    against ``brute_force_point_guided``."""
+    gt, sigma = boxes_to_array(boxes), 2.0
+    l2c = fcos_localize_to_classify(points, boxes, regressed, radius)
+    expected = brute_force_point_guided(points, gt, regressed, scores, sigma, True, False, radius)
+    assert (l2c.labels.tolist(), l2c.warnings) == (expected["classification"], expected["warnings"])
+    c2l = fcos_classify_to_localize(points, boxes, scores, sigma, radius)
+    expected = brute_force_point_guided(points, gt, regressed, scores, sigma, False, True, radius)
+    assert (c2l.labels.tolist(), c2l.warnings) == (expected["localization"], expected["warnings"])
+    if radius is None:
+        mutual = POINT_STRATEGIES["fcos-mutual"](points, boxes, regressed, scores)[1]
+        expected = brute_force_point_guided(points, gt, regressed, scores, sigma, True, True)
+        assert {
+            "classification": mutual.classification_labels.tolist(),
+            "localization": mutual.localization_labels.tolist(),
+            "counts": mutual.per_object_counts,
+            "warnings": mutual.warnings,
+        } == expected
+
+
+class TestPointGuidedOracle:
+    """The guided point paths against ``brute_force_point_guided``: pool baseline,
+    per-object ranking over the pool, merge and rescues, by plain loops."""
+
+    @settings(max_examples=100)
+    @given(point_inputs(), st.sampled_from([None, None, 0.0, 1.5]))
+    def test_matches_the_oracle(self, inputs, radius):
+        check_point_guided(*inputs, radius)
+
+    @pytest.mark.parametrize("boxes", [
+        TestPointFallbacks.SHARED,
+        # object 1's pool is empty: each task clamps its budget, then rescues it
+        [Box(0, 0, 64, 64), Box(30, 30, 34, 34)],
+        # equal pools: every tied claim goes to object 0
+        [Box(0, 0, 64, 64), Box(0, 0, 64, 64)],
+    ], ids=["shared", "empty-pool", "equal-pools"])
+    def test_four_point_scenes_match_the_oracle(self, boxes):
+        shape = (len(FOUR_POINTS), len(boxes))
+        shared = np.zeros(shape)
+        shared[2] = [0.1, 0.9]  # object 1 wins the shared point
+        matrices = [np.zeros(shape), np.full(shape, 0.5), shared,
+                    np.random.default_rng(0).random(shape)]
+        for regressed in matrices:
+            for scores in matrices:
+                check_point_guided(FOUR_POINTS, boxes, regressed, scores)
 
 
 def dense_centerness(xy, gt, runs):
