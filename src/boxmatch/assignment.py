@@ -13,7 +13,8 @@ classification labels (l2c), the baseline's quality raised to
 only in that quality, the candidate pool and the baseline: anchor overlap,
 every anchor and ``_static`` here; centerness, the in-box level-matched points
 and ``fcos._original`` on points. Each public function checks its inputs once
-and builds one ``_Baseline``, which a guided one hands to ``_guide``.
+and builds one ``_Baseline``, which a guided one hands to ``_guide``; every
+named strategy of ``STRATEGIES`` is one such call.
 """
 
 from __future__ import annotations
@@ -406,26 +407,16 @@ def mutual_guidance_assign(
     from classify_to_localize, per-object counts from the static strategy.
     The two label sets may disagree on individual anchors by design.
     """
-    return ANCHOR_STRATEGIES["mutual"](iou_anchor, iou_regressed, classif_scores, cfg)[1]
-
-
-# Strategy name -> (l2c, c2l), the tasks it guides; the "fcos" names label points.
-GUIDED_TASKS = {
-    "static": (False, False), "l2c": (True, False), "c2l": (False, True), "mutual": (True, True),
-    "fcos": (False, False), "fcos-mutual": (True, True),
-}
-
-
-def _anchor_row(l2c, c2l, iou_anchor, iou_regressed, classif_scores, cfg=None):
     cfg = cfg or MatchingConfig()
     anchor, regressed, scores = _checked(
         iou_anchor=iou_anchor, iou_regressed=iou_regressed, classif_scores=classif_scores)
-    base = _static(anchor, cfg)
-    return base.result, _guide(base, regressed, scores, cfg.sigma, l2c, c2l)[0]
+    return _guide(_static(anchor, cfg), regressed, scores, cfg.sigma, True, True)[0]
 
 
-# Anchor strategy name -> f(iou_anchor, iou_regressed, classif_scores, cfg=None),
-# returning (static result, the strategy's Assignment).
-ANCHOR_STRATEGIES = {
-    name: partial(_anchor_row, *GUIDED_TASKS[name]) for name in ("static", "l2c", "c2l", "mutual")
+# Grid (an ``Assignment.mode``) -> strategy name -> (l2c, c2l), the tasks that ``_guide``
+# re-ranks over the grid's baseline, which each grid's first name labels unguided.
+STRATEGIES = {
+    "anchors": {"static": (False, False), "l2c": (True, False), "c2l": (False, True),
+                "mutual": (True, True)},
+    "points": {"fcos": (False, False), "fcos-mutual": (True, True)},
 }

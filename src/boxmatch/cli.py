@@ -20,9 +20,8 @@ import numpy as np
 
 from .anchors import AnchorGridSpec, LevelSpec, PointSet, generate_anchors, generate_points
 from .annotations import AnnotationError, _read_json, load_annotations, load_detections
-from .assignment import GUIDED_TASKS, MatchingConfig, _guide
+from .assignment import STRATEGIES, MatchingConfig, _guide
 from .evaluation import average_precision
-from .fcos import POINT_STRATEGIES
 from .geometry import _bounded, _fields
 from .render import STRATEGY_COLORS, render_assignment_svg
 from .simulator import (
@@ -172,7 +171,7 @@ def _label(cfg: RunConfig, strategy: str, grid, scene: Scene, seed: int):
     ``simulator._baseline``); return (baseline name, baseline result, strategy
     result). Only a guided strategy on an image with objects reads predictions."""
     name, base, predict = _baseline(scene, grid, cfg.matching)
-    guided = GUIDED_TASKS[strategy]
+    guided = STRATEGIES[base.result.mode][strategy]
     if not any(guided) or not scene.boxes:
         return name, base.result, base.result
     predicted = predict(cfg.trajectory, cfg.assign_progress, seed)
@@ -219,7 +218,8 @@ def cmd_assign(args: argparse.Namespace, cfg: RunConfig) -> int:
         shared = [image_id for (image_id, _, _), s in zip(scenes, stems) if stems.count(s) > 1]
         raise CliError(f"image ids name the same files: {', '.join(map(repr, shared))}")
     Path(args.out).mkdir(parents=True, exist_ok=True)
-    grid = (generate_points if args.strategy in POINT_STRATEGIES else generate_anchors)(cfg.grid)
+    points = args.strategy in STRATEGIES["points"]
+    grid = (generate_points if points else generate_anchors)(cfg.grid)
     for image_id, scene, seed in scenes:
         _write_scene(args, image_id, scene, grid, *_label(cfg, args.strategy, grid, scene, seed))
     return 0
@@ -296,7 +296,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_assign = sub.add_parser("assign", parents=[common],
                               help="run strategies and write label diffs")
-    p_assign.add_argument("--strategy", choices=list(GUIDED_TASKS), default="mutual",
+    names = [name for grid in STRATEGIES.values() for name in grid]
+    p_assign.add_argument("--strategy", choices=names, default="mutual",
                           help="dynamic strategy to compare against its static baseline")
     p_assign.add_argument("--svg", action="store_true", help="also render SVGs")
 

@@ -24,11 +24,9 @@ import numpy as np
 
 from .anchors import PointSet
 from .assignment import (
-    GUIDED_TASKS,
     NEGATIVE,
     Assignment,
     DynamicLabels,
-    MatchingConfig,
     MatrixLike,
     _Baseline,
     _check_sigma,
@@ -174,18 +172,3 @@ def fcos_classify_to_localize(
     base = _original(points, objects, center_sampling_radius)
     (scores,) = _checked((len(points), len(objects)), classif_scores=classif_scores)
     return _guide(base, None, scores, sigma, False, True)[1]
-
-
-def _point_row(l2c, c2l, points, objects, iou_regressed, classif_scores, cfg=None):
-    base = _original(points, objects, None)
-    shape = (len(points), len(objects))
-    regressed, scores = _checked(shape, iou_regressed=iou_regressed, classif_scores=classif_scores)
-    sigma = (cfg or MatchingConfig()).sigma
-    return base.result, _guide(base, regressed, scores, sigma, l2c, c2l)[0]
-
-
-# Point strategy name -> f(points, objects, iou_regressed, classif_scores, cfg=None),
-# returning (original result, the strategy's Assignment).
-POINT_STRATEGIES = {
-    name: partial(_point_row, *GUIDED_TASKS[name]) for name in ("fcos", "fcos-mutual")
-}

@@ -101,9 +101,10 @@ def _as_box_array(boxes: BoxesLike) -> np.ndarray:
 
 
 def broadcast_iou(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Unchecked IoU of (..., 4) box arrays whose leading shapes broadcast, written into
-    ``out`` if given: ``a[:, None]`` against ``b`` is the pairwise matrix, equal shapes give
-    the row-wise IoU. Each float equals the scalar ``iou`` of its pair, bit for bit."""
+    """Unchecked IoU of (..., 4) box arrays whose leading shapes broadcast to at least one
+    axis (pass a single box as (1, 4)), written into ``out`` if given: ``a[:, None]`` against
+    ``b`` is the pairwise matrix, equal shapes give the row-wise IoU. Each float equals the
+    scalar ``iou`` of its pair, bit for bit."""
     low = np.maximum(a[..., 0], b[..., 0])  # one temporary serves both lower sides
     iw = np.minimum(a[..., 2], b[..., 2], out=out)
     iw -= low

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import assignment, fcos
 from .anchors import AnchorSet, PointSet
-from .assignment import ANCHOR_STRATEGIES, GUIDED_TASKS, MatchingConfig, static_assign
+from .assignment import STRATEGIES, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth, _unchecked
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou, _argument, _bounded
 from .geometry import _best_overlap, _fields, _hashable, _instance, _integral, _row_best, _span
@@ -263,9 +263,10 @@ def run_trajectory(
 ) -> TrajectoryResult:
     """Label the scene at every trajectory step and count positives.
 
-    Anchors take "static", "l2c", "c2l", "mutual" and "l2c-fixed" (the static
-    thresholds applied to regressed overlap); points take "fcos" and
-    "fcos-mutual". Any other pairing raises ValueError. "c2l" counts
+    A grid takes its names in ``assignment.STRATEGIES``, each run by ``_guide``
+    ("static", "l2c", "c2l", "mutual" on anchors; "fcos", "fcos-mutual" on
+    points), and anchors "l2c-fixed" too (the static thresholds applied to
+    regressed overlap). Any other pairing raises ValueError. "c2l" counts
     localization positives, the others classification positives.
     """
     return _trajectories(scene, grid, cfg, (strategy,), matching, seed)[0]
@@ -297,7 +298,8 @@ def _trajectories(
     """One run_trajectory result per strategy, in order; one baseline serves every
     step, whose predictions are simulated once for all strategies, if one reads them."""
     kind = "points" if isinstance(grid, PointSet) else "anchors"
-    choices = [*fcos.POINT_STRATEGIES] if kind == "points" else [*ANCHOR_STRATEGIES, "l2c-fixed"]
+    tasks = STRATEGIES[kind]
+    choices = [*tasks, "l2c-fixed"] if kind == "anchors" else [*tasks]
     for strategy in strategies:
         if strategy not in choices:
             raise ValueError(f"strategy {strategy!r} does not label {kind}; choose from {choices}")
@@ -305,14 +307,14 @@ def _trajectories(
     _, base, predict = _baseline(scene, grid, matching)
     base = base._replace(quality=cache(base.quality))  # it does not depend on t
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
-    reads = any(s == "l2c-fixed" or any(GUIDED_TASKS[s]) for s in strategies)
+    reads = any(s == "l2c-fixed" or any(tasks[s]) for s in strategies)
     for t in np.linspace(0.0, 1.0, cfg.steps):
         iou_regressed, scores = predict(cfg, float(t), seed) if reads else (None, None)
         for result in results:
             if result.strategy == "l2c-fixed":
                 labels = static_assign(iou_regressed, matching).classification_labels
             else:
-                guided = GUIDED_TASKS[result.strategy]
+                guided = tasks[result.strategy]
                 labeled = assignment._guide(base, iou_regressed, scores, matching.sigma, *guided)[0]
                 c2l = result.strategy == "c2l"
                 labels = labeled.localization_labels if c2l else labeled.classification_labels

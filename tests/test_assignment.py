@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from boxmatch import assignment
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.assignment import (
-    ANCHOR_STRATEGIES,
     IGNORED,
     NEGATIVE,
+    STRATEGIES,
     Assignment,
     MatchingConfig,
     amplified_iou,
@@ -25,6 +25,7 @@ from boxmatch.fcos import fcos_classify_to_localize, fcos_localize_to_classify
 from boxmatch.geometry import Box, boxes_to_array, pairwise_iou
 from boxmatch.simulator import SceneSpec, synth_scene
 from oracles import brute_force_guided
+from strategy_rows import anchor_row
 
 # 13 anchors A-M around one object: 6 above the positive threshold, 3 in the
 # ignored band, 4 below - the worked single-object example.
@@ -380,7 +381,7 @@ class TestObjectLeftWithoutPositive:
                        classify_to_localize(self.IOU, scores)):
             assert (result.labels.tolist(), result.warnings) == ([0, 2], [self.WARNING])
         for result in (mutual_guidance_assign(self.IOU, self.IOU, scores),
-                       ANCHOR_STRATEGIES["mutual"](self.IOU, self.IOU, scores)[1]):
+                       anchor_row("mutual", self.IOU, self.IOU, scores)[1]):
             assert result.classification_labels.tolist() == [0, 2]
             assert result.localization_labels.tolist() == [0, 2]
             assert result.warnings == [self.WARNING, self.WARNING]
@@ -482,7 +483,7 @@ def run_row(strategy, *matrices):
         return selection
 
     with mock.patch.object(assignment, "ranked_selection", spy):
-        return (*ANCHOR_STRATEGIES[strategy](*matrices), premerge)
+        return (*anchor_row(strategy, *matrices), premerge)
 
 
 # each example runs every row of the strategy table
@@ -505,15 +506,15 @@ class TestStrategyTableProperties:
     @given(strategy_inputs())
     def test_deterministic_and_inputs_untouched(self, inputs):
         pristine = [matrix.copy() for matrix in inputs]
-        for row in ANCHOR_STRATEGIES.values():
-            first = [result.to_json_dict() for result in row(*inputs)]
-            assert [result.to_json_dict() for result in row(*inputs)] == first
+        for name in STRATEGIES["anchors"]:
+            first = [result.to_json_dict() for result in anchor_row(name, *inputs)]
+            assert [result.to_json_dict() for result in anchor_row(name, *inputs)] == first
             assert all(np.array_equal(a, b) for a, b in zip(inputs, pristine))
 
     @given(strategy_inputs())
     def test_localization_never_ignored(self, inputs):
-        for row in ANCHOR_STRATEGIES.values():
-            for result in row(*inputs):
+        for name in STRATEGIES["anchors"]:
+            for result in anchor_row(name, *inputs):
                 assert IGNORED not in result.localization_labels
 
     @given(tie_free_inputs())
@@ -529,9 +530,8 @@ class TestStrategyTableProperties:
         assume(anchor.shape[1] - np.unique(best).size <= 1)
         permuted_inputs = [matrix[:, perm] for matrix in inputs]
         with mock.patch.object(assignment, "_claim_one", wraps=assignment._claim_one) as rescue:
-            runs = [
-                (row(*inputs)[1], row(*permuted_inputs)[1]) for row in ANCHOR_STRATEGIES.values()
-            ]
+            runs = [(anchor_row(name, *inputs)[1], anchor_row(name, *permuted_inputs)[1])
+                    for name in STRATEGIES["anchors"]]
         assume(rescue.call_count == 0)
         back = np.asarray(perm)
         for result, permuted in runs:
@@ -543,7 +543,7 @@ class TestStrategyTableProperties:
 
 
 def guided_oracle(strategy, anchor, regressed, scores):
-    l2c, c2l = assignment.GUIDED_TASKS[strategy]
+    l2c, c2l = STRATEGIES["anchors"][strategy]
     matrices = (m.tolist() for m in (anchor, regressed, scores))
     return brute_force_guided(*matrices, MatchingConfig().sigma, l2c, c2l)
 
@@ -580,8 +580,8 @@ class TestGuidedOracle:
 
     @given(strategy_inputs())
     def test_every_row_matches_the_oracle(self, inputs):
-        for strategy, row in ANCHOR_STRATEGIES.items():
-            assert row_outputs(row(*inputs)[1]) == guided_oracle(strategy, *inputs)
+        for strategy in STRATEGIES["anchors"]:
+            assert row_outputs(anchor_row(strategy, *inputs)[1]) == guided_oracle(strategy, *inputs)
 
     @pytest.mark.parametrize("strategy", ["c2l", "mutual"])
     def test_object_without_overlap_takes_a_zero_score_anchor(self, strategy):
@@ -591,7 +591,7 @@ class TestGuidedOracle:
         # leaves it the first of them that object 0 does not hold
         anchor = np.asarray([[0.6, 0.0], [0.3, 0.0], [0.0, 0.0]])
         scores = np.asarray([[0.9, 0.8], [0.1, 0.7], [0.0, 0.6]])
-        base, result = ANCHOR_STRATEGIES[strategy](anchor, anchor, scores)
+        base, result = anchor_row(strategy, anchor, anchor, scores)
         assert base.per_object_counts == [(1, 0), (1, 0)]
         assert result.localization_labels.tolist() == [0, 1, NEGATIVE]
         assert row_outputs(result) == guided_oracle(strategy, anchor, anchor, scores)
@@ -607,7 +607,7 @@ class TestGuidedOracle:
 
     @given(start_of_training())
     def test_mutual_is_static_at_the_start_of_training(self, inputs):
-        base, mutual = ANCHOR_STRATEGIES["mutual"](*inputs)
+        base, mutual = anchor_row("mutual", *inputs)
         assert mutual.classification_labels.tolist() == base.classification_labels.tolist()
         assert mutual.localization_labels.tolist() == base.localization_labels.tolist()
         assert mutual.per_object_counts == base.per_object_counts
@@ -624,7 +624,7 @@ class TestGuidedOracle:
         # making either one changes these labels.
         anchor = np.zeros((6, 3))
         anchor[:, 0] = [0.0, 0.4, 0.0, 0.0, 0.4, 0.45]
-        base, mutual = ANCHOR_STRATEGIES["mutual"](anchor, anchor.copy(), np.zeros((6, 3)))
+        base, mutual = anchor_row("mutual", anchor, anchor.copy(), np.zeros((6, 3)))
         assert base.classification_labels.tolist() == [1, 2, NEGATIVE, NEGATIVE, IGNORED, 0]
         assert mutual.classification_labels.tolist() == [1, 2, NEGATIVE, NEGATIVE, NEGATIVE, 0]
         assert mutual.localization_labels.tolist() == base.localization_labels.tolist()

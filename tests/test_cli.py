@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from boxmatch import cli, simulator
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
 from boxmatch.annotations import AnnotationError, load_annotations, load_detections
-from boxmatch.assignment import MatchingConfig
+from boxmatch.assignment import STRATEGIES, MatchingConfig
 from boxmatch.cli import (
     RunConfig,
     _diff_payload,
@@ -463,6 +463,15 @@ class TestAssignCommand:
         assert main(argv) == 1
         assert "invalid configuration" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_strategy_choices_are_the_table_names(self, capsys):
+        """``--strategy`` offers every name of ``assignment.STRATEGIES``, the
+        anchor grid's first, in the table's order."""
+        with pytest.raises(SystemExit):
+            make_parser().parse_args(["assign", "-h"])
+        names = [name for grid in STRATEGIES.values() for name in grid]
+        assert names == ["static", "l2c", "c2l", "mutual", "fcos", "fcos-mutual"]
+        assert "--strategy {" + ",".join(names) + "}" in capsys.readouterr().out
 
 
 def reference_diff(image_id, strategy, name, baseline, dynamic, n_objects):

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from boxmatch import assignment, fcos
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_points
-from boxmatch.assignment import NEGATIVE, amplified_iou
+from boxmatch.assignment import NEGATIVE, STRATEGIES, amplified_iou
 from boxmatch.fcos import (
-    POINT_STRATEGIES,
     centerness,
     fcos_assign_original,
     fcos_classify_to_localize,
@@ -19,6 +18,7 @@ from boxmatch.fcos import (
 from boxmatch.geometry import Box, boxes_to_array
 from boxmatch.simulator import SceneSpec, synth_scene
 from oracles import brute_force_fcos_original, brute_force_point_guided, brute_force_point_pool
+from strategy_rows import point_row
 
 SINGLE_COARSE = AnchorGridSpec(320, 320, (LevelSpec(160, (64.0,), (1.0,)),))
 SINGLE_32 = AnchorGridSpec(320, 320, (LevelSpec(32, (64.0,), (1.0,)),))
@@ -132,8 +132,8 @@ class TestOriginalAssignment:
         empty = np.zeros((n, 0))
         results = [
             fcos_assign_original(points, []),
-            *POINT_STRATEGIES["fcos"](points, [], empty, empty),
-            *POINT_STRATEGIES["fcos-mutual"](points, [], empty, empty),
+            *point_row("fcos", points, [], empty, empty),
+            *point_row("fcos-mutual", points, [], empty, empty),
         ]
         for result in results:
             assert result.classification_labels.tolist() == [NEGATIVE] * n
@@ -282,7 +282,7 @@ class TestPointFallbacks:
         guided = fcos_localize_to_classify(FOUR_POINTS, self.SHARED, matrix)
         assert guided.labels.tolist() == [NEGATIVE, NEGATIVE, 1, NEGATIVE]
         assert guided.warnings == [NO_POINT.format(0)]
-        _, mutual = POINT_STRATEGIES["fcos-mutual"](FOUR_POINTS, self.SHARED, matrix, matrix)
+        _, mutual = point_row("fcos-mutual", FOUR_POINTS, self.SHARED, matrix, matrix)
         for labels in (mutual.classification_labels, mutual.localization_labels):
             assert labels.tolist() == [NEGATIVE, NEGATIVE, 1, NEGATIVE]
         assert mutual.warnings == [NO_POINT.format(0)] * 2
@@ -469,7 +469,7 @@ def run_point_row(strategy, *inputs):
         return selection
 
     with mock.patch.object(assignment, "ranked_selection", spy):
-        return (*POINT_STRATEGIES[strategy](*inputs), premerge)
+        return (*point_row(strategy, *inputs), premerge)
 
 
 def positives(labels, m):
@@ -499,16 +499,16 @@ class TestPointStrategyProperties:
     @given(point_inputs())
     def test_deterministic_and_inputs_untouched(self, inputs):
         pristine = [matrix.copy() for matrix in inputs[2:]]
-        for row in POINT_STRATEGIES.values():
-            first = [result.to_json_dict() for result in row(*inputs)]
-            assert [result.to_json_dict() for result in row(*inputs)] == first
+        for name in STRATEGIES["points"]:
+            first = [result.to_json_dict() for result in point_row(name, *inputs)]
+            assert [result.to_json_dict() for result in point_row(name, *inputs)] == first
             assert all(np.array_equal(a, b) for a, b in zip(inputs[2:], pristine))
 
     @settings(max_examples=50)
     @given(point_inputs())
     def test_every_object_has_a_positive_or_a_warning(self, inputs):
-        for row in POINT_STRATEGIES.values():
-            for result in row(*inputs):
+        for name in STRATEGIES["points"]:
+            for result in point_row(name, *inputs):
                 for labels in (result.classification_labels, result.localization_labels):
                     for j in range(len(inputs[1])):
                         assert j in labels or NO_POINT.format(j) in result.warnings
@@ -530,8 +530,9 @@ class TestPointStrategyProperties:
         # the fallbacks serve objects in index order: keep them out of play
         with mock.patch.object(assignment, "_claim_one", wraps=assignment._claim_one) as rescue:
             runs = [
-                (row(points, boxes, regressed, scores)[1], row(points, *permuted)[1])
-                for row in POINT_STRATEGIES.values()
+                (point_row(name, points, boxes, regressed, scores)[1],
+                 point_row(name, points, *permuted)[1])
+                for name in STRATEGIES["points"]
             ]
         assume(rescue.call_count == 0)
         back = np.asarray(perm)
@@ -554,7 +555,7 @@ def check_point_guided(points, boxes, regressed, scores, radius=None):
     expected = brute_force_point_guided(points, gt, regressed, scores, sigma, False, True, radius)
     assert (c2l.labels.tolist(), c2l.warnings) == (expected["localization"], expected["warnings"])
     if radius is None:
-        mutual = POINT_STRATEGIES["fcos-mutual"](points, boxes, regressed, scores)[1]
+        mutual = point_row("fcos-mutual", points, boxes, regressed, scores)[1]
         expected = brute_force_point_guided(points, gt, regressed, scores, sigma, True, True)
         assert {
             "classification": mutual.classification_labels.tolist(),
@@ -623,7 +624,7 @@ class TestPoolCenterness:
 
         def results():
             c2l = fcos_classify_to_localize(points, boxes, scores)
-            mutual = POINT_STRATEGIES["fcos-mutual"](*inputs)[1]
+            mutual = point_row("fcos-mutual", *inputs)[1]
             return (c2l.labels.tolist(), c2l.premerge_positive_counts, c2l.warnings,
                     mutual.to_json_dict())
 
@@ -632,8 +633,8 @@ class TestPoolCenterness:
             assert results() == pooled
 
 
-def point_row(name):
-    return lambda points, boxes, matrix: POINT_STRATEGIES[name](points, boxes, matrix, matrix)
+def one_matrix_row(name):
+    return lambda points, boxes, matrix: point_row(name, points, boxes, matrix, matrix)
 
 
 # each point function with the inputs (points, boxes, matrix), and how many
@@ -642,8 +643,8 @@ POINT_CALLS = {
     "original": (lambda points, boxes, matrix: fcos_assign_original(points, boxes), 0),
     "l2c": (lambda points, boxes, matrix: fcos_localize_to_classify(points, boxes, matrix), 0),
     "c2l": (lambda points, boxes, matrix: fcos_classify_to_localize(points, boxes, matrix), 1),
-    "fcos": (point_row("fcos"), 0),
-    "fcos-mutual": (point_row("fcos-mutual"), 1),
+    "fcos": (one_matrix_row("fcos"), 0),
+    "fcos-mutual": (one_matrix_row("fcos-mutual"), 1),
 }
 
 
@@ -700,6 +701,6 @@ class TestPointInputs:
         for call in POINT_FUNCTIONS.values():
             assert outcome(call(points, array, scores, radius)) == outcome(
                 call(points, boxes, scores, radius))
-        for row in POINT_STRATEGIES.values():
-            assert [outcome(r) for r in row(points, array, regressed, scores)] == [
-                outcome(r) for r in row(points, boxes, regressed, scores)]
+        for name in STRATEGIES["points"]:
+            assert [outcome(r) for r in point_row(name, points, array, regressed, scores)] == [
+                outcome(r) for r in point_row(name, points, boxes, regressed, scores)]

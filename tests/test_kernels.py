@@ -74,6 +74,7 @@ class TestBroadcastIoU:
             ((0, 0, 2, 2), (2, 2, 4, 4), 0.0),  # touching at a corner
             ((0, 0, 4, 4), (1, 1, 3, 3), 0.25),  # nested
             ((1, 2, 3, 5), (1, 2, 3, 5), 1.0),  # identical
+            ((0, 0, 2, 2), (1, 1, 3, 3), 1 / 7),  # two single boxes, each passed as (1, 4)
         ],
     )
     def test_hand_cases(self, a, b, expected):

@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 
 from boxmatch import fcos, simulator
 from boxmatch.anchors import AnchorGridSpec, LevelSpec, generate_anchors, generate_points
-from boxmatch.assignment import (
-    ANCHOR_STRATEGIES,
-    MatchingConfig,
-    mutual_guidance_assign,
-    static_assign,
-)
+from boxmatch.assignment import STRATEGIES, MatchingConfig, mutual_guidance_assign, static_assign
 from boxmatch.evaluation import Detections
-from boxmatch.fcos import POINT_STRATEGIES, fcos_assign_original, fcos_localize_to_classify
+from boxmatch.fcos import fcos_assign_original, fcos_localize_to_classify
 from boxmatch.geometry import Box, boxes_to_array, iou, pairwise_iou
 from boxmatch.simulator import (
     GAIN_CURVES,
@@ -30,6 +25,7 @@ from boxmatch.simulator import (
     synth_predictions,
     synth_scene,
 )
+from strategy_rows import anchor_row, point_row
 
 # a lighter grid keeps the per-test trajectories snappy
 GRID = AnchorGridSpec(320, 320, (
@@ -39,8 +35,8 @@ GRID = AnchorGridSpec(320, 320, (
 ANCHORS = generate_anchors(GRID)
 POINTS = generate_points(GRID)
 # every strategy run_trajectory accepts, with the grid it labels
-GRID_STRATEGIES = [(ANCHORS, name) for name in [*ANCHOR_STRATEGIES, "l2c-fixed"]] + [
-    (POINTS, name) for name in POINT_STRATEGIES
+GRID_STRATEGIES = [(ANCHORS, name) for name in [*STRATEGIES["anchors"], "l2c-fixed"]] + [
+    (POINTS, name) for name in STRATEGIES["points"]
 ]
 GRID_IDS = [name for _, name in GRID_STRATEGIES]
 MISALIGNED = TrajectoryConfig(
@@ -316,12 +312,15 @@ class TestRunTrajectory:
         assert len(result.counts) == 1
 
     def test_unknown_strategy_rejected(self):
-        """Unknown names and names of the other grid are refused by name of
-        the grid, with its valid strategies; a point grid once raised
+        """Unknown names and every name of the other grid are refused by name
+        of the grid, with its valid strategies; a point grid once raised
         AttributeError."""
         scene = synth_scene(SceneSpec(seed=21))
-        for grid, strategy in [(ANCHORS, "simota"), (ANCHORS, "fcos"), (POINTS, "mutual"),
-                               (POINTS, "l2c-fixed")]:
+        assert [name for g, name in GRID_STRATEGIES if g is ANCHORS] == [
+            "static", "l2c", "c2l", "mutual", "l2c-fixed"]
+        assert [name for g, name in GRID_STRATEGIES if g is POINTS] == ["fcos", "fcos-mutual"]
+        others = [(POINTS if g is ANCHORS else ANCHORS, name) for g, name in GRID_STRATEGIES]
+        for grid, strategy in [(ANCHORS, "simota"), (POINTS, "simota"), *others]:
             with pytest.raises(ValueError, match="strategy") as raised:
                 run_trajectory(scene, grid, TrajectoryConfig(), strategy, seed=21)
             kind, other = ("points", "anchors") if grid is POINTS else ("anchors", "points")
@@ -332,9 +331,8 @@ class TestRunTrajectory:
     @pytest.mark.parametrize("grid, strategy", GRID_STRATEGIES, ids=GRID_IDS)
     def test_counts_equal_the_strategy_rows(self, grid, strategy):
         """At every step, the count is the positives of the public row on
-        that step's predictions: ``ANCHOR_STRATEGIES`` (localization labels
-        for c2l) or static_assign on regressed overlap for l2c-fixed on
-        anchors, ``POINT_STRATEGIES`` on points."""
+        that step's predictions: the strategy's row (localization labels
+        for c2l), or static_assign on regressed overlap for l2c-fixed."""
         cfg = replace(MISALIGNED, steps=4)
         matching = MatchingConfig(t_pos=0.6, t_neg=0.3, sigma=3.0)
         for seed, scene in enumerate([MISALIGNED_SCENE, synth_scene(SceneSpec(seed=4))]):
@@ -393,7 +391,7 @@ def row_positives(scene, grid, cfg, t, seed, strategy, matching):
     """Positives of ``strategy``'s public row on the predictions at step t."""
     if grid is POINTS:
         predicted = synth_point_predictions(scene, grid, cfg, t, seed)
-        labeled = POINT_STRATEGIES[strategy](grid, scene.boxes, *predicted, matching)[1]
+        labeled = point_row(strategy, grid, scene.boxes, *predicted, matching)[1]
     else:
         snapshot = synth_predictions(scene, grid, cfg, t, seed)
         if strategy == "l2c-fixed":
@@ -401,7 +399,7 @@ def row_positives(scene, grid, cfg, t, seed, strategy, matching):
         else:
             iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
             predicted = snapshot.iou_regressed, snapshot.classif_scores
-            labeled = ANCHOR_STRATEGIES[strategy](iou_anchor, *predicted, matching)[1]
+            labeled = anchor_row(strategy, iou_anchor, *predicted, matching)[1]
     labels = labeled.localization_labels if strategy == "c2l" else labeled.classification_labels
     return int(np.count_nonzero(labels >= 0))
 
