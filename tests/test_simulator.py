@@ -330,9 +330,9 @@ class TestRunTrajectory:
 
     @pytest.mark.parametrize("grid, strategy", GRID_STRATEGIES, ids=GRID_IDS)
     def test_counts_equal_the_strategy_rows(self, grid, strategy):
-        """At every step, the count is the positives of the public row on
-        that step's predictions: the strategy's row (localization labels
-        for c2l), or static_assign on regressed overlap for l2c-fixed."""
+        """At every step, the count is the positives of the strategy's row on
+        that step's predictions (localization labels for c2l), or of
+        static_assign on regressed overlap for l2c-fixed."""
         cfg = replace(MISALIGNED, steps=4)
         matching = MatchingConfig(t_pos=0.6, t_neg=0.3, sigma=3.0)
         for seed, scene in enumerate([MISALIGNED_SCENE, synth_scene(SceneSpec(seed=4))]):
@@ -388,7 +388,7 @@ class TestRunTrajectory:
 
 
 def row_positives(scene, grid, cfg, t, seed, strategy, matching):
-    """Positives of ``strategy``'s public row on the predictions at step t."""
+    """Positives of ``strategy``'s row (``strategy_rows``) on the predictions at step t."""
     if grid is POINTS:
         predicted = synth_point_predictions(scene, grid, cfg, t, seed)
         labeled = point_row(strategy, grid, scene.boxes, *predicted, matching)[1]
