@@ -164,6 +164,12 @@ class TestRankedSelection:
         result = check_against_oracle([[0.9, 0.4], [0.8, 0.2]], [2, 1], [0, 0])
         assert result.labels.tolist() == [1, 0]
 
+    def test_two_displaced_objects_share_one_spare_positive(self):
+        # object 0 owns both anchors; object 1 takes anchor 0, after which
+        # object 0 keeps one positive, so object 2 may take neither
+        result = check_against_oracle([[0.9, 0.5, 0.4], [0.8, 0.3, 0.2]], [2, 1, 1], [0, 0, 0])
+        assert result.labels.tolist() == [1, 0]
+
     @pytest.mark.parametrize("m, n_pos, n_ign, name", [
         (1, [-1], [0], "n_pos"),
         (1, [1], [-2], "n_ignored"),
