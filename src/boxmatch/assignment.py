@@ -188,13 +188,11 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
     below = np.where(best_iou >= cfg.t_neg, IGNORED, NEGATIVE)
     labels = np.where(best_iou >= cfg.t_pos, best_obj, below)
 
-    warnings: list[str] = []
-    # the fallback is offered free anchors only, so no other object's count moves
-    for j in np.flatnonzero(_positives(labels, m) == 0):
+    def best_free(j):  # the fallback is offered free anchors only, so static never steals
         hit = np.flatnonzero((labels < 0) & (values[:, j] > 0))  # the free anchors it overlaps
-        best_free = _ranking(hit, values[hit, j], 1, values[:, j], labels < 0)[0]
-        _rescue(labels, j, best_free, m, warnings, "anchor")
+        return _ranking(hit, values[hit, j], 1, values[:, j], labels < 0)[0]
 
+    warnings = _serve(labels, m, best_free, "anchor")
     n_pos = _positives(labels, m).tolist()
     n_ign = np.bincount(best_obj[labels == IGNORED], minlength=m).tolist()
     localization = np.where(labels == IGNORED, NEGATIVE, labels)
@@ -218,9 +216,9 @@ def ranked_selection(
     candidates, zeros included. The first ``n_pos`` become positive claims and the next
     ``n_ignored`` ignored claims. Positive beats ignored beats negative. An anchor
     claimed positive by several objects goes to the highest-scoring claim (ties to the
-    lower object index). Displaced claims are not refilled,
-    except that an object left with no positive takes its best-ranked free
-    anchor, or else its best-ranked anchor whose owner keeps another positive.
+    lower object index). Displaced claims are not refilled, except that an object
+    displaced from every claim takes, by ``_serve``, its best-ranked free anchor, or
+    else its best-ranked anchor whose owner keeps another positive.
     With ``scores`` and ``sigma`` (given together), an entry v ranks as
     ``amplified_iou(v, score, sigma)``. Budgets other than m integers >= 0 are
     refused with a ValueError.
@@ -268,10 +266,9 @@ def ranked_selection(
     labels = np.where(ignored_any, IGNORED, NEGATIVE)
     labels[rows[first]] = owners[first]
 
-    # an object displaced from every one of its picks keeps one positive; a
-    # claim never empties another object, so one count serves the whole loop
-    for j in np.flatnonzero((_positives(labels, m) == 0) & (np.asarray(premerge) > 0)):
-        _claim_one(labels, j, rank(j)[0], m)
+    # an object displaced from every one of its picks keeps one positive; one that
+    # picked nothing gets an empty ranking, and a caller's rescue names it
+    _serve(labels, m, lambda j: rank(j, None if premerge[j] else 0)[0], "anchor")
 
     return DynamicLabels(labels=labels, premerge_positive_counts=premerge, warnings=warnings)
 
@@ -313,27 +310,21 @@ def _ranking(samples: np.ndarray, scores: np.ndarray, k: Optional[int], column, 
     return np.concatenate([samples, tail]), np.concatenate([scores, np.zeros(tail.size)])
 
 
-def _claim_one(labels: np.ndarray, j: int, ranked: np.ndarray, n_objects: int) -> bool:
-    """Give object j its best-ranked anchor: a free one if any, otherwise one
-    whose current owner keeps at least one other positive."""
-    free = ranked[labels[ranked] < 0]
-    if free.size:
-        labels[free[0]] = j
-        return True
-    counts = _positives(labels, n_objects)
-    for i in ranked:
-        owner = labels[i]
-        if owner >= 0 and counts[owner] >= 2:
-            labels[i] = j
-            return True
-    return False
-
-
-def _rescue(labels: np.ndarray, j: int, ranked: np.ndarray, m: int, warnings, noun: str) -> None:
-    """Give object j one sample of ``ranked`` by ``_claim_one``, and name it in
-    ``warnings`` when none can be had; ``noun`` is "anchor" or "point"."""
-    if not _claim_one(labels, j, ranked, m):
-        warnings.append(f"object {j}: no {noun} available for the positive fallback")
+def _serve(labels: np.ndarray, m: int, ranked: Callable[[int], np.ndarray], noun: str):
+    """The one fallback, in place: each object without a positive, in index order, takes
+    the first free sample of ``ranked(j)``, else the first whose owner keeps another
+    positive. Returns one warning per object it cannot serve; ``noun`` names a sample."""
+    counts, warnings = _positives(labels, m), []
+    for j in np.flatnonzero(counts == 0):
+        order = ranked(j)
+        free = labels[order] < 0
+        take = order[free if free.any() else counts[labels[order]] >= 2][:1]
+        if not free.any():  # a steal: the owner's count follows, so it keeps one positive
+            counts[labels[take]] -= 1
+        labels[take] = j
+        if not take.size:
+            warnings.append(f"object {j}: no {noun} available for the positive fallback")
+    return warnings
 
 
 def _guide(base: _Baseline, regressed, scores, sigma, l2c: bool, c2l: bool):
@@ -351,10 +342,12 @@ def _guide(base: _Baseline, regressed, scores, sigma, l2c: bool, c2l: bool):
     if c2l:
         quality = base.quality()
         guided.append(ranked_selection(quality, base.n_pos, [0] * m, base.pool, scores, sigma))
+
+    def original(j):  # object j's baseline positives
+        return np.flatnonzero(base.result.classification_labels == j)
+
     for selection in guided:
-        for j in np.flatnonzero(_positives(selection.labels, m) == 0):
-            original = np.flatnonzero(result.classification_labels == j)
-            _rescue(selection.labels, j, original, m, selection.warnings, base.noun)
+        selection.warnings += _serve(selection.labels, m, original, base.noun)
     if guided:  # a task not guided keeps the baseline labels
         cls = guided[0].labels if l2c else result.classification_labels
         loc = guided[-1].labels if c2l else result.localization_labels

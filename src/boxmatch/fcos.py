@@ -10,7 +10,7 @@ region); a point in several pools goes to the smallest-area box. It is the point
 baseline of the guidance engine in ``assignment``: its positive counts are the
 budgets, and centerness on the pools the quality that classify-to-localize amplifies.
 
-Every point fallback goes through ``assignment._rescue``; an object no
+Every point fallback goes through ``assignment._serve``; an object no
 fallback can serve gets the warning "object j: no point available for the
 positive fallback". An image without objects is all NEGATIVE.
 """
@@ -33,7 +33,7 @@ from .assignment import (
     _checked,
     _guide,
     _positives,
-    _rescue,
+    _serve,
 )
 from .geometry import Box, BoxesLike, _argument, _as_box_array, _bounded, _instance
 
@@ -126,14 +126,14 @@ def _original(points: PointSet, objects: BoxesLike, radius: Optional[float]) -> 
         radius = _argument("center_sampling_radius", _bounded(float, 0), radius)
     (labels, (runs, bounds)), m = _pool(points, gt, radius), gt.shape[0]
 
-    warnings: list[str] = []
-    for j in np.flatnonzero(_positives(labels, m) == 0):
+    def nearest(j):  # its pool, its in-box points, then all points, each nearest its center first
         dist = ((points.xy - 0.5 * (gt[j, :2] + gt[j, 2:])) ** 2).sum(axis=1)
         in_box = np.all((points.xy >= gt[j, :2]) & (points.xy < gt[j, 2:]), axis=1)
         tier = 2 - in_box  # 0 pool, 1 in-box only, 2 outside
         tier[runs[bounds[j] : bounds[j + 1]] - j * len(points)] = 0
-        _rescue(labels, j, np.lexsort((dist, tier)), m, warnings, "point")
+        return np.lexsort((dist, tier))
 
+    warnings = _serve(labels, m, nearest, "point")
     counts = _positives(labels, m).tolist()
     result = Assignment(labels, labels.copy(), counts, warnings, mode="points")
     quality = partial(_centerness_matrix, points.xy, gt, runs)

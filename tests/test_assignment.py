@@ -25,7 +25,7 @@ from boxmatch.fcos import fcos_classify_to_localize, fcos_localize_to_classify
 from boxmatch.geometry import Box, boxes_to_array, pairwise_iou
 from boxmatch.simulator import SceneSpec, synth_scene
 from oracles import brute_force_guided
-from strategy_rows import anchor_row
+from strategy_rows import anchor_row, served_objects
 
 # 13 anchors A-M around one object: 6 above the positive threshold, 3 in the
 # ignored band, 4 below - the worked single-object example.
@@ -529,10 +529,10 @@ class TestStrategyTableProperties:
         best = anchor.argmax(axis=1)[anchor.max(axis=1) >= MatchingConfig().t_pos]
         assume(anchor.shape[1] - np.unique(best).size <= 1)
         permuted_inputs = [matrix[:, perm] for matrix in inputs]
-        with mock.patch.object(assignment, "_claim_one", wraps=assignment._claim_one) as rescue:
+        with served_objects() as served:
             runs = [(anchor_row(name, *inputs)[1], anchor_row(name, *permuted_inputs)[1])
                     for name in STRATEGIES["anchors"]]
-        assume(rescue.call_count == 0)
+        assume(not served)
         back = np.asarray(perm)
         for result, permuted in runs:
             for task in ("classification_labels", "localization_labels"):

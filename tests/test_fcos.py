@@ -18,7 +18,7 @@ from boxmatch.fcos import (
 from boxmatch.geometry import Box, boxes_to_array
 from boxmatch.simulator import SceneSpec, synth_scene
 from oracles import brute_force_fcos_original, brute_force_point_guided, brute_force_point_pool
-from strategy_rows import point_row
+from strategy_rows import point_row, served_objects
 
 SINGLE_COARSE = AnchorGridSpec(320, 320, (LevelSpec(160, (64.0,), (1.0,)),))
 SINGLE_32 = AnchorGridSpec(320, 320, (LevelSpec(32, (64.0,), (1.0,)),))
@@ -528,13 +528,13 @@ class TestPointStrategyProperties:
         assume(np.all(np.diff(pooled, axis=1) != 0))
         permuted = ([boxes[j] for j in perm], regressed[:, perm], scores[:, perm])
         # the fallbacks serve objects in index order: keep them out of play
-        with mock.patch.object(assignment, "_claim_one", wraps=assignment._claim_one) as rescue:
+        with served_objects() as served:
             runs = [
                 (point_row(name, points, boxes, regressed, scores)[1],
                  point_row(name, points, *permuted)[1])
                 for name in STRATEGIES["points"]
             ]
-        assume(rescue.call_count == 0)
+        assume(not served)
         back = np.asarray(perm)
         for result, permuted_result in runs:
             for task in ("classification_labels", "localization_labels"):
