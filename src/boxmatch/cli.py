@@ -170,8 +170,9 @@ def _label(cfg: RunConfig, strategy: str, grid, scene: Scene, seed: int):
     """Label the scene with the strategy and with the grid's baseline (see
     ``simulator._baseline``); return (baseline name, baseline result, strategy
     result). Only a guided strategy on an image with objects reads predictions."""
-    name, base, predict = _baseline(scene, grid, cfg.matching)
-    guided = STRATEGIES[base.result.mode][strategy]
+    base, predict = _baseline(scene, grid, cfg.matching)
+    names = STRATEGIES[base.result.mode]  # the first is the baseline's
+    name, guided = next(iter(names)), names[strategy]
     if not any(guided) or not scene.boxes:
         return name, base.result, base.result
     predicted = predict(cfg.trajectory, cfg.assign_progress, seed)

@@ -273,18 +273,18 @@ def run_trajectory(
 
 
 def _baseline(scene: Scene, grid: Union[AnchorSet, PointSet], matching: MatchingConfig):
-    """The grid's unguided labelling, "static" on anchors and "fcos" on points, as
-    (name, ``_Baseline``, predictor ``(cfg, t, seed) -> (iou_regressed, scores)``)."""
+    """The grid's unguided labelling, named first in its ``STRATEGIES`` row, as
+    (``_Baseline``, predictor ``(cfg, t, seed) -> (iou_regressed, scores)``)."""
     if isinstance(grid, PointSet):
         base = fcos._original(grid, scene.boxes, None)
-        return "fcos", base, lambda *at: synth_point_predictions(scene, grid, *at)
+        return base, lambda *at: synth_point_predictions(scene, grid, *at)
     iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
 
     def predict(*at):
         snapshot = synth_predictions(scene, grid, *at, _iou_anchor=iou_anchor)
         return snapshot.iou_regressed, snapshot.classif_scores
 
-    return "static", assignment._static(iou_anchor, matching), predict
+    return assignment._static(iou_anchor, matching), predict
 
 
 def _trajectories(
@@ -304,7 +304,7 @@ def _trajectories(
         if strategy not in choices:
             raise ValueError(f"strategy {strategy!r} does not label {kind}; choose from {choices}")
     matching, seed = matching or MatchingConfig(), _argument("seed", _bounded(int, 0), seed)
-    _, base, predict = _baseline(scene, grid, matching)
+    base, predict = _baseline(scene, grid, matching)
     base = base._replace(quality=cache(base.quality))  # it does not depend on t
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
     reads = any(s == "l2c-fixed" or any(tasks[s]) for s in strategies)
@@ -331,20 +331,23 @@ def detections_from_snapshot(
 ) -> Detections:
     """Turn a snapshot into detections, one per anchor scored at least 0.05.
 
-    With ``classification_labels`` given, anchors the strategy labeled
-    negative or ignored have their scores multiplied by 0.05, modeling a
-    network trained to score them as background. A scene without objects
-    gives an empty batch.
+    With ``classification_labels`` (integers, one per score row) given, anchors the
+    strategy labeled negative or ignored have their scores multiplied by 0.05, modeling a
+    network trained to score them as background. A scene without objects gives an empty
+    batch. ``anchor_set`` is not read: the snapshot holds the boxes.
     """
     scores, image_id = snapshot.classif_scores, _argument("image_id", _hashable, image_id)
-    shape = None if classification_labels is None else np.shape(classification_labels)
-    if shape not in (None, scores.shape[:1]):
-        raise ValueError(f"bad argument 'classification_labels': label shape {shape} differs "
-                         f"from the score rows' {scores.shape[:1]}")
+    labels = None if classification_labels is None else np.asarray(classification_labels)
+    if labels is not None and labels.shape != scores.shape[:1]:
+        raise ValueError(f"bad argument 'classification_labels': label shape {labels.shape} "
+                         f"differs from the score rows' {scores.shape[:1]}")
+    if labels is not None and labels.dtype.kind not in "iu":  # NaN would suppress nothing
+        raise ValueError("bad argument 'classification_labels': must be integers, "
+                         f"got dtype {labels.dtype}")
     if not scene.boxes:  # no object, no class: nothing to detect
         return Detections(np.zeros((0, 4)), (), (), (image_id,), ())
-    if classification_labels is not None:
-        factor = np.where(classification_labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
+    if labels is not None:
+        factor = np.where(labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
         scores = scores * factor[:, None]
     best, values = _row_best(scores)
     keep = np.flatnonzero(values >= _SCORE_THRESHOLD)

@@ -211,7 +211,9 @@ CONTRACT = {
         bm.detections_from_snapshot,
         {"scene": SCENE, "anchor_set": ANCHORS, "snapshot": SNAPSHOT},
         [("image_id", [1]),  # repro: "unhashable type: 'list'"
-         ("classification_labels", np.zeros((len(ANCHORS), 1), dtype=int))],
+         ("classification_labels", np.zeros((len(ANCHORS), 1), dtype=int)),
+         ("classification_labels", np.zeros(len(ANCHORS))),  # repro: float labels were read
+         ("classification_labels", np.full(len(ANCHORS), NAN))],  # repro: suppressed nothing
     ),
     "ground_truth_from_scene": (bm.ground_truth_from_scene, {"scene": SCENE}, [
         ("image_id", [1]),  # repro: built records that average_precision could not key

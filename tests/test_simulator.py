@@ -564,6 +564,16 @@ class TestDetectionsFromSnapshot:
         dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, snapshot, labels)
         assert len(dets) == 0 and dets.boxes.shape == (0, 4)
 
+    def test_labels_as_a_list_give_the_batch_of_their_array(self):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        iou_anchor = pairwise_iou(ANCHORS.array, boxes_to_array(MISALIGNED_SCENE.boxes))
+        labels = static_assign(iou_anchor).classification_labels
+        batches = [detections_from_snapshot(MISALIGNED_SCENE, ANCHORS, snapshot, given)
+                   for given in (labels, labels.tolist(), None)]
+        arrays = [[b.boxes, b.scores, b.class_ids, b.image_index] for b in batches]
+        assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
+        assert 0 < len(batches[0]) < len(batches[2])  # the labels suppress some rows
+
     # one label broadcast over every row, one column per row, too few rows
     @pytest.mark.parametrize("shape", [(1,), (len(ANCHORS), 1), (2,)], ids=str)
     def test_labels_of_another_shape_are_refused(self, shape):
