@@ -317,9 +317,10 @@ def _serve(labels: np.ndarray, m: int, ranked: Callable[[int], np.ndarray], noun
     counts, warnings = _positives(labels, m), []
     for j in np.flatnonzero(counts == 0):
         order = ranked(j)
-        free = labels[order] < 0
-        take = order[free if free.any() else counts[labels[order]] >= 2][:1]
-        if not free.any():  # a steal: the owner's count follows, so it keeps one positive
+        owners = labels[order]
+        take = order[owners < 0][:1]
+        if not take.size:  # a steal: the owner's count follows, so it keeps one positive
+            take = order[counts[owners] >= 2][:1]
             counts[labels[take]] -= 1
         labels[take] = j
         if not take.size:

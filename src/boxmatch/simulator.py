@@ -342,8 +342,7 @@ def detections_from_snapshot(
         raise ValueError(f"bad argument 'classification_labels': label shape {labels.shape} "
                          f"differs from the score rows' {scores.shape[:1]}")
     if labels is not None and labels.dtype.kind not in "iu":  # NaN would suppress nothing
-        raise ValueError("bad argument 'classification_labels': must be integers, "
-                         f"got dtype {labels.dtype}")
+        raise ValueError(f"bad argument 'classification_labels': got {labels.dtype}, not integers")
     if not scene.boxes:  # no object, no class: nothing to detect
         return Detections(np.zeros((0, 4)), (), (), (image_id,), ())
     if labels is not None:
