@@ -20,7 +20,7 @@ import numpy as np
 
 from .anchors import AnchorGridSpec, LevelSpec, PointSet, generate_anchors, generate_points
 from .annotations import AnnotationError, _read_json, load_annotations, load_detections
-from .assignment import STRATEGIES, MatchingConfig, _guide
+from .assignment import STRATEGIES, MatchingConfig
 from .evaluation import average_precision
 from .geometry import _bounded, _fields
 from .render import STRATEGY_COLORS, render_assignment_svg
@@ -28,7 +28,7 @@ from .simulator import (
     Scene,
     SceneSpec,
     TrajectoryConfig,
-    _baseline,
+    _labelled,
     _trajectories,
     ground_truth_from_scene,
     synth_scene,
@@ -166,26 +166,11 @@ def _diff_payload(image_id: object, strategy: str, name: str, baseline, dynamic,
     }
 
 
-def _label(cfg: RunConfig, strategy: str, grid, scene: Scene, seed: int):
-    """Label the scene with the strategy and with the grid's baseline (see
-    ``simulator._baseline``); return (baseline name, baseline result, strategy
-    result). Only a guided strategy on an image with objects reads predictions."""
-    base, predict = _baseline(scene, grid, cfg.matching)
-    names = STRATEGIES[base.result.mode]  # the first is the baseline's
-    name, guided = next(iter(names)), names[strategy]
-    if not any(guided) or not scene.boxes:
-        return name, base.result, base.result
-    predicted = predict(cfg.trajectory, cfg.assign_progress, seed)
-    return name, base.result, _guide(base, *predicted, cfg.matching.sigma, *guided)[0]
-
-
-def _write_scene(
-    args: argparse.Namespace, image_id, scene: Scene, grid, name: str, baseline, dynamic
-):
-    """Write the labels of the baseline called ``name`` and of the strategy,
-    their diff and the SVG, whose positives are the rows of the grid's
-    anchor boxes or point coordinates."""
-    out = Path(args.out)
+def _write_scene(args: argparse.Namespace, image_id, scene: Scene, grid, baseline, dynamic):
+    """Write the labels of the grid's baseline (named first in its ``STRATEGIES`` row)
+    and of the strategy, their diff and the SVG, whose positives are the rows of the
+    grid's anchor boxes or point coordinates."""
+    out, name = Path(args.out), next(iter(STRATEGIES[baseline.mode]))
     files = {
         f"{image_id}.{name}.json": baseline._json_payload(),
         f"{image_id}.{args.strategy}.json": dynamic._json_payload(),
@@ -221,8 +206,10 @@ def cmd_assign(args: argparse.Namespace, cfg: RunConfig) -> int:
     Path(args.out).mkdir(parents=True, exist_ok=True)
     points = args.strategy in STRATEGIES["points"]
     grid = (generate_points if points else generate_anchors)(cfg.grid)
-    for image_id, scene, seed in scenes:
-        _write_scene(args, image_id, scene, grid, *_label(cfg, args.strategy, grid, scene, seed))
+    for image_id, scene, seed in scenes:  # a trajectory's one step, at assign_progress
+        baseline, [[dynamic]] = _labelled(scene, grid, cfg.trajectory, (args.strategy,),
+                                          cfg.matching, seed, (cfg.assign_progress,))
+        _write_scene(args, image_id, scene, grid, baseline, dynamic)
     return 0
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cache
-from typing import Callable, Optional, Sequence, Union
+from functools import cache, partial
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -272,19 +272,42 @@ def run_trajectory(
     return _trajectories(scene, grid, cfg, (strategy,), matching, seed)[0]
 
 
-def _baseline(scene: Scene, grid: Union[AnchorSet, PointSet], matching: MatchingConfig):
-    """The grid's unguided labelling, named first in its ``STRATEGIES`` row, as
-    (``_Baseline``, predictor ``(cfg, t, seed) -> (iou_regressed, scores)``)."""
-    if isinstance(grid, PointSet):
+def _labelled(scene: Scene, grid: Union[AnchorSet, PointSet], cfg: TrajectoryConfig,
+              strategies: Sequence[str], matching: Optional[MatchingConfig], seed: int,
+              ts: Iterable[float]):
+    """The grid's baseline result (named first in its ``STRATEGIES`` row), and lazily,
+    at each progress t of ``ts``, the ``Assignment`` of every strategy, in order. A
+    step's predictions are simulated once, and only when a strategy reads them and the
+    scene has an object; otherwise every strategy labels as the baseline."""
+    kind = "points" if isinstance(grid, PointSet) else "anchors"
+    tasks = STRATEGIES[kind]
+    choices = [*tasks, "l2c-fixed"] if kind == "anchors" else [*tasks]
+    for strategy in strategies:
+        if strategy not in choices:
+            raise ValueError(f"strategy {strategy!r} does not label {kind}; choose from {choices}")
+    matching, seed = matching or MatchingConfig(), _argument("seed", _bounded(int, 0), seed)
+    if kind == "points":
         base = fcos._original(grid, scene.boxes, None)
-        return base, lambda *at: synth_point_predictions(scene, grid, *at)
-    iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+        predict = partial(synth_point_predictions, scene, grid, cfg, seed=seed)
+    else:
+        iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+        base = assignment._static(iou_anchor, matching)
 
-    def predict(*at):
-        snapshot = synth_predictions(scene, grid, *at, _iou_anchor=iou_anchor)
-        return snapshot.iou_regressed, snapshot.classif_scores
+        def predict(t):
+            snapshot = synth_predictions(scene, grid, cfg, t, seed, iou_anchor)
+            return snapshot.iou_regressed, snapshot.classif_scores
 
-    return assignment._static(iou_anchor, matching), predict
+    base = base._replace(quality=cache(base.quality))  # it does not depend on t
+    reads = scene.boxes and any(s == "l2c-fixed" or any(tasks[s]) for s in strategies)
+
+    def steps():  # a step's matrices stay referenced until the next step's are built
+        for t in ts:
+            iou_regressed, scores = predict(t)
+            yield [static_assign(iou_regressed, matching) if s == "l2c-fixed" else
+                   assignment._guide(base, iou_regressed, scores, matching.sigma, *tasks[s])[0]
+                   for s in strategies]
+
+    return base.result, steps() if reads else ([base.result] * len(strategies) for _ in ts)
 
 
 def _trajectories(
@@ -295,30 +318,14 @@ def _trajectories(
     matching: Optional[MatchingConfig],
     seed: int,
 ) -> list[TrajectoryResult]:
-    """One run_trajectory result per strategy, in order; one baseline serves every
-    step, whose predictions are simulated once for all strategies, if one reads them."""
-    kind = "points" if isinstance(grid, PointSet) else "anchors"
-    tasks = STRATEGIES[kind]
-    choices = [*tasks, "l2c-fixed"] if kind == "anchors" else [*tasks]
-    for strategy in strategies:
-        if strategy not in choices:
-            raise ValueError(f"strategy {strategy!r} does not label {kind}; choose from {choices}")
-    matching, seed = matching or MatchingConfig(), _argument("seed", _bounded(int, 0), seed)
-    base, predict = _baseline(scene, grid, matching)
-    base = base._replace(quality=cache(base.quality))  # it does not depend on t
+    """One run_trajectory result per strategy, in order, counted from ``_labelled``."""
+    ts = [float(t) for t in np.linspace(0.0, 1.0, cfg.steps)]
     results = [TrajectoryResult(strategy=strategy, steps=[]) for strategy in strategies]
-    reads = any(s == "l2c-fixed" or any(tasks[s]) for s in strategies)
-    for t in np.linspace(0.0, 1.0, cfg.steps):
-        iou_regressed, scores = predict(cfg, float(t), seed) if reads else (None, None)
-        for result in results:
-            if result.strategy == "l2c-fixed":
-                labels = static_assign(iou_regressed, matching).classification_labels
-            else:
-                guided = tasks[result.strategy]
-                labeled = assignment._guide(base, iou_regressed, scores, matching.sigma, *guided)[0]
-                c2l = result.strategy == "c2l"
-                labels = labeled.localization_labels if c2l else labeled.classification_labels
-            result.steps.append(TrajectoryStep(t=float(t), positive_count=int(np.sum(labels >= 0))))
+    for t, step in zip(ts, _labelled(scene, grid, cfg, strategies, matching, seed, ts)[1]):
+        for result, labeled in zip(results, step):
+            c2l = result.strategy == "c2l"
+            labels = labeled.localization_labels if c2l else labeled.classification_labels
+            result.steps.append(TrajectoryStep(t=t, positive_count=int(np.sum(labels >= 0))))
     return results
 
 

@@ -16,7 +16,6 @@ from boxmatch.cli import (
     RunConfig,
     _diff_payload,
     _json_text,
-    _label,
     _write_json,
     build_run_config,
     main,
@@ -30,6 +29,7 @@ from boxmatch.simulator import (
     TrajectoryConfig,
     TrajectoryResult,
     TrajectoryStep,
+    _labelled,
     synth_scene,
 )
 
@@ -579,8 +579,10 @@ class TestJsonWriter:
     def test_real_payloads(self, tmp_path):
         cfg = build_run_config(make_parser().parse_args(["assign", "--synthetic"]))
         scene = synth_scene(SceneSpec(seed=3))
-        _, base, dyn = _label(cfg, "mutual", generate_anchors(cfg.grid), scene, 3)
-        _, _, points = _label(cfg, "fcos-mutual", generate_points(cfg.grid), scene, 3)
+        at = (cfg.matching, 3, [cfg.assign_progress])  # as cmd_assign labels with seed 3
+        anchors, points_grid = generate_anchors(cfg.grid), generate_points(cfg.grid)
+        base, [[dyn]] = _labelled(scene, anchors, cfg.trajectory, ["mutual"], *at)
+        _, [[points]] = _labelled(scene, points_grid, cfg.trajectory, ["fcos-mutual"], *at)
         empty = SimpleNamespace(classification_labels=np.full(7, -1))
         fixed = TrajectoryResult("l2c-fixed", [TrajectoryStep(0.0, 0), TrajectoryStep(1.0, 4)])
         payloads = {
