@@ -157,8 +157,8 @@ def _diff_payload(image_id: object, strategy: str, name: str, baseline, dynamic,
         "strategy": strategy,
         "baseline_positive_count": int(np.count_nonzero(base_pos)),
         "strategy_positive_count": int(np.count_nonzero(dyn_pos)),
-        "only_baseline": np.flatnonzero(base_pos & ~dyn_pos).tolist(),
-        "only_strategy": np.flatnonzero(dyn_pos & ~base_pos).tolist(),
+        "only_baseline": np.flatnonzero(base_pos & ~dyn_pos),
+        "only_strategy": np.flatnonzero(dyn_pos & ~base_pos),
         "per_object": [
             {"object": j, "baseline_positives": b, "strategy_positives": d}
             for j, (b, d) in enumerate(zip(base_counts, dyn_counts))

@@ -344,7 +344,8 @@ def detections_from_snapshot(
     batch. ``anchor_set`` is not read: the snapshot holds the boxes.
     """
     scores, image_id = snapshot.classif_scores, _argument("image_id", _hashable, image_id)
-    labels = None if classification_labels is None else np.asarray(classification_labels)
+    labels = classification_labels
+    labels = None if labels is None else _argument("classification_labels", np.asarray, labels)
     if labels is not None and labels.shape != scores.shape[:1]:
         raise ValueError(f"bad argument 'classification_labels': label shape {labels.shape} "
                          f"differs from the score rows' {scores.shape[:1]}")

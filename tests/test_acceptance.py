@@ -220,7 +220,8 @@ def test_criterion_8_misalignment_direction():
             iou_anchor, snapshot.iou_regressed, snapshot.classif_scores, matching
         )
         ground_truth = bm.ground_truth_from_scene(scene)
-        static_dets = bm.nms(bm.detections_from_snapshot(scene, ANCHORS, snapshot), 0.5)
+        static = bm.static_assign(iou_anchor, matching).classification_labels
+        static_dets = bm.nms(bm.detections_from_snapshot(scene, ANCHORS, snapshot, static), 0.5)
         mutual_dets = bm.nms(
             bm.detections_from_snapshot(
                 scene, ANCHORS, snapshot,

@@ -524,8 +524,9 @@ class TestStrategyTableProperties:
         # no two objects tie on any anchor's amplified overlap either
         amplified = amplified_iou(anchor, scores, MatchingConfig().sigma)
         assume(all(np.unique(row).size == row.size for row in amplified))
-        # the fallbacks serve objects in index order: keep them out of play,
-        # except a single static fallback, which no other object competes for
+        # the fallbacks serve objects in index order: keep them out of play. This
+        # drops early what `not served` below rejects anyway, a static fallback
+        # included; the hand case after this test runs one in both orders
         best = anchor.argmax(axis=1)[anchor.max(axis=1) >= MatchingConfig().t_pos]
         assume(anchor.shape[1] - np.unique(best).size <= 1)
         permuted_inputs = [matrix[:, perm] for matrix in inputs]
@@ -535,6 +536,30 @@ class TestStrategyTableProperties:
         assume(not served)
         back = np.asarray(perm)
         for result, permuted in runs:
+            for task in ("classification_labels", "localization_labels"):
+                labels = getattr(permuted, task)
+                mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)
+                assert mapped.tolist() == getattr(result, task).tolist()
+            assert permuted.per_object_counts == [result.per_object_counts[j] for j in perm]
+
+    def test_object_permutation_equivariance_with_a_static_fallback(self):
+        """Object 1 has no anchor at t_pos, so the static fallback serves it its best free
+        anchor; swapping the two objects serves object 0 instead, and maps every label."""
+        inputs = [np.asarray(rows) for rows in (
+            [[0.7, 0.0], [0.6, 0.1], [0.0, 0.3], [0.0, 0.2]],  # anchor overlap
+            [[0.8, 0.0], [0.5, 0.1], [0.0, 0.45], [0.1, 0.35]],  # regressed overlap
+            [[0.6, 0.0], [0.3, 0.1], [0.0, 0.4], [0.0, 0.1]],  # scores
+        )]
+        perm = [1, 0]
+        for name in STRATEGIES["anchors"]:
+            runs = []
+            for fallback, order in ((1, inputs), (0, [matrix[:, perm] for matrix in inputs])):
+                with served_objects() as served:
+                    runs.append(anchor_row(name, *order)[1])
+                assert fallback in served
+            result, permuted = runs
+            assert result.classification_labels.tolist() == [0, 0, 1, -1]
+            back = np.asarray(perm)
             for task in ("classification_labels", "localization_labels"):
                 labels = getattr(permuted, task)
                 mapped = np.where(labels >= 0, back[np.maximum(labels, 0)], labels)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from boxmatch.simulator import (
     TrajectoryResult,
     TrajectoryStep,
     _labelled,
+    run_trajectory,
     synth_scene,
 )
 
@@ -473,6 +475,25 @@ class TestAssignCommand:
         assert names == ["static", "l2c", "c2l", "mutual", "fcos", "fcos-mutual"]
         assert "--strategy {" + ",".join(names) + "}" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("strategy", ["mutual", "fcos-mutual"])
+    def test_labels_as_the_trajectory_step_at_assign_progress(self, strategy, tmp_path):
+        """With 3 steps, the default assign_progress 0.5 is the middle step: each scene's
+        positives equal run_trajectory's count there, at the scene's own seed."""
+        config = write_json(tmp_path / "config.json", {"trajectory": {"steps": 3},
+                                                       "num_scenes": 2})
+        argv = ["assign", "--synthetic", "--seed", "4", "--config", config,
+                "--strategy", strategy, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        cfg = build_run_config(make_parser().parse_args(argv))
+        assert cfg.assign_progress == 0.5
+        grid = (generate_points if strategy == "fcos-mutual" else generate_anchors)(cfg.grid)
+        for k in range(2):
+            scene = synth_scene(replace(cfg.scene_spec, seed=4 + k))
+            labels = json.loads((tmp_path / "out" / f"scene-{k:04d}.{strategy}.json").read_text())
+            positives = sum(label >= 0 for label in labels["classification"])
+            trajectory = run_trajectory(scene, grid, cfg.trajectory, strategy, cfg.matching, 4 + k)
+            assert positives == trajectory.counts[1]
+
 
 def reference_diff(image_id, strategy, name, baseline, dynamic, n_objects):
     """The diff as plain sets and per-object sums, the CLI's original logic."""
@@ -511,7 +532,7 @@ class TestDiffPayload:
         for base, dyn, m in cases:
             results = [SimpleNamespace(classification_labels=v) for v in (base, dyn)]
             args = ("img", "mutual", name, *results, m)
-            assert json.dumps(_diff_payload(*args)) == json.dumps(reference_diff(*args))
+            assert json.dumps(as_lists(_diff_payload(*args))) == json.dumps(reference_diff(*args))
 
     @pytest.mark.parametrize(
         "strategy, baseline",
@@ -601,7 +622,7 @@ class TestJsonWriter:
         }
         for name, payload in payloads.items():
             _write_json(tmp_path / name, payload)
-            assert (tmp_path / name).read_text() == indented(payload), name
+            assert (tmp_path / name).read_text() == indented(as_lists(payload)), name
 
     @given(integer_arrays())
     @example(np.zeros(0, dtype=np.int64))
@@ -627,7 +648,8 @@ class TestJsonWriter:
         assert _json_text(payload) + "\n" == indented(as_lists(payload))
 
     def test_assign_writes_the_label_arrays_themselves(self, tmp_path, monkeypatch):
-        """The writer gets the label arrays, and the file holds their lists."""
+        """The writer gets the label arrays and the diff's index arrays, and the files
+        hold their lists."""
         written, write = {}, cli._write_json
 
         def spy(path, payload):
@@ -641,6 +663,9 @@ class TestJsonWriter:
             for key in ("classification", "localization"):
                 assert isinstance(payload[key], np.ndarray), (name, key)
             assert (tmp_path / name).read_text() == indented(as_lists(payload))
+        diff = written["scene-0000.diff.json"]
+        assert all(isinstance(diff[key], np.ndarray) for key in ("only_baseline", "only_strategy"))
+        assert (tmp_path / "scene-0000.diff.json").read_text() == indented(as_lists(diff))
 
 
 

@@ -213,7 +213,8 @@ CONTRACT = {
         [("image_id", [1]),  # repro: "unhashable type: 'list'"
          ("classification_labels", np.zeros((len(ANCHORS), 1), dtype=int)),
          ("classification_labels", np.zeros(len(ANCHORS))),  # repro: float labels were read
-         ("classification_labels", np.full(len(ANCHORS), NAN))],  # repro: suppressed nothing
+         ("classification_labels", np.full(len(ANCHORS), NAN)),  # repro: suppressed nothing
+         ("classification_labels", [0] * (len(ANCHORS) - 1) + [[0, 1]])],  # repro: numpy's error
     ),
     "ground_truth_from_scene": (bm.ground_truth_from_scene, {"scene": SCENE}, [
         ("image_id", [1]),  # repro: built records that average_precision could not key

@@ -607,6 +607,17 @@ class TestSceneWithoutObjects:
         result = run_trajectory(self.EMPTY, grid, TrajectoryConfig(steps=3), strategy)
         assert result.counts == [0, 0, 0]
 
+    @pytest.mark.parametrize("grid, strategy", [(ANCHORS, "mutual"), (POINTS, "fcos-mutual")],
+                             ids=["mutual", "fcos-mutual"])
+    def test_trajectory_simulates_no_step(self, grid, strategy):
+        """Without an object no strategy has predictions to read: every step labels
+        as the baseline, as assign does."""
+        with (mock.patch.object(simulator, "synth_predictions") as anchors,
+              mock.patch.object(simulator, "synth_point_predictions") as points):
+            result = run_trajectory(self.EMPTY, grid, TrajectoryConfig(steps=3), strategy)
+        assert anchors.call_count == points.call_count == 0
+        assert result.counts == [0, 0, 0]
+
     @pytest.mark.parametrize("suppressed", [False, True])
     def test_detections_are_an_empty_batch(self, suppressed):
         snapshot = synth_predictions(self.EMPTY, ANCHORS, TrajectoryConfig(), 1.0, seed=1)
