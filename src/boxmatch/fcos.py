@@ -17,7 +17,7 @@ positive fallback". An image without objects is all NEGATIVE.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from typing import Optional
 
 import numpy as np
@@ -136,7 +136,7 @@ def _original(points: PointSet, objects: BoxesLike, radius: Optional[float]) -> 
     warnings = _serve(labels, m, nearest, "point")
     counts = _positives(labels, m).tolist()
     result = Assignment(labels, labels.copy(), counts, warnings, mode="points")
-    quality = partial(_centerness_matrix, points.xy, gt, runs)
+    quality = cache(partial(_centerness_matrix, points.xy, gt, runs))  # built once, if read
     return _Baseline(result, counts, [0] * m, (runs, bounds), quality, "point")
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
-from functools import cache, partial
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -275,10 +275,10 @@ def run_trajectory(
 def _labelled(scene: Scene, grid: Union[AnchorSet, PointSet], cfg: TrajectoryConfig,
               strategies: Sequence[str], matching: Optional[MatchingConfig], seed: int,
               ts: Iterable[float]):
-    """The grid's baseline result (named first in its ``STRATEGIES`` row), and lazily,
-    at each progress t of ``ts``, the ``Assignment`` of every strategy, in order. A
-    step's predictions are simulated once, and only when a strategy reads them and the
-    scene has an object; otherwise every strategy labels as the baseline."""
+    """The grid's baseline result (named first in its ``STRATEGIES`` row), built once,
+    and lazily, at each progress t of ``ts``, every strategy's ``Assignment``, in order.
+    A step's predictions are simulated once, and only when a strategy reads them and
+    the scene has an object; otherwise every strategy labels as the baseline."""
     kind = "points" if isinstance(grid, PointSet) else "anchors"
     tasks = STRATEGIES[kind]
     choices = [*tasks, "l2c-fixed"] if kind == "anchors" else [*tasks]
@@ -297,7 +297,6 @@ def _labelled(scene: Scene, grid: Union[AnchorSet, PointSet], cfg: TrajectoryCon
             snapshot = synth_predictions(scene, grid, cfg, t, seed, iou_anchor)
             return snapshot.iou_regressed, snapshot.classif_scores
 
-    base = base._replace(quality=cache(base.quality))  # it does not depend on t
     reads = scene.boxes and any(s == "l2c-fixed" or any(tasks[s]) for s in strategies)
 
     def steps():  # a step's matrices stay referenced until the next step's are built
