@@ -337,11 +337,11 @@ def detections_from_snapshot(
 ) -> Detections:
     """Turn a snapshot into detections, one per anchor scored at least 0.05.
 
-    With ``classification_labels`` (integers, one per score row) given, anchors the
-    strategy labeled negative or ignored have their scores multiplied by 0.05, modeling a
-    network trained to score them as background. A scene without objects gives an empty
-    batch. ``anchor_set`` is not read: the snapshot holds the boxes.
-    """
+    With ``classification_labels`` (integers, one per score row) given, anchors the strategy
+    labeled negative or ignored have their scores multiplied by 0.05, modeling a network trained
+    to score them as background; only the rows whose best score, so scaled, reaches 0.05 are
+    scaled and reduced. A scene without objects gives an empty batch. ``anchor_set`` is not
+    read: the snapshot holds the boxes."""
     scores, image_id = snapshot.classif_scores, _argument("image_id", _hashable, image_id)
     labels = classification_labels
     labels = None if labels is None else _argument("classification_labels", np.asarray, labels)
@@ -352,13 +352,15 @@ def detections_from_snapshot(
         raise ValueError(f"bad argument 'classification_labels': got {labels.dtype}, not integers")
     if not scene.boxes:  # no object, no class: nothing to detect
         return Detections(np.zeros((0, 4)), (), (), (image_id,), ())
-    if labels is not None:
+    rows = slice(None)  # without labels every row can pass
+    if labels is not None:  # a row's best scaled score is its best score (fmax skips NaN), scaled
         factor = np.where(labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
-        scores = scores * factor[:, None]
+        rows = np.flatnonzero(np.fmax.reduce(scores, axis=1) * factor >= _SCORE_THRESHOLD)
+        scores = scores[rows] * factor[rows, None]
     best, values = _row_best(scores)
     keep = np.flatnonzero(values >= _SCORE_THRESHOLD)
     classes = np.asarray(scene.class_ids, dtype=np.int64)[best[keep]]
     return Detections(
-        snapshot.regressed_boxes[keep], values[keep], classes, (image_id,),
+        snapshot.regressed_boxes[rows][keep], values[keep], classes, (image_id,),
         np.zeros(keep.size, dtype=np.intp),
     )
