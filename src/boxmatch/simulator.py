@@ -343,6 +343,9 @@ def detections_from_snapshot(
     scaled and reduced. A scene without objects gives an empty batch. ``anchor_set`` is not
     read: the snapshot holds the boxes."""
     scores, image_id = snapshot.classif_scores, _argument("image_id", _hashable, image_id)
+    if scores.shape != (shape := (len(snapshot.regressed_boxes), len(scene.boxes))):
+        raise ValueError(f"bad argument 'snapshot': score shape {scores.shape} differs from "
+                         f"its (boxes, scene objects) {shape}")
     labels = classification_labels
     labels = None if labels is None else _argument("classification_labels", np.asarray, labels)
     if labels is not None and labels.shape != scores.shape[:1]:

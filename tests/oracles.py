@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's vectorized code paths: the
 rasterization oracle counts pixels, the NMS oracle is a direct O(n^2) loop,
-the AP oracle walks the precision/recall curve literally, and the FCOS
+the AP oracle walks the precision/recall curve literally, the detection
+oracle scales and scans one score at a time, and the FCOS
 oracles label points one at a time or test every (point, object) pair at once.
 """
 
@@ -133,6 +134,25 @@ def brute_force_misalignment(dets, gts, loc_threshold=0.75, score_threshold=0.5)
         flags.append(det.score >= score_threshold and best < loc_threshold)
     confident = sum(det.score >= score_threshold for det in dets)
     return (sum(flags) / confident if confident else 0.0), flags
+
+
+def brute_force_detections(scene, snapshot, labels=None):
+    """Reference detections, one row at a time: every score of a row labelled
+    below 0 is scaled by 0.05 as a Python float, a running strict ``>`` max
+    over the columns picks the row's object, and the row is kept when that max
+    is at least 0.05. Returns the kept rows' (boxes, scores, class ids) as lists."""
+    boxes, scores, class_ids = [], [], []
+    for i, row in enumerate(snapshot.classif_scores.tolist()):
+        factor = 0.05 if labels is not None and labels[i] < 0 else 1.0
+        best, top = 0, row[0] * factor
+        for j in range(1, len(row)):
+            if row[j] * factor > top:
+                best, top = j, row[j] * factor
+        if top >= 0.05:
+            boxes.append(snapshot.regressed_boxes[i].tolist())
+            scores.append(top)
+            class_ids.append(scene.class_ids[best])
+    return boxes, scores, class_ids
 
 
 def brute_force_static_assign(values, t_pos=0.5, t_neg=0.4):

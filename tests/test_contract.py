@@ -9,6 +9,7 @@ The loaders' entries raise ``AnnotationError`` and sit below the table."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ TUPLE_BOXES = [(0, 0, 10, 10)]  # coordinates, not a Box
 SCENE = bm.Scene(32, 32, (BOX,), (0,))
 CFG = bm.TrajectoryConfig(steps=2)
 SNAPSHOT = bm.synth_predictions(SCENE, ANCHORS, CFG, 0.5)
+ONES = np.ones((len(ANCHORS), 1))  # a score column that outscores the scene's object
 DETS, GTS = [bm.Detection(BOX, 0, 0.9)], [bm.GroundTruth(BOX, 0)]
 
 
@@ -214,7 +216,12 @@ CONTRACT = {
          ("classification_labels", np.zeros((len(ANCHORS), 1), dtype=int)),
          ("classification_labels", np.zeros(len(ANCHORS))),  # repro: float labels were read
          ("classification_labels", np.full(len(ANCHORS), NAN)),  # repro: suppressed nothing
-         ("classification_labels", [0] * (len(ANCHORS) - 1) + [[0, 1]])],  # repro: numpy's error
+         ("classification_labels", [0] * (len(ANCHORS) - 1) + [[0, 1]]),  # repro: numpy's error
+         # repro, each: an IndexError, or a batch scored without an object
+         ("snapshot", replace(SNAPSHOT, classif_scores=np.c_[SNAPSHOT.classif_scores, ONES])),
+         ("scene", bm.Scene(32, 32, (BOX, BOX), (0, 1)), "snapshot"),  # a score column short
+         ("snapshot", replace(SNAPSHOT, classif_scores=SNAPSHOT.classif_scores[:, :0])),
+         ("snapshot", replace(SNAPSHOT, regressed_boxes=SNAPSHOT.regressed_boxes[:1]))],
     ),
     "ground_truth_from_scene": (bm.ground_truth_from_scene, {"scene": SCENE}, [
         ("image_id", [1]),  # repro: built records that average_precision could not key

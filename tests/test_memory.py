@@ -5,6 +5,8 @@ guided anchor strategies rank each object's positive entries, not a dense
 matrix, and read the object-major hit mask without a transposed copy: they
 stay below 0.35 of one matrix. A point pool is a run table of its own cells,
 not a (points, objects) mask, so point localize-to-classify stays below 0.2.
+Detections under labels scale and reduce only the score rows whose best can
+pass, not a scaled copy of the whole matrix, so they stay below 0.1.
 numpy reports its array buffers to tracemalloc, so the peaks are
 deterministic for fixed inputs."""
 
@@ -23,6 +25,7 @@ from boxmatch.geometry import boxes_to_array, pairwise_iou
 from boxmatch.simulator import (
     SceneSpec,
     TrajectoryConfig,
+    detections_from_snapshot,
     synth_point_predictions,
     synth_predictions,
     synth_scene,
@@ -93,3 +96,14 @@ def test_anchor_guided_peak(grids, name):
     snap = synth_predictions(SCENE, anchors, CONFIG, 0.8, seed=3)
     peak = traced_peak(lambda: ANCHOR_GUIDED[name](iou, snap))
     assert peak <= 0.35 * len(anchors) * MATRIX_BYTES
+
+
+def test_detections_from_snapshot_peak(grids):
+    anchors = grids[0]
+    iou = pairwise_iou(anchors.array, boxes_to_array(SCENE.boxes))
+    snap = synth_predictions(SCENE, anchors, CONFIG, 0.8, seed=3)
+    labels = mutual_guidance_assign(iou, snap.iou_regressed, snap.classif_scores)
+    peak = traced_peak(
+        lambda: detections_from_snapshot(SCENE, anchors, snap, labels.classification_labels)
+    )
+    assert peak <= 0.1 * len(anchors) * MATRIX_BYTES

@@ -25,6 +25,7 @@ from boxmatch.simulator import (
     synth_predictions,
     synth_scene,
 )
+from oracles import brute_force_detections
 from strategy_rows import anchor_row, point_row
 
 # a lighter grid keeps the per-test trajectories snappy
@@ -573,6 +574,70 @@ class TestDetectionsFromSnapshot:
         arrays = [[b.boxes, b.scores, b.class_ids, b.image_index] for b in batches]
         assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
         assert 0 < len(batches[0]) < len(batches[2])  # the labels suppress some rows
+
+    # NaN, the threshold, 1.0 and their float64 neighbours; 1.0's upper one is no score
+    EDGES = [np.nan, 0.0, 0.05, *np.nextafter(0.05, [0, 1]), 1.0, *np.nextafter(1.0, [0, 2])]
+
+    @given(st.integers(1, 4), st.integers(1, 12), st.data())
+    def test_matches_the_plain_loop_oracle(self, m, n, data):
+        value = st.sampled_from(self.EDGES) | st.floats(0, 1)
+        rows = data.draw(st.lists(st.lists(value, min_size=m, max_size=m), min_size=n, max_size=n))
+        dtype = data.draw(st.sampled_from([np.float64, np.float32]))
+        order = data.draw(st.sampled_from("CF"))
+        labels = data.draw(st.none() | st.lists(st.integers(-2, 2), min_size=n, max_size=n))
+        labels = None if labels is None else np.asarray(labels)
+        scene = Scene(64, 64, tuple(Box(j, j, j + 8, j + 8) for j in range(m)), (2, 0, 1, 2)[:m])
+        snapshot = simulator.TrajectorySnapshot(
+            np.array([[i, 0, i + 4, 3] for i in range(n)], dtype=float),
+            np.array(rows, dtype=dtype, order=order), np.zeros((n, m)),
+        )
+        boxes, scores, class_ids = brute_force_detections(scene, snapshot, labels)
+        if any(score > 1 for score in scores):  # a kept score above 1 is refused
+            with pytest.raises(ValueError, match="scores must be finite and lie in"):
+                detections_from_snapshot(scene, ANCHORS, snapshot, labels)
+            return
+        dets = detections_from_snapshot(scene, ANCHORS, snapshot, labels)
+        assert dets.boxes.tobytes() == np.array(boxes, dtype=float).reshape(-1, 4).tobytes()
+        assert dets.scores.tobytes() == np.array(scores, dtype=float).tobytes()
+        assert dets.class_ids.tolist() == class_ids
+
+    def test_a_suppressed_row_scoring_one_is_kept_at_the_threshold(self):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        scores = np.zeros_like(snapshot.classif_scores)
+        scores[5, 1] = 1.0
+        labels = np.full(len(ANCHORS), -1)
+        dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS,
+                                        replace(snapshot, classif_scores=scores), labels)
+        assert dets.scores.tolist() == [0.05]
+        assert dets.class_ids.tolist() == [MISALIGNED_SCENE.class_ids[1]]
+        assert dets.boxes.tobytes() == snapshot.regressed_boxes[5:6].tobytes()
+
+    def test_a_nan_score_past_the_first_column_is_skipped_under_labels(self):
+        # the labelled twin of the case above: a row with NaN in column 0 is not kept,
+        # whatever a later column scores, when its label leaves the scores unscaled
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        scores = np.zeros_like(snapshot.classif_scores)
+        scores[:3, :3] = [[0.5, np.nan, 0.0], [0.5, np.nan, 0.7], [np.nan, 0.9, 0.0]]
+        dets = detections_from_snapshot(MISALIGNED_SCENE, ANCHORS,
+                                        replace(snapshot, classif_scores=scores),
+                                        np.zeros(len(ANCHORS), dtype=int))
+        assert dets.scores.tolist() == [0.5, 0.7]
+        assert dets.class_ids.tolist() == [MISALIGNED_SCENE.class_ids[j] for j in (0, 2)]
+        assert dets.boxes.tobytes() == snapshot.regressed_boxes[:2].tobytes()
+
+    @pytest.mark.parametrize("suppressed", [False, True])
+    def test_float32_scores_give_the_batch_of_their_float64_copy(self, suppressed):
+        snapshot = synth_predictions(MISALIGNED_SCENE, ANCHORS, MISALIGNED, 0.8, seed=11)
+        narrow = snapshot.classif_scores.astype(np.float32)
+        narrow[:5, 0] = 1.0  # negative rows under static labels: kept at 0.05 if suppressed
+        iou_anchor = pairwise_iou(ANCHORS.array, boxes_to_array(MISALIGNED_SCENE.boxes))
+        labels = static_assign(iou_anchor).classification_labels if suppressed else None
+        batches = [detections_from_snapshot(MISALIGNED_SCENE, ANCHORS,
+                                            replace(snapshot, classif_scores=scores), labels)
+                   for scores in (narrow, narrow.astype(np.float64))]
+        arrays = [[b.boxes, b.scores, b.class_ids, b.image_index] for b in batches]
+        assert batches[0].scores[:5].tolist() == [0.05 if suppressed else 1.0] * 5
+        assert [a.tobytes() for a in arrays[0]] == [a.tobytes() for a in arrays[1]]
 
     # one label broadcast over every row, one column per row, too few rows
     @pytest.mark.parametrize("shape", [(1,), (len(ANCHORS), 1), (2,)], ids=str)
