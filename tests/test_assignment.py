@@ -197,23 +197,26 @@ EMPTY = np.zeros((6, 0))  # an image without objects
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: static_assign(EMPTY),
-        lambda: localize_to_classify(EMPTY, EMPTY),
-        lambda: classify_to_localize(EMPTY, EMPTY),
-        lambda: mutual_guidance_assign(EMPTY, EMPTY, EMPTY),
+        lambda cfg: static_assign(EMPTY, cfg),
+        lambda cfg: localize_to_classify(EMPTY, EMPTY, cfg),
+        lambda cfg: classify_to_localize(EMPTY, EMPTY, cfg),
+        lambda cfg: mutual_guidance_assign(EMPTY, EMPTY, EMPTY, cfg),
     ],
     ids=["static", "l2c", "c2l", "mutual"],
 )
 def test_image_without_objects_is_background(call):
-    result = call()
-    if isinstance(result, Assignment):
-        label_sets = [result.classification_labels, result.localization_labels]
-        counts = result.per_object_counts
-    else:
-        label_sets, counts = [result.labels], result.premerge_positive_counts
-    assert all(labels.tolist() == [NEGATIVE] * 6 for labels in label_sets)
-    assert counts == []
-    assert result.warnings == []
+    # zero thresholds pass every overlap there is, so a row without an object must
+    # answer no overlap at all: an answer of 0.0 would label its anchor
+    for cfg in (None, MatchingConfig(t_pos=0.0, t_neg=0.0)):
+        result = call(cfg)
+        if isinstance(result, Assignment):
+            label_sets = [result.classification_labels, result.localization_labels]
+            counts = result.per_object_counts
+        else:
+            label_sets, counts = [result.labels], result.premerge_positive_counts
+        assert all(labels.tolist() == [NEGATIVE] * 6 for labels in label_sets)
+        assert counts == []
+        assert result.warnings == []
 
 
 class TestStaticAssign:

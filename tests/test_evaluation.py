@@ -14,6 +14,7 @@ from boxmatch.evaluation import (
     Detection,
     Detections,
     GroundTruth,
+    _ap_from_flags,
     average_precision,
     misalignment_rate,
     nms,
@@ -108,6 +109,19 @@ class TestNms:
                         from boxmatch.geometry import iou
 
                         assert iou(a.box, b.box) <= 0.4
+
+
+class TestApFromFlags:
+    """The 101-point curve reads precision 0 at every recall point past the last
+    recall reached, as COCOeval's ``accumulate`` does."""
+
+    @pytest.mark.parametrize("flags", [[], [False, False, False]], ids=["empty", "misses"])
+    def test_no_hit_gives_zero(self, flags):
+        assert _ap_from_flags(np.asarray(flags, dtype=bool), 4) == 0.0
+
+    def test_points_past_the_last_recall_read_zero(self):
+        # recall stops at 2 / 4: the 51 points 0.00 ... 0.50 read precision 1, 50 read 0
+        assert _ap_from_flags(np.array([True, True, False]), 4) == 51 / 101
 
 
 class TestAveragePrecision:

@@ -422,6 +422,12 @@ class TestRowBest:
         assert best.tobytes() == expected.tobytes()
         assert top.tobytes() == matrix[np.arange(len(matrix)), expected].tobytes()
 
+    @pytest.mark.parametrize("rows", [3, 0])
+    def test_a_row_without_columns_answers_no_overlap(self, rows):
+        best, top = _row_best(np.zeros((rows, 0)))
+        assert best.dtype == np.intp and best.tolist() == [0] * rows
+        assert top.tolist() == [-np.inf] * rows
+
 
 def object_major(matrix) -> bool:
     """A (samples, objects) matrix stored as the transpose of a C-contiguous array."""

@@ -686,7 +686,11 @@ class TestSceneWithoutObjects:
     @pytest.mark.parametrize("suppressed", [False, True])
     def test_detections_are_an_empty_batch(self, suppressed):
         snapshot = synth_predictions(self.EMPTY, ANCHORS, TrajectoryConfig(), 1.0, seed=1)
-        labels = np.full(len(ANCHORS), -1) if suppressed else None
-        dets = detections_from_snapshot(self.EMPTY, ANCHORS, snapshot, labels, image_id=7)
-        assert isinstance(dets, Detections) and len(dets) == 0
-        assert dets.boxes.shape == (0, 4) and dets.images == (7,)
+        # unsuppressed: no labels, or every anchor labelled positive (for object 0)
+        fills = [-1] if suppressed else [None, 0]
+        for fill in fills:
+            labels = None if fill is None else np.full(len(ANCHORS), fill)
+            dets = detections_from_snapshot(self.EMPTY, ANCHORS, snapshot, labels, image_id=7)
+            assert isinstance(dets, Detections) and len(dets) == 0
+            assert dets.boxes.shape == (0, 4) and dets.images == (7,)
+            assert dets.scores.shape == (0,) and dets.class_ids.dtype == np.int64
