@@ -356,7 +356,7 @@ def detections_from_snapshot(
     rows = slice(None)  # without labels every row can pass
     if labels is not None:  # a row's best scaled score is its best score (fmax skips NaN), scaled
         factor = np.where(labels < 0, _SUPPRESSED_SCORE_FACTOR, 1.0)
-        best_raw = np.fmax.reduce(scores, axis=1, initial=-np.inf)  # -inf: a row with no object
+        best_raw = np.fmax.reduce(scores, axis=1, initial=-np.inf)  # initial: no column, no best
         rows = np.flatnonzero(best_raw * factor >= _SCORE_THRESHOLD)
         scores = scores[rows] * factor[rows, None]
     best, values = _row_best(scores)
