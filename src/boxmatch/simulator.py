@@ -277,8 +277,8 @@ def _labelled(scene: Scene, grid: Union[AnchorSet, PointSet], cfg: TrajectoryCon
               ts: Iterable[float]):
     """The grid's baseline result (named first in its ``STRATEGIES`` row), built once,
     and lazily, at each progress t of ``ts``, every strategy's ``Assignment``, in order.
-    A step's predictions are simulated once, and only when a strategy reads them and
-    the scene has an object; otherwise every strategy labels as the baseline."""
+    A step's predictions are simulated once, and only when a strategy reads them and the
+    scene has an object: with none, no step is simulated and each labels as the baseline."""
     kind = "points" if isinstance(grid, PointSet) else "anchors"
     tasks = STRATEGIES[kind]
     choices = [*tasks, "l2c-fixed"] if kind == "anchors" else [*tasks]

@@ -16,7 +16,10 @@ call by call, then each whole pass (the `pass` row); the tree that goes first
 alternates by round. Per row the script prints the median over the rounds of
 the change's time over the base's, a distribution-free 95% interval of it (two
 order statistics; min to max below 6 rounds) and in how many rounds the change
-was faster. Timing is `time.perf_counter` inside this process.
+was faster. Timing is `time.perf_counter` inside this process. An interval
+reflects the load of the run it comes from, since its rounds share that load:
+two runs of the same two trees have read disjoint intervals, so repeat a run
+before reading a row's interval as a difference.
 """
 
 from __future__ import annotations
