@@ -3,6 +3,7 @@ against itself, imported under two package names (once, for eval_paper's AP),
 on one pass of a workload."""
 
 import importlib.util
+import mmap
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +121,22 @@ def test_unknown_rows_are_refused():
     assert list(HARNESS.replay(base, change, rounds=2, functions=["pass"])) == ["pass"]
     # `--functions` with no names times every row, as no `--functions` does
     assert list(HARNESS.replay(base, change, rounds=2, functions=[])) == ["evaluation.nms", "pass"]
+
+
+def touch_fresh_pages(pages: int) -> None:
+    """Write one byte into each page of a fresh anonymous mapping: a minor fault per page."""
+    with mmap.mmap(-1, pages * mmap.PAGESIZE) as region:
+        for offset in range(0, len(region), mmap.PAGESIZE):
+            region[offset] = 1
+
+
+def test_summary_carries_the_faults_per_call_of_both_trees():
+    base, change = StubTree("evaluation.nms"), StubTree("evaluation.nms")
+    change.calls = [("evaluation.nms", lambda: touch_fresh_pages(16))]
+    results = HARNESS.replay(base, change, rounds=4)
+    base_faults, change_faults = results["evaluation.nms"]["faults"]
+    assert 0 <= base_faults < 16 <= change_faults
+    assert all(len(summary["faults"]) == 2 for summary in results.values())
 
 
 def test_cli_command_against_itself(trees):

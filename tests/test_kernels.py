@@ -215,7 +215,15 @@ class TestRankedSelection:
         assert amplified_iou(values, scores, sigma).tobytes() == full.tobytes()
 
 
-BLOCK = geometry._BLOCK_ROWS
+def block_rows(m):
+    """The rows of an IoU block at ``m`` objects: at most 4096, and at most 2**16 entries."""
+    return min(4096, 2**16 // max(m, 1))
+
+
+# n on each side of the first and the second block edge: m = 16 is the most objects
+# that keep 4096-row blocks without culling, m = 17 the fewest that cull
+EDGES = [(n, m) for m in (1, 16, 17, 50) for n in
+         (block_rows(m) - 1, block_rows(m), block_rows(m) + 1, 2 * block_rows(m) + 1)]
 
 
 def random_boxes(rng, count):
@@ -224,15 +232,52 @@ def random_boxes(rng, count):
     return np.hstack([corner, corner + rng.uniform(1, 80, (count, 2))])
 
 
-class TestBlockedIoU:
-    """``pairwise_iou`` and ``_best_overlap`` run ``BLOCK`` rows at a time;
-    the block edges must not show in any value."""
+def band(rng, count, top, left=0.0):
+    """``count`` boxes of 1-20 px, top to bottom as a grid's rows are, whose tops lie in
+    [top, top + 80) and whose left sides lie in [left, left + 300)."""
+    corner = np.column_stack([rng.uniform(left, left + 300, count),
+                              np.sort(rng.uniform(top, top + 80, count))])
+    return np.hstack([corner, corner + rng.uniform(1, 20, (count, 2))])
 
-    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
-    @pytest.mark.parametrize("m", [0, 1, 50])
-    def test_pairwise_equals_one_broadcast(self, n, m):
+
+def by_top(boxes):
+    """``boxes`` top to bottom, as a grid's rows are: over 16 objects, the blocks then cull."""
+    return boxes[np.argsort(boxes[:, 1], kind="stable")]
+
+
+@pytest.fixture
+def block_objects(monkeypatch):
+    """The object count of each ``broadcast_iou`` call the blocked kernels make."""
+    counts = []
+
+    def spy(b, a, out=None):
+        counts.append(len(b))
+        return broadcast_iou(b, a, out=out)
+
+    monkeypatch.setattr(geometry, "broadcast_iou", spy)
+    return counts
+
+
+def matches_one_broadcast(a, b):
+    """Both blocked kernels give the bits of one ``broadcast_iou`` of `a` against `b`."""
+    matrix = broadcast_iou(a[:, None], b)
+    best, best_iou = _best_overlap(a, b)
+    return (pairwise_iou(a, b).tobytes() == matrix.tobytes()
+            and best.tolist() == np.argmax(matrix, axis=1).tolist()
+            and best_iou.tobytes() == matrix.max(axis=1).tobytes())
+
+
+class TestBlockedIoU:
+    """``pairwise_iou`` and ``_best_overlap`` run blocks of min(4096, 2**16 // m) rows, and
+    over 16 objects a block skips the objects above or below all its rows: neither the block
+    edges nor the skipped objects may show in any value."""
+
+    @pytest.mark.parametrize("order", ["shuffled", "by-top"])
+    @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (0, 50), (1, 1), *EDGES])
+    def test_pairwise_equals_one_broadcast(self, n, m, order):
         rng = np.random.default_rng([n, m])
         a, b = random_boxes(rng, n), random_boxes(rng, m)
+        a = by_top(a) if order == "by-top" else a
         matrix = pairwise_iou(a, b)
         assert matrix.shape == (n, m) and matrix.T.flags.c_contiguous
         assert matrix.tobytes() == broadcast_iou(a[:, None], b).tobytes()
@@ -241,18 +286,19 @@ class TestBlockedIoU:
         assert coordinate_major.T.flags.c_contiguous
         assert pairwise_iou(coordinate_major, b).tobytes() == matrix.tobytes()
 
-    # one object runs no step of the running max; two tie on every row; the
-    # 20-object cases keep their plain ids
+    # one object runs no step of the running max; two tie on every row; 16 objects keep
+    # whole blocks and 17 or more cull; the 20-object cases keep their plain ids
     @pytest.mark.parametrize("n, m", [
         pytest.param(n, m, id=str(n) if m == 20 else f"{n}-objects{m}")
-        for m in (20, 1, 2) for n in (2, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1)
+        for m in (20, 1, 2, 16, 17, 50)
+        for n in (2, block_rows(m) - 1, block_rows(m) + 1, 2 * block_rows(m) + 1)
     ])
     def test_best_overlap_equals_argmax_and_max(self, n, m):
         rng = np.random.default_rng(n if m == 20 else [n, m])
-        a, b = random_boxes(rng, n), random_boxes(rng, m)
-        low, twin = {1: (0, 0), 2: (0, 1), 20: (3, 10)}[m]
+        a, b = by_top(random_boxes(rng, n)), random_boxes(rng, m)
+        low, twin = {1: (0, 0), 2: (0, 1)}.get(m, (3, 10))
         b[twin] = b[low]  # the twin ties object low on every row: the lower index wins
-        a[0] = (1000, 1000, 1001, 1001)  # overlaps nothing: an all-zero row
+        a[0] = (1000, -1000, 1001, -999)  # above every object: an all-zero row
         a[-1] = b[low]
         best, best_iou = _best_overlap(a, b)
         matrix = broadcast_iou(a[:, None], b)
@@ -268,6 +314,97 @@ class TestBlockedIoU:
         best, best_iou = _best_overlap(boxes_to_array(a), boxes_to_array(b))
         assert best.tolist() == np.argmax(matrix, axis=1).tolist()
         assert best_iou.tolist() == matrix.max(axis=1).tolist()
+
+    @given(boxes(max_size=12), boxes(min_size=17, max_size=24))
+    def test_culled_blocks_on_the_lattice(self, a, b):
+        # touching and nested spans are common: the cull must skip only strict misses
+        assert matches_one_broadcast(boxes_to_array(a), boxes_to_array(b))
+
+    def test_a_block_no_object_meets(self, block_objects):
+        rng = np.random.default_rng(1)
+        rows = block_rows(17)
+        a, b = np.vstack([band(rng, rows, 0), band(rng, rows, 1000)]), band(rng, 17, 0)
+        assert matches_one_broadcast(a, b)
+        pairwise_iou(a, b)
+        assert block_objects[-2:] == [17, 0]
+        best, best_iou = _best_overlap(a, b)
+        assert block_objects[-2:] == [17, 1]  # object 0 is in every block
+        assert best[rows:].tolist() == [0] * rows and best_iou[rows:].tolist() == [0.0] * rows
+
+    def test_object_0_skipped_where_the_met_objects_read_0(self, block_objects):
+        """A block skips object 0, and some of its rows meet none of its objects: those
+        rows keep object 0 at 0.0, as ``_row_best`` does."""
+        rng = np.random.default_rng(2)
+        rows = block_rows(17)
+        lower = np.vstack([band(rng, rows - 5, 1000), band(rng, 5, 1000, left=5000)])
+        a = np.vstack([band(rng, rows, 0), lower])
+        b = np.vstack([band(rng, 1, 0), band(rng, 16, 1000)])
+        assert matches_one_broadcast(a, b)
+        pairwise_iou(a, b)
+        assert block_objects[-1] == 16  # the lower block skips object 0
+        best, best_iou = _best_overlap(a, b)
+        assert best[-5:].tolist() == [0] * 5 and best_iou[-5:].tolist() == [0.0] * 5
+        assert best[rows:].max() >= 1  # other rows map their first maximum to its object
+
+    def test_an_object_that_meets_only_a_middle_block(self, block_objects):
+        rng = np.random.default_rng(3)
+        rows = block_rows(17)
+        a = np.vstack([band(rng, rows, top) for top in (0, 1000, 2000)])
+        b = np.vstack([band(rng, 8, 0), band(rng, 1, 1000), band(rng, 8, 2000)])
+        assert matches_one_broadcast(a, b)
+        pairwise_iou(a, b)
+        assert block_objects[-3:] == [8, 1, 8]
+        column = pairwise_iou(a, b)[:, 8]
+        assert column[rows:2 * rows].max() > 0.0
+        assert not column[:rows].any() and not column[2 * rows:].any()
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 50), (3, 0)])
+    def test_empty_inputs(self, n, m):
+        rng = np.random.default_rng([n, m])
+        a, b = random_boxes(rng, n), random_boxes(rng, m)
+        assert pairwise_iou(a, b).shape == (n, m)
+        best, best_iou = _best_overlap(a, b)
+        # no object: each row's zero-column answer, as _row_best gives it
+        assert best.tolist() == [0] * n and best_iou.tolist() == [-np.inf] * n
+
+    @pytest.mark.parametrize("m, inside", [(16, 4096), (17, 1024)])
+    def test_the_callers_ufunc_buffer_is_restored(self, monkeypatch, m, inside):
+        """Over 16 objects the blocks run under a 1024-element buffer, and the caller's
+        buffer, here not numpy's default, is back once the call returns."""
+        rng = np.random.default_rng(m)
+        a, b = by_top(random_boxes(rng, 2 * 4096 + 1)), random_boxes(rng, m)
+        seen = []
+
+        def spy(b, a, out=None):
+            seen.append(np.getbufsize())
+            return broadcast_iou(b, a, out=out)
+
+        monkeypatch.setattr(geometry, "broadcast_iou", spy)
+        caller = np.setbufsize(4096)
+        try:
+            pairwise_iou(a, b), _best_overlap(a, b)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(caller)
+        assert set(seen) == {inside}
+
+    @pytest.mark.parametrize("kernel", [pairwise_iou, _best_overlap])
+    def test_the_ufunc_buffer_is_restored_when_a_block_raises(self, monkeypatch, kernel):
+        rng = np.random.default_rng(4)
+        a, b = by_top(random_boxes(rng, 3 * block_rows(50))), random_boxes(rng, 50)
+        calls = []
+
+        def fail_second(b, a, out=None):
+            calls.append(np.getbufsize())
+            if len(calls) == 2:
+                raise MemoryError("second block")
+            return broadcast_iou(b, a, out=out)
+
+        monkeypatch.setattr(geometry, "broadcast_iou", fail_second)
+        before = np.getbufsize()
+        with pytest.raises(MemoryError, match="second block"):
+            kernel(a, b)
+        assert calls == [1024, 1024] and np.getbufsize() == before
 
 
 # each anchor overlaps one object at most, and each object has an anchor at

@@ -16,7 +16,10 @@ call by call, then each whole pass (the `pass` row); the tree that goes first
 alternates by round. Per row the script prints the median over the rounds of
 the change's time over the base's, a distribution-free 95% interval of it (two
 order statistics; min to max below 6 rounds) and in how many rounds the change
-was faster. Timing is `time.perf_counter` inside this process. An interval
+was faster, and beside it each tree's minor page faults per call of the row,
+read by `resource.getrusage` around each timed call: a kernel's time can be
+mostly page faults, which move with the heap's layout as well as with the
+code. Timing is `time.perf_counter` inside this process. An interval
 reflects the load of the run it comes from, since its rounds share that load:
 two runs of the same two trees have read disjoint intervals, so repeat a run
 before reading a row's interval as a difference.
@@ -36,6 +39,7 @@ import gc
 import importlib.util
 import io
 import math
+import resource
 import subprocess
 import sys
 import tarfile
@@ -135,6 +139,11 @@ class Tree:
             wl.op(k, layers)
 
 
+def minor_faults() -> int:
+    """The minor page faults of this process so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def summarize(ratios: np.ndarray, level: float = 0.95) -> dict:
     """Median of the per-round ratios, the k-th lowest to k-th highest ratio as its
     interval at ``level`` and the number of rounds in which the change was faster."""
@@ -163,7 +172,8 @@ def make_trees(base_src: Path, change_src: Path, workload: str, passes: int,
 def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
            level: float = 0.95) -> dict:
     """Time both trees' recorded calls and passes round by round, row by row
-    and the two trees in turn call by call; returns {row: summarize(...)}."""
+    and the two trees in turn call by call; returns {row: summarize(...)},
+    each with "faults": the (base, change) minor page faults per call."""
     if [name for name, _ in base.calls] != [name for name, _ in change.calls]:
         raise RuntimeError("the two trees made different layer calls")
     calls = [(name, (a, b)) for (name, a), (_, b) in zip(base.calls, change.calls)]
@@ -174,7 +184,7 @@ def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
     rows = [row for row in rows if not functions or row in functions]
     # row by row: a call then follows calls like it, not whatever the operation made before it
     calls = [(f, pair) for f, row in enumerate(rows) for name, pair in calls if name == row]
-    seconds = np.zeros((rounds, len(rows), 2))
+    seconds, faults = np.zeros((rounds, len(rows), 2)), np.zeros((len(rows), 2))
     gc.collect()
     gc.disable()  # no collection lands inside a timed call
     try:
@@ -182,13 +192,17 @@ def replay(base: Tree, change: Tree, rounds: int = 20, functions=None,
             sides = (0, 1) if r % 2 == 0 else (1, 0)
             for row, pair in calls:
                 for side in sides:
+                    before = minor_faults()
                     start = time.perf_counter()
                     pair[side]()
                     seconds[r, row, side] += time.perf_counter() - start
+                    faults[row, side] += minor_faults() - before
     finally:
         gc.enable()
     ratios = seconds[:, :, 1] / seconds[:, :, 0]
-    return {name: summarize(ratios[:, f], level) for f, name in enumerate(rows)}
+    faults /= rounds * np.bincount([row for row, _ in calls], minlength=len(rows))[:, None]
+    return {name: {**summarize(ratios[:, f], level), "faults": tuple(faults[f].tolist())}
+            for f, name in enumerate(rows)}
 
 
 def main(argv=None) -> int:
@@ -209,7 +223,8 @@ def main(argv=None) -> int:
     for name, s in results.items():
         low, high = s["interval"]
         print(f"{name:{width}s} x{s['median']:.3f}  95% [{low:.3f}, {high:.3f}]  "
-              f"faster in {s['faster']} of {s['rounds']}")
+              f"faster in {s['faster']} of {s['rounds']}  "
+              f"faults per call {s['faults'][0]:.1f} -> {s['faults'][1]:.1f}")
     return 0
 
 
