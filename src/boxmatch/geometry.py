@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-_BLOCK_ROWS, _BLOCK_ENTRIES, _CULL_OVER, _CULL_BUFSIZE = 4096, 2**16, 16, 1024  # _row_blocks
+_BLOCK_ROWS, _BLOCK_ENTRIES, _CULL_OVER, _CULL_BUFSIZE = 4096, 2**16, 16, 1024  # _pairwise
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def broadcast_iou(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
     """Unchecked IoU of (..., 4) box arrays whose leading shapes broadcast to at least one
     axis (pass a single box as (1, 4)), written into ``out`` if given: ``a[:, None]`` against
     ``b`` is the pairwise matrix, equal shapes give the row-wise IoU. Each float equals the
-    scalar ``iou`` of its pair, bit for bit."""
+    scalar ``iou`` of its pair, bit for bit, but where both areas underflow to 0 (sides near
+    1e-200): such a pair reads NaN here, and in ``iou`` 0.0 if disjoint."""
     low = np.maximum(a[..., 0], b[..., 0])  # one temporary serves both lower sides
     iw = np.minimum(a[..., 2], b[..., 2], out=out)
     iw -= low
@@ -118,48 +119,35 @@ def broadcast_iou(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
 
 
 def pairwise_iou(a: BoxesLike, b: BoxesLike) -> np.ndarray:
-    """IoU of every box in `a` with every box in `b`, shape (len(a), len(b)), object-major, built
-    in blocks of min(4096, 2**16 // len(b)) rows of `a`. Over 16 objects a block skips each object
-    above or below all its rows, which reads +0.0: the bits of a disjoint pair."""
-    a, b = _argument("a", _as_box_array, a), _argument("b", _as_box_array, b)
-    out = np.empty((len(b), len(a)))
-    def block(rows, hit):  # a's rows innermost: long loops
-        if hit is None:  # every object: in place
-            return broadcast_iou(b[:, None], a[rows], out=out[:, rows])
-        out[~hit, rows], out[hit, rows] = 0.0, broadcast_iou(b[hit, None], a[rows])
-    _row_blocks(a, b, block)
-    return out.T
+    """IoU of every box in `a` with every box in `b`, shape (len(a), len(b)), object-major."""
+    return _pairwise(_argument("a", _as_box_array, a), _argument("b", _as_box_array, b))
 
 
-def _best_overlap(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``_row_best`` of ``pairwise_iou(a, b)`` without the matrix, in its blocks. Object 0 is in
-    every block, so a row whose objects all read 0 keeps object 0 at 0.0, as ``_row_best`` does."""
-    best, best_iou = np.empty(len(a), dtype=np.intp), np.empty(len(a))
-    def block(rows, hit):  # each block goes before the next is built
-        objects = slice(None) if hit is None else np.flatnonzero(hit | (np.arange(len(b)) == 0))
-        first, best_iou[rows] = _row_best(broadcast_iou(b[objects, None], a[rows]).T)
-        best[rows] = first if hit is None else objects[first]  # as an object index
-    _row_blocks(a, b, block)
-    return best, best_iou
-
-
-def _row_blocks(a: np.ndarray, b: np.ndarray, block) -> None:
-    """Call ``block(rows, hit)`` on each block of `a`'s rows, `hit` masking the objects that meet
-    them (None: every object). Over 16 objects the blocks are narrow, and numpy buffers a broadcast
-    narrower than a third of its ufunc buffer at 4-6x the cost: they run under 1024 elements."""
-    if len(b) <= _CULL_OVER:
+def _pairwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unchecked ``pairwise_iou``, built in blocks of min(4096, 2**16 // len(b)) rows of `a`. Over
+    16 objects a block skips each object above or below all its rows, which reads +0.0: the bits
+    of a disjoint pair. Those blocks are narrow, and numpy buffers a broadcast narrower than a
+    third of its ufunc buffer at 4-6x the cost: they run under 1024 elements."""
+    out = np.empty((len(b), len(a)))  # a's rows innermost: long loops
+    if len(b) <= _CULL_OVER:  # every object, in place
         for start in range(0, len(a), _BLOCK_ROWS):
-            block(slice(start, start + _BLOCK_ROWS), None)
-        return
+            rows = slice(start, start + _BLOCK_ROWS)
+            broadcast_iou(b[:, None], a[rows], out=out[:, rows])
+        return out.T
     starts = np.arange(0, len(a), step := max(1, _BLOCK_ENTRIES // len(b)))
     low, high = np.minimum.reduceat(a[:, 1], starts), np.maximum.reduceat(a[:, 3], starts)
     meets = (b[:, 3] >= low[:, None]) & (b[:, 1] <= high[:, None])  # not strictly above or below
     old = np.setbufsize(_CULL_BUFSIZE)
     try:  # the caller's buffer is restored on every exit
         for start, hit in zip(starts.tolist(), meets):
-            block(slice(start, start + step), None if hit.all() else hit)
+            rows = slice(start, start + step)
+            if hit.all():
+                broadcast_iou(b[:, None], a[rows], out=out[:, rows])
+            else:
+                out[~hit, rows], out[hit, rows] = 0.0, broadcast_iou(b[hit, None], a[rows])
     finally:
         np.setbufsize(old)
+    return out.T
 
 
 def _row_best(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

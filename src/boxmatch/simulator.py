@@ -23,7 +23,7 @@ from .anchors import AnchorSet, PointSet
 from .assignment import STRATEGIES, MatchingConfig, static_assign
 from .evaluation import Detections, GroundTruth, _unchecked
 from .geometry import Box, boxes_to_array, broadcast_iou, iou, pairwise_iou, _argument, _bounded
-from .geometry import _best_overlap, _fields, _hashable, _instance, _integral, _row_best, _span
+from .geometry import _fields, _hashable, _instance, _integral, _pairwise, _row_best, _span
 
 GAIN_CURVES: dict[str, Callable[[float], float]] = {
     "linear": lambda t: t,
@@ -197,7 +197,7 @@ def synth_predictions(
     if not scene.boxes:  # no target to gather: take cannot index an empty axis
         return TrajectorySnapshot(anchors.copy(), np.zeros((n, 0)), np.zeros((n, 0)))
 
-    best, best_iou = _best_overlap(anchors, gt) if _iou_anchor is None else _row_best(_iou_anchor)
+    best, best_iou = _row_best(_pairwise(anchors, gt) if _iou_anchor is None else _iou_anchor)
 
     w_base = GAIN_CURVES[cfg.localization_gain](t)
     jitter = cfg.noise * rng.uniform(-1.0, 1.0, size=n) * 4.0 * w_base * (1.0 - w_base)

@@ -19,7 +19,6 @@ from boxmatch.assignment import (
 )
 from boxmatch.geometry import (
     Box,
-    _best_overlap,
     _row_best,
     boxes_to_array,
     broadcast_iou,
@@ -65,6 +64,15 @@ class TestBroadcastIoU:
         b = data.draw(boxes(min_size=len(a), max_size=len(a)))
         rowwise = broadcast_iou(boxes_to_array(a), boxes_to_array(b))
         assert rowwise.tolist() == [iou(x, y) for x, y in zip(a, b)]
+
+    def test_disjoint_boxes_whose_areas_underflow(self):
+        """The one disjoint pair whose bits differ: both areas underflow to 0, so the union
+        does, and 0 / 0 reads NaN, where the scalar ``iou`` returns 0.0 before dividing."""
+        a, b = Box(0.0, 0.0, 1e-200, 1e-200), Box(2e-200, 0.0, 3e-200, 1e-200)
+        assert iou(a, b) == 0.0
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(broadcast_iou(boxes_to_array([a]), boxes_to_array([b]))).all()
+            assert np.isnan(pairwise_iou([a], [b])).all()
 
     @pytest.mark.parametrize(
         "a, b, expected",
@@ -259,18 +267,19 @@ def block_objects(monkeypatch):
 
 
 def matches_one_broadcast(a, b):
-    """Both blocked kernels give the bits of one ``broadcast_iou`` of `a` against `b`."""
-    matrix = broadcast_iou(a[:, None], b)
-    best, best_iou = _best_overlap(a, b)
-    return (pairwise_iou(a, b).tobytes() == matrix.tobytes()
+    """The blocked matrix, and each row's best object and overlap in it, as ``synth_predictions``
+    reads them, give the bits of one ``broadcast_iou`` of `a` against `b`."""
+    matrix, blocked = broadcast_iou(a[:, None], b), pairwise_iou(a, b)
+    best, best_iou = _row_best(blocked)
+    return (blocked.tobytes() == matrix.tobytes()
             and best.tolist() == np.argmax(matrix, axis=1).tolist()
             and best_iou.tobytes() == matrix.max(axis=1).tobytes())
 
 
 class TestBlockedIoU:
-    """``pairwise_iou`` and ``_best_overlap`` run blocks of min(4096, 2**16 // m) rows, and
-    over 16 objects a block skips the objects above or below all its rows: neither the block
-    edges nor the skipped objects may show in any value."""
+    """``pairwise_iou`` runs blocks of min(4096, 2**16 // m) rows, and over 16 objects a block
+    skips the objects above or below all its rows: neither the block edges nor the skipped
+    objects may show in any value, nor in each row's best object and overlap."""
 
     @pytest.mark.parametrize("order", ["shuffled", "by-top"])
     @pytest.mark.parametrize("n, m", [(0, 0), (1, 0), (0, 50), (1, 1), *EDGES])
@@ -300,7 +309,7 @@ class TestBlockedIoU:
         b[twin] = b[low]  # the twin ties object low on every row: the lower index wins
         a[0] = (1000, -1000, 1001, -999)  # above every object: an all-zero row
         a[-1] = b[low]
-        best, best_iou = _best_overlap(a, b)
+        best, best_iou = _row_best(pairwise_iou(a, b))
         matrix = broadcast_iou(a[:, None], b)
         assert best.tolist() == np.argmax(matrix, axis=1).tolist()
         assert best_iou.tobytes() == matrix.max(axis=1).tobytes()
@@ -311,7 +320,7 @@ class TestBlockedIoU:
     @given(boxes(), boxes())
     def test_best_overlap_on_the_lattice(self, a, b):
         matrix = pairwise_iou(boxes_to_array(a), boxes_to_array(b))
-        best, best_iou = _best_overlap(boxes_to_array(a), boxes_to_array(b))
+        best, best_iou = _row_best(pairwise_iou(boxes_to_array(a), boxes_to_array(b)))
         assert best.tolist() == np.argmax(matrix, axis=1).tolist()
         assert best_iou.tolist() == matrix.max(axis=1).tolist()
 
@@ -327,8 +336,7 @@ class TestBlockedIoU:
         assert matches_one_broadcast(a, b)
         pairwise_iou(a, b)
         assert block_objects[-2:] == [17, 0]
-        best, best_iou = _best_overlap(a, b)
-        assert block_objects[-2:] == [17, 1]  # object 0 is in every block
+        best, best_iou = _row_best(pairwise_iou(a, b))
         assert best[rows:].tolist() == [0] * rows and best_iou[rows:].tolist() == [0.0] * rows
 
     def test_object_0_skipped_where_the_met_objects_read_0(self, block_objects):
@@ -342,9 +350,9 @@ class TestBlockedIoU:
         assert matches_one_broadcast(a, b)
         pairwise_iou(a, b)
         assert block_objects[-1] == 16  # the lower block skips object 0
-        best, best_iou = _best_overlap(a, b)
+        best, best_iou = _row_best(pairwise_iou(a, b))
         assert best[-5:].tolist() == [0] * 5 and best_iou[-5:].tolist() == [0.0] * 5
-        assert best[rows:].max() >= 1  # other rows map their first maximum to its object
+        assert best[rows:].max() >= 1  # other rows: the first maximum among the met objects
 
     def test_an_object_that_meets_only_a_middle_block(self, block_objects):
         rng = np.random.default_rng(3)
@@ -363,7 +371,7 @@ class TestBlockedIoU:
         rng = np.random.default_rng([n, m])
         a, b = random_boxes(rng, n), random_boxes(rng, m)
         assert pairwise_iou(a, b).shape == (n, m)
-        best, best_iou = _best_overlap(a, b)
+        best, best_iou = _row_best(pairwise_iou(a, b))
         # no object: each row's zero-column answer, as _row_best gives it
         assert best.tolist() == [0] * n and best_iou.tolist() == [-np.inf] * n
 
@@ -382,13 +390,16 @@ class TestBlockedIoU:
         monkeypatch.setattr(geometry, "broadcast_iou", spy)
         caller = np.setbufsize(4096)
         try:
-            pairwise_iou(a, b), _best_overlap(a, b)
+            _row_best(pairwise_iou(a, b))
             assert np.getbufsize() == 4096
         finally:
             np.setbufsize(caller)
         assert set(seen) == {inside}
 
-    @pytest.mark.parametrize("kernel", [pairwise_iou, _best_overlap])
+    @pytest.mark.parametrize("kernel", [
+        pytest.param(pairwise_iou, id="pairwise_iou"),
+        pytest.param(lambda a, b: _row_best(pairwise_iou(a, b)), id="row_best"),
+    ])
     def test_the_ufunc_buffer_is_restored_when_a_block_raises(self, monkeypatch, kernel):
         rng = np.random.default_rng(4)
         a, b = by_top(random_boxes(rng, 3 * block_rows(50))), random_boxes(rng, 50)
@@ -531,6 +542,26 @@ def test_predictions_build_no_anchor_overlap(monkeypatch):
     scene = Scene(64, 64, (Box(10, 10, 30, 34), Box(36, 8, 60, 28)), (0, 1))
     synth_predictions(scene, grid, TrajectoryConfig(misalignment_fraction=0.3), 0.6)
     assert calls == [False]  # the regressed boxes only
+
+
+@pytest.mark.parametrize("side, count_range, seed", [
+    *[(512, (17, 50), seed) for seed in range(3)],  # culled blocks
+    *[(320, (1, 5), seed) for seed in range(3)],  # whole blocks
+])
+def test_predictions_equal_those_from_the_checked_anchor_overlap(side, count_range, seed):
+    """Without ``_iou_anchor``, ``synth_predictions`` reads each anchor's target from the
+    unchecked blocked matrix; the snapshot is that of ``pairwise_iou``'s, bit for bit."""
+    grid = generate_anchors(AnchorGridSpec(side, side))
+    scene = synth_scene(SceneSpec(side, side, count_range=count_range, seed=seed))
+    assert count_range[0] <= len(scene.boxes) <= count_range[1]
+    iou_anchor = pairwise_iou(grid.array, boxes_to_array(scene.boxes))
+    cfg = TrajectoryConfig(misalignment_fraction=0.3, localization_gain="sqrt",
+                           score_gain="quadratic", noise=0.1)
+    for t in (0.3, 0.8):
+        own = synth_predictions(scene, grid, cfg, t, seed)
+        handed = synth_predictions(scene, grid, cfg, t, seed, _iou_anchor=iou_anchor)
+        for field in ("regressed_boxes", "classif_scores", "iou_regressed"):
+            assert getattr(own, field).tobytes() == getattr(handed, field).tobytes()
 
 
 # few distinct values: ties, all-zero rows and signed zeros are common

@@ -1,8 +1,8 @@
 """Source rules of the library, its tools and its tests: every line of
 ``src/boxmatch``, ``tools`` and ``tests`` fits in 100 characters, no library
-module but ``__init__`` imports a name it never uses, no library module calls
-``argmax``, and the package's public names are those its submodules define,
-listed once."""
+module but ``__init__`` imports a name it never uses, no private helper is kept
+alive by tests alone, no library module calls ``argmax``, and the package's
+public names are those its submodules define, listed once."""
 
 import ast
 import importlib
@@ -46,6 +46,26 @@ def test_no_module_imports_a_name_it_never_uses(path):
                 and getattr(node, "module", None) != "__future__" for alias in node.names}
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - read) == []
+
+
+def test_every_private_helper_serves_the_library():
+    """Each private top-level function or class of a library module is read by a library
+    module outside its own definition: one that only tests read is dead code."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in LIBRARY]
+    reads = [(tree, node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    unread = []
+    for tree, path in zip(trees, LIBRARY):
+        for helper in tree.body:
+            name = getattr(helper, "name", "")
+            if not isinstance(helper, (ast.FunctionDef, ast.ClassDef)) or not name.startswith("_"):
+                continue
+            inside = {id(node) for node in ast.walk(helper)}
+            if not any(read == name and not (where is tree and id(node) in inside)
+                       for where, node, read in reads):
+                unread.append(f"{path.name}: {name}")
+    assert unread == []
 
 
 @pytest.mark.parametrize("path", LIBRARY, ids=[path.name for path in LIBRARY])
