@@ -104,7 +104,7 @@ def broadcast_iou(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None
     axis (pass a single box as (1, 4)), written into ``out`` if given: ``a[:, None]`` against
     ``b`` is the pairwise matrix, equal shapes give the row-wise IoU. Each float equals the
     scalar ``iou`` of its pair, bit for bit, but where both areas underflow to 0 (sides near
-    1e-200): such a pair reads NaN here, and in ``iou`` 0.0 if disjoint."""
+    1e-200): such a pair reads NaN here, where ``iou`` answers 0.0 if the boxes are disjoint."""
     low = np.maximum(a[..., 0], b[..., 0])  # one temporary serves both lower sides
     iw = np.minimum(a[..., 2], b[..., 2], out=out)
     iw -= low
